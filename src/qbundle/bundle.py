@@ -13,11 +13,12 @@ H~ = g^{-1} H g - i g^{-1} gdot.  The combination
 is *unitary* and glues the Hermitian representations of the two charts;
 observables in Hermitian form transform as  o~ = G^{-1} o G.
 
-:func:`evolve_across_patches` runs a two-chart evolution: integrate on the
-first chart up to a switch time tau inside the overlap dwell, convert the
-state, integrate on the second chart.  Physical endpoints do not depend on
-tau.  In the Hermitian representation the conversion uses G, and the state
-Phi jumps at tau (G is not the identity) while all eta-norms stay continuous.
+:func:`evolve_across_patches` walks the curve's chart itinerary segment by
+segment: integrate on one chart up to a switch time inside the overlap
+dwell, convert the state with g^{-1}, continue on the next chart.  Physical
+endpoints do not depend on the switch time.  In the Hermitian representation
+the conversion uses G^{-1}, and the state Phi jumps at the switch (G is not
+the identity) while all eta-norms stay continuous.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class TransitionFunctionField:
         partials_fn: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
         overlap: Callable[[np.ndarray], bool] | None = None,
         dim: int = 2,
-        fd_step: float = G_FD_STEP,
     ):
         self.from_patch = from_patch
         self.to_patch = to_patch
@@ -71,7 +71,6 @@ class TransitionFunctionField:
         self._partials_fn = partials_fn
         self._overlap = overlap
         self.dim = dim
-        self.fd_step = fd_step
 
     def in_overlap(self, point) -> bool:
         r = np.asarray(point, dtype=float)
@@ -100,22 +99,11 @@ class TransitionFunctionField:
         r = self._coords(point)
         if self._partials_fn is not None:
             return [linalg.as_square(p, "partial of g") for p in self._partials_fn(r)]
-        out = []
-        for a in range(self.dim):
-            rp, rm = r.copy(), r.copy()
-            rp[a] += self.fd_step
-            rm[a] -= self.fd_step
-            out.append((self._g_fn(rp) - self._g_fn(rm)) / (2.0 * self.fd_step))
-        return out
+        return linalg.central_difference(self._g_fn, r, G_FD_STEP)
 
     def g_dot(self, point, velocity) -> np.ndarray:
         """Time derivative of g along a curve through ``point``."""
-        v = np.asarray(velocity, dtype=float)
-        parts = self.partial_g(point)
-        out = np.zeros_like(parts[0])
-        for a in range(self.dim):
-            out = out + v[a] * parts[a]
-        return out
+        return linalg.contract(np.asarray(velocity, dtype=float), self.partial_g(point))
 
     def inverse(self) -> "TransitionFunctionField":
         """The reversed transition, g -> g^{-1} with patches swapped."""
@@ -125,16 +113,7 @@ class TransitionFunctionField:
 
         def partials_fn(r):
             gi = np.linalg.inv(self._g_fn(r))
-            if self._partials_fn is not None:
-                parts = self._partials_fn(r)
-            else:
-                parts = []
-                for a in range(self.dim):
-                    rp, rm = r.copy(), r.copy()
-                    rp[a] += self.fd_step
-                    rm[a] -= self.fd_step
-                    parts.append((self._g_fn(rp) - self._g_fn(rm)) / (2.0 * self.fd_step))
-            return [-gi @ p @ gi for p in parts]
+            return [-gi @ p @ gi for p in self.partial_g(r)]
 
         return TransitionFunctionField(
             self.to_patch,
@@ -143,7 +122,6 @@ class TransitionFunctionField:
             partials_fn=partials_fn,
             overlap=self._overlap,
             dim=self.dim,
-            fd_step=self.fd_step,
         )
 
 
@@ -192,7 +170,6 @@ def transform_hamiltonian(
     g_of_t: Callable[[float], np.ndarray],
     t: float,
     g_dot_of_t: Callable[[float], np.ndarray] | None = None,
-    fd_step: float = G_FD_STEP,
 ) -> np.ndarray:
     """Generator seen from the target chart along a curve:
 
@@ -205,7 +182,7 @@ def transform_hamiltonian(
     if g_dot_of_t is not None:
         gd = g_dot_of_t(t)
     else:
-        gd = (g_of_t(t + fd_step) - g_of_t(t - fd_step)) / (2.0 * fd_step)
+        gd = linalg.central_difference(g_of_t, t, G_FD_STEP)
     return g_inv @ h_fn(t) @ g - 1j * g_inv @ gd
 
 
@@ -385,25 +362,7 @@ class SystemSpec:
         return 0.5 * (self.overlap_window[0] + self.overlap_window[1])
 
 
-# ----------------------------------------------------- two-chart evolution
-
-
-def _concat_results(first: EvolutionResult, second: EvolutionResult) -> EvolutionResult:
-    def cat(x, y):
-        if x is None or y is None:
-            return None
-        return np.concatenate([x, y])
-
-    trace = None
-    if first.patch_trace is not None and second.patch_trace is not None:
-        trace = first.patch_trace + second.patch_trace
-    return EvolutionResult(
-        np.concatenate([first.times, second.times]),
-        np.concatenate([first.states, second.states]),
-        cat(first.eta_norm, second.eta_norm),
-        cat(first.energy_expect, second.energy_expect),
-        trace,
-    )
+# ------------------------------------------------------ chart-switched evolution
 
 
 def evolve_across_patches(
@@ -413,83 +372,70 @@ def evolve_across_patches(
     stepper: StepperConfig = StepperConfig(),
     representation: str = "eta",
 ) -> EvolutionResult:
-    """Evolve through a chart switch at parameter time tau.
+    """Evolve along the curve's chart itinerary, switching charts at tau.
 
-    The curve's patch_schedule must name two consecutive charts.  In the
-    default ("eta") representation the state converts at tau by
-    psi~ = g^{-1} psi; in the "hermitian" representation the input/output
-    states are Phi = rho psi and the conversion is Phi~ = G^{-1} Phi.  The
-    returned trajectory contains two samples at t = tau, one per chart, so
-    the frame switch is visible in the record.
+    The curve's patch_schedule names one chart, or two consecutive charts
+    with the switch at tau.  In the default ("eta") representation the state
+    converts at the switch by psi~ = g^{-1} psi; in the "hermitian"
+    representation the input/output states are Phi = rho psi and the
+    conversion is Phi~ = G^{-1} Phi.  The returned trajectory contains two
+    samples at each switch, one per chart, so the frame switch is visible in
+    the record.
 
     Raises :class:`TauNotInOverlap` when the curve point at tau is outside
     the chart overlap.
     """
     if representation not in ("eta", "hermitian"):
         raise ValueError(f"unknown representation {representation!r}")
-    sched = system.curve.patch_schedule
-    if len(sched) == 1:
-        (interval, pid) = sched[0]
-        gen = (system.generator(pid) if representation == "eta"
-               else system.hermitian_generator(pid))
-        result = evolve(
-            gen, psi0, system.curve.t_start, system.curve.t_end, stepper,
-            curve_metric=system.curve_metric(pid) if representation == "eta" else None,
-            energy=system.energy_generator(pid) if representation == "eta" else None,
-            patch_id=pid,
-        )
-        if representation == "hermitian":
-            result.eta_norm = np.linalg.norm(result.states, axis=1)
-        return result
-    if len(sched) != 2:
+    hermitian = representation == "hermitian"
+    pids = [pid for _, pid in system.curve.patch_schedule]
+    bounds = [system.curve.t_start, system.curve.t_end]
+    if len(pids) == 2:
+        if tau is None:
+            tau = system.default_tau()
+        if system.overlap_window is not None:
+            lo, hi = system.overlap_window
+            if not (lo <= tau <= hi):
+                raise TauNotInOverlap(
+                    f"tau = {tau} outside the overlap dwell [{lo}, {hi}]"
+                )
+        r_tau = np.asarray(system.curve.position(tau), dtype=float)
+        if not system.transition_into(pids[1]).in_overlap(r_tau):
+            raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
+        bounds.insert(1, tau)
+    elif len(pids) != 1:
         raise TauNotInOverlap(
-            f"expected a one- or two-chart schedule, got {len(sched)} entries"
+            f"expected a one- or two-chart schedule, got {len(pids)} entries"
         )
-    (_, pid_a), (_, pid_b) = sched
-    if tau is None:
-        tau = system.default_tau()
-    if system.overlap_window is not None:
-        lo, hi = system.overlap_window
-        if not (lo <= tau <= hi):
-            raise TauNotInOverlap(
-                f"tau = {tau} outside the overlap dwell [{lo}, {hi}]"
-            )
-    r_tau = np.asarray(system.curve.position(tau), dtype=float)
-    transition = system.transition_into(pid_b)
-    if not transition.in_overlap(r_tau):
-        raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
 
-    t0, t1 = system.curve.t_start, system.curve.t_end
-    if representation == "eta":
-        first = evolve(
-            system.generator(pid_a), psi0, t0, tau, stepper,
-            curve_metric=system.curve_metric(pid_a),
-            energy=system.energy_generator(pid_a),
-            patch_id=pid_a,
-        )
-        switched = transform_state(transition, r_tau, first.final_state)
-        second = evolve(
-            system.generator(pid_b), switched, tau, t1, stepper,
-            curve_metric=system.curve_metric(pid_b),
-            energy=system.energy_generator(pid_b),
-            patch_id=pid_b,
-        )
-        return _concat_results(first, second)
+    psi = psi0
+    pieces: list[EvolutionResult] = []
+    for k, pid in enumerate(pids):
+        if k:
+            r = np.asarray(system.curve.position(bounds[k]), dtype=float)
+            transition = system.transition_into(pid)
+            if hermitian:
+                gg = big_g(system.patch(pids[k - 1]).metric, system.patch(pid).metric,
+                           transition, r, check_tol=None)
+                psi = np.linalg.inv(gg) @ psi
+            else:
+                psi = transform_state(transition, r, psi)
+        pieces.append(evolve(
+            system.hermitian_generator(pid) if hermitian else system.generator(pid),
+            psi, bounds[k], bounds[k + 1], stepper,
+            curve_metric=None if hermitian else system.curve_metric(pid),
+            energy=None if hermitian else system.energy_generator(pid),
+            patch_id=pid,
+        ))
+        psi = pieces[-1].final_state
 
-    # Hermitian representation: states are Phi = rho psi on each chart
-    metric_a = system.patch(pid_a).metric
-    metric_b = system.patch(pid_b).metric
-    first = evolve(
-        system.hermitian_generator(pid_a), psi0, t0, tau, stepper,
-        patch_id=pid_a,
-    )
-    gg = big_g(metric_a, metric_b, transition, r_tau, check_tol=None)
-    switched = np.linalg.inv(gg) @ first.final_state
-    second = evolve(
-        system.hermitian_generator(pid_b), switched, tau, t1, stepper,
-        patch_id=pid_b,
-    )
-    out = _concat_results(first, second)
-    # the 2-norm of Phi equals the eta-norm of psi chartwise; record it
-    out.eta_norm = np.linalg.norm(out.states, axis=1)
+    def cat(name):
+        parts = [getattr(p, name) for p in pieces]
+        return None if any(x is None for x in parts) else np.concatenate(parts)
+
+    out = EvolutionResult(cat("times"), cat("states"), cat("eta_norm"), cat("energy_expect"),
+                          [pid for p in pieces for pid in p.patch_trace])
+    if hermitian:
+        # the 2-norm of Phi equals the eta-norm of psi chartwise; record it
+        out.eta_norm = np.linalg.norm(out.states, axis=1)
     return out

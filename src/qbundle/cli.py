@@ -24,7 +24,8 @@ sweep <config.json> --param dotted.path --values v1,v2,...
 All outputs are deterministic: a given configuration (including its seed)
 produces byte-identical files.  Output files go to --output-dir, else
 $QBUNDLE_OUTPUT_DIR, else the current directory.  Exit codes: 0 success,
-1 invariant/comparison failure, 2 configuration error.
+1 invariant/comparison failure, 2 configuration error, 3 unexpected
+internal error (reported as one line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -51,8 +53,9 @@ from .bundle import (
     unitarity_defect,
 )
 from .connection import ConnectionForm, CurvePath, check_metric_compatibility
+from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
-from .linalg import max_abs
+from .linalg import is_positive_definite, max_abs
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
@@ -220,6 +223,8 @@ def _stepper_from_config(node) -> StepperConfig:
 def _custom_system(cfg: dict) -> SystemSpec:
     patch = str(_take(cfg, "patch", "main"))
     eta = matrix_from_json(_take(cfg, "eta", required=True), "eta")
+    if not is_positive_definite(eta):
+        raise ConfigError("'eta' must be a positive-definite Hermitian matrix")
     curve = _curve_from_config(_take(cfg, "curve", required=True), "custom-matrix-fields")
     dim = np.asarray(curve.position(curve.t_start)).shape[0]
     metric = constant_metric_field(patch, eta, dim=dim)
@@ -257,23 +262,16 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
 
     def defected(form: ConnectionForm) -> ConnectionForm:
         def components(r):
-            eye = np.eye(2, dtype=complex)
-            return [c + 1j * magnitude * eye for c in form.components(r)]
+            return [c + 1j * magnitude * np.eye(c.shape[0], dtype=complex)
+                    for c in form.components(r)]
 
-        return ConnectionForm(form.patch_id, components, dim=form.dim)
+        return ConnectionForm(form.patch_id, components, dim=form.dim, domain=form._domain)
 
     patches = {
         pid: PatchData(pd.metric, defected(pd.connection))
         for pid, pd in system.patches.items()
     }
-    return SystemSpec(
-        patches=patches,
-        curve=system.curve,
-        transition=system.transition,
-        energy=system.energy,
-        overlap_window=system.overlap_window,
-        metadata=dict(system.metadata),
-    )
+    return dataclasses.replace(system, patches=patches, metadata=dict(system.metadata))
 
 
 def build_from_config(cfg: dict) -> SystemSpec:
@@ -421,7 +419,7 @@ def _cmd_run(args) -> int:
         _write_json(path, summary)
         written.append(path)
     if "invariant-report" in outputs:
-        report = run_checks(cfg, system)
+        report = run_checks(cfg, system, result)
         path = out_dir / f"{stem}_invariants.json"
         _write_json(path, report)
         written.append(path)
@@ -447,8 +445,10 @@ def _schedule_samples(system: SystemSpec, rng, n: int):
     return out
 
 
-def run_checks(cfg: dict, system: SystemSpec | None = None) -> dict:
-    """Run the invariant battery for a configuration; returns the report."""
+def run_checks(cfg: dict, system: SystemSpec | None = None,
+               result: EvolutionResult | None = None) -> dict:
+    """Run the invariant battery for a configuration; returns the report.
+    ``result`` is the run it describes; without one the config is evolved."""
     if system is None:
         system = build_from_config(cfg)
     tolerances = dict(CHECK_TOLERANCES)
@@ -525,10 +525,11 @@ def run_checks(cfg: dict, system: SystemSpec | None = None) -> dict:
 
     add("no-go-defect", [no_go(t, pid) for t, pid in samples])
 
-    # end-to-end norm conservation on a short run
-    stepper = _stepper_from_config(_take(cfg, "stepper"))
-    psi0 = _initial_state(cfg, system, rng)
-    result = evolve_across_patches(system, psi0, stepper=stepper)
+    # end-to-end norm conservation of the run
+    if result is None:
+        stepper = _stepper_from_config(_take(cfg, "stepper"))
+        psi0 = _initial_state(cfg, system, rng)
+        result = evolve_across_patches(system, psi0, stepper=stepper)
     add("norm-conservation",
         [float(np.max(np.abs(result.eta_norm - result.eta_norm[0])))])
 
@@ -687,6 +688,9 @@ def main(argv=None) -> int:
     except QBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug or an input no validator caught; not exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,6 +43,9 @@ OMEGA_TOL = 1e-8
 #: default step for finite-difference curvature, refined once by Richardson
 CURVATURE_FD_STEP = 1e-4
 
+#: time step for finite-difference curve velocities
+VELOCITY_FD_STEP = 1e-6
+
 
 class ConnectionForm:
     """Matrix-valued connection coefficients on one chart.
@@ -80,12 +83,7 @@ class ConnectionForm:
 
     def contracted(self, point, velocity) -> np.ndarray:
         """sum_a Rdot^a A_a(R): the generator of transport along a velocity."""
-        v = np.asarray(velocity, dtype=float)
-        comps = self.components(point)
-        out = np.zeros_like(comps[0])
-        for a in range(self.dim):
-            out = out + v[a] * comps[a]
-        return out
+        return linalg.contract(np.asarray(velocity, dtype=float), self.components(point))
 
 
 @dataclass
@@ -117,13 +115,13 @@ class CurvePath:
                 out.add(pid)
         return out
 
-    def velocity_consistency(self, n_samples: int = 50, h: float = 1e-6) -> float:
+    def velocity_consistency(self, n_samples: int = 50) -> float:
         """Max deviation between declared velocity and a central difference
         of the position over interior samples (a sanity diagnostic)."""
         ts = np.linspace(self.t_start, self.t_end, n_samples + 2)[1:-1]
         worst = 0.0
         for t in ts:
-            fd = (np.asarray(self.position(t + h)) - np.asarray(self.position(t - h))) / (2 * h)
+            fd = linalg.central_difference(self.position, t, VELOCITY_FD_STEP)
             worst = max(worst, float(np.max(np.abs(fd - np.asarray(self.velocity(t))))))
         return worst
 
@@ -133,13 +131,11 @@ def path_from_position(
     t_end: float,
     position: Callable[[float], np.ndarray],
     patch_id: str | None = None,
-    h: float = 1e-6,
 ) -> CurvePath:
     """Build a CurvePath with a finite-difference velocity."""
 
     def velocity(t: float) -> np.ndarray:
-        return (np.asarray(position(t + h), dtype=float)
-                - np.asarray(position(t - h), dtype=float)) / (2.0 * h)
+        return linalg.central_difference(position, t, VELOCITY_FD_STEP)
 
     schedule = [((t_start, t_end), patch_id)] if patch_id is not None else []
     return CurvePath(t_start, t_end, position, velocity, schedule)
@@ -318,20 +314,11 @@ def _curvature_at_step(a_form: ConnectionForm, r: np.ndarray, h: float):
     d = a_form.dim
     comps = a_form.components(r)
     n = comps[0].shape[0]
-    # d_a A_b by central differences
-    grad = np.empty((d, d, n, n), dtype=complex)  # grad[a][b] = d_a A_b
-    for a in range(d):
-        rp, rm = r.copy(), r.copy()
-        rp[a] += h
-        rm[a] -= h
-        cp = a_form.components(rp)
-        cm = a_form.components(rm)
-        for b in range(d):
-            grad[a, b] = (cp[b] - cm[b]) / (2.0 * h)
+    grad = linalg.central_difference(a_form.components, r, h)  # grad[a][b] = d_a A_b
     f = np.empty((d, d, n, n), dtype=complex)
     for a in range(d):
         for b in range(d):
-            f[a, b] = grad[a, b] - grad[b, a] + 1j * linalg.commutator(comps[a], comps[b])
+            f[a, b] = grad[a][b] - grad[b][a] + 1j * linalg.commutator(comps[a], comps[b])
     return f
 
 

@@ -114,23 +114,20 @@ class CurveMetric:
     def rho(self, t: float) -> np.ndarray:
         return self.operator(t).rho
 
-    def rho_dot(self, t: float, time_step: float = RHO_DOT_TIME_STEP,
-                method: str = "auto") -> np.ndarray:
+    def rho_dot(self, t: float, method: str = "sylvester") -> np.ndarray:
         """d(rho)/dt along the curve.
 
         method "sylvester" differentiates the defining relation rho rho = eta:
         rhodot solves  rho X + X rho = etadot  (unique for positive rho).
-        method "fd" uses a central difference of rho(t).  "auto" prefers the
-        Sylvester route.
+        method "fd" uses a central difference of rho(t); it is the
+        independent oracle for the Sylvester route.
         """
-        if method not in ("auto", "sylvester", "fd"):
-            raise ValueError(f"unknown rho_dot method {method!r}")
-        if method in ("auto", "sylvester"):
+        if method == "sylvester":
             rho = self.rho(t)
             return scipy.linalg.solve_sylvester(rho, rho, self.eta_dot(t))
-        rp = self.metric.operator(self.point(t + time_step)).rho
-        rm = self.metric.operator(self.point(t - time_step)).rho
-        return (rp - rm) / (2.0 * time_step)
+        if method == "fd":
+            return linalg.central_difference(self.rho, t, RHO_DOT_TIME_STEP)
+        raise ValueError(f"unknown rho_dot method {method!r}")
 
 
 # ---------------------------------------------------------------- generators
@@ -188,18 +185,16 @@ def evolve(
 
     times, states = integrate(rhs, psi0, t0, t1, stepper)
 
-    eta_norm = None
-    energy_expect = None
+    eta_norm = energy_expect = None
     if curve_metric is not None:
         eta_norm = np.empty(times.shape[0])
+        energy_expect = None if energy is None else np.empty(times.shape[0])
         for k, t in enumerate(times):
-            eta_norm[k] = curve_metric.operator(float(t)).norm(states[k])
-        if energy is not None:
-            energy_expect = np.empty(times.shape[0])
-            for k, t in enumerate(times):
-                eta = curve_metric.eta(float(t))
+            eta = curve_metric.eta(float(t))
+            den = eta_inner(eta, states[k], states[k]).real
+            eta_norm[k] = np.sqrt(den)
+            if energy is not None:
                 num = eta_inner(eta, states[k], energy(float(t)) @ states[k]).real
-                den = eta_inner(eta, states[k], states[k]).real
                 energy_expect[k] = num / den
     trace = [patch_id] * times.shape[0] if patch_id is not None else None
     return EvolutionResult(times, states, eta_norm, energy_expect, trace)
@@ -212,11 +207,10 @@ def hermitian_representation(
     h_full: np.ndarray,
     curve_metric: CurveMetric,
     t: float,
-    rho_dot_method: str = "auto",
 ) -> np.ndarray:
     """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}."""
     op = curve_metric.operator(t)
-    rho_dot = curve_metric.rho_dot(t, method=rho_dot_method)
+    rho_dot = curve_metric.rho_dot(t)
     return op.rho @ np.asarray(h_full, dtype=complex) @ op.rho_inv + 1j * rho_dot @ op.rho_inv
 
 
@@ -224,14 +218,13 @@ def hermitian_representation_via_physical(
     h_full: np.ndarray,
     curve_metric: CurveMetric,
     t: float,
-    rho_dot_method: str = "auto",
 ) -> np.ndarray:
     """Equivalent form  h = rho H_ph rho^{-1} + (i/2) [rhodot, rho^{-1}]
     with H_ph = H - H_A0 the pseudo-Hermitian part of the generator."""
     op = curve_metric.operator(t)
     h_a0 = -0.5j * op.eta_inv @ curve_metric.eta_dot(t)
     h_ph = np.asarray(h_full, dtype=complex) - h_a0
-    rho_dot = curve_metric.rho_dot(t, method=rho_dot_method)
+    rho_dot = curve_metric.rho_dot(t)
     return (op.rho @ h_ph @ op.rho_inv
             + 0.5j * (rho_dot @ op.rho_inv - op.rho_inv @ rho_dot))
 

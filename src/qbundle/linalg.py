@@ -55,6 +55,37 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
+def central_difference(fn, x, step):
+    """Central difference  (fn(x + h) - fn(x - h)) / 2h,  error O(h^2).
+
+    Scalar ``x``: the derivative.  Coordinate vector ``x``: the list of
+    partials, with ``step`` shared or one per coordinate.  ``fn`` may return
+    anything ``numpy.asarray`` accepts (a number, a vector, matrices).
+    """
+
+    def diff(xp, xm, h):
+        return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
+
+    if np.ndim(x) == 0:
+        return diff(x + step, x - step, step)
+    x = np.asarray(x, dtype=float)
+    out = []
+    for a, h in enumerate(np.broadcast_to(step, x.shape)):
+        xp, xm = x.copy(), x.copy()
+        xp[a] += h
+        xm[a] -= h
+        out.append(diff(xp, xm, h))
+    return out
+
+
+def contract(coeffs, mats) -> np.ndarray:
+    """sum_a coeffs[a] * mats[a], accumulated from zeros in coordinate order."""
+    out = np.zeros_like(mats[0])
+    for c, m in zip(coeffs, mats):
+        out = out + c * m
+    return out
+
+
 # ---------------------------------------------------------------- operations
 
 

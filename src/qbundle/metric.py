@@ -143,7 +143,7 @@ class MetricField:
     partials_fn : callable, optional
         Map from coordinates to the tuple of coordinate partials of the
         metric.  When absent, partials are computed by central differences
-        with a step of ``fd_step`` scaled by the coordinate magnitude
+        with a step of ``FD_STEP`` scaled by the coordinate magnitude
         (floored at ``FD_STEP_FLOOR``).
     dim : int
         Number of base-manifold coordinates.
@@ -158,14 +158,12 @@ class MetricField:
         eta_fn: Callable[[np.ndarray], np.ndarray],
         partials_fn: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
         dim: int = 2,
-        fd_step: float = FD_STEP,
         domain: Callable[[np.ndarray], bool] | None = None,
     ):
         self.patch_id = patch_id
         self._eta_fn = eta_fn
         self._partials_fn = partials_fn
         self.dim = dim
-        self.fd_step = fd_step
         self._domain = domain
 
     def _coords(self, point) -> np.ndarray:
@@ -194,23 +192,12 @@ class MetricField:
         if self._partials_fn is not None:
             parts = self._partials_fn(r)
             return [linalg.as_square(p, "partial of eta") for p in parts]
-        out = []
-        for a in range(self.dim):
-            h = max(self.fd_step * abs(r[a]), FD_STEP_FLOOR)
-            rp, rm = r.copy(), r.copy()
-            rp[a] += h
-            rm[a] -= h
-            out.append((self._eta_fn(rp) - self._eta_fn(rm)) / (2.0 * h))
-        return out
+        steps = np.maximum(FD_STEP * np.abs(r), FD_STEP_FLOOR)
+        return linalg.central_difference(self._eta_fn, r, steps)
 
     def eta_dot(self, point, velocity) -> np.ndarray:
         """Time derivative of eta along a curve: sum_a (d eta/d R^a) Rdot^a."""
-        v = np.asarray(velocity, dtype=float)
-        parts = self.partials(point)
-        out = np.zeros_like(parts[0])
-        for a in range(self.dim):
-            out = out + v[a] * parts[a]
-        return out
+        return linalg.contract(np.asarray(velocity, dtype=float), self.partials(point))
 
 
 def constant_metric_field(patch_id: str, eta, dim: int = 2) -> MetricField:

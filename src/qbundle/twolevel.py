@@ -59,6 +59,9 @@ POLE_MARGIN = 1e-3
 #: |theta - pi| below this counts as "at the south pole" for conventions
 _POLE_EPS = 1e-12
 
+#: finite-difference step for scale-field partials without a closed form
+SCALAR_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class S2Point:
@@ -90,27 +93,21 @@ class ScalarField:
         fn: Callable[[float, float], float],
         d_theta: Callable[[float, float], float] | None = None,
         d_phi: Callable[[float, float], float] | None = None,
-        fd_step: float = 1e-6,
     ):
         self._fn = fn
         self._d_theta = d_theta
         self._d_phi = d_phi
-        self.fd_step = fd_step
 
     def __call__(self, theta: float, phi: float) -> float:
         return float(self._fn(theta, phi))
 
     def partials(self, theta: float, phi: float) -> tuple[float, float]:
-        h = self.fd_step
-        if self._d_theta is not None:
-            dt = float(self._d_theta(theta, phi))
-        else:
-            dt = (self._fn(theta + h, phi) - self._fn(theta - h, phi)) / (2 * h)
-        if self._d_phi is not None:
-            dp = float(self._d_phi(theta, phi))
-        else:
-            dp = (self._fn(theta, phi + h) - self._fn(theta, phi - h)) / (2 * h)
-        return dt, dp
+        h = SCALAR_FD_STEP
+        dt = (self._d_theta(theta, phi) if self._d_theta is not None
+              else linalg.central_difference(lambda x: self._fn(x, phi), theta, h))
+        dp = (self._d_phi(theta, phi) if self._d_phi is not None
+              else linalg.central_difference(lambda x: self._fn(theta, x), phi, h))
+        return float(dt), float(dp)
 
 
 def constant_field(c: float) -> ScalarField:

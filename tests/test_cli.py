@@ -210,6 +210,16 @@ def test_check_custom_model(tmp_path, monkeypatch):
     assert main(["check", bad]) == 1
 
 
+def test_custom_model_rejects_indefinite_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = custom_config()
+    cfg_dict["eta"] = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    del cfg_dict["energy_hermitian"]
+    cfg = write_config(tmp_path / "indefinite.json", cfg_dict)
+    assert main(["run", cfg]) == 2
+    assert "positive-definite" in capsys.readouterr().err
+
+
 def test_check_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_dict = base_config()
@@ -296,3 +306,50 @@ def test_run_checks_report_shape():
     assert report["all_passed"]
     for row in report["checks"]:
         assert set(row) == {"name", "samples", "max_residual", "tolerance", "passed"}
+
+
+def test_check_defect_on_three_level_custom_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = custom_config()
+    cfg_dict["eta"] = [[[1, 0], [0, 0], [0, 0]],
+                       [[0, 0], [2, 0], [0, 0]],
+                       [[0, 0], [0, 0], [3, 0]]]
+    cfg_dict["energy_hermitian"] = [[[1, 0], [0, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [-1, 0]]]
+    cfg_dict["initial_state"] = [[1, 0], [0.3, 0.2], [0, -0.5]]
+    cfg_dict["defect"] = {"omega_anti_hermitian": 0.05}
+    cfg = write_config(tmp_path / "three.json", cfg_dict)
+    assert main(["check", cfg]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / "three_invariants.json").read_text())
+    by_name = {r["name"]: r for r in report["checks"]}
+    assert by_name["metric-compatibility"]["max_residual"] == pytest.approx(0.1, rel=1e-6)
+    assert not by_name["metric-compatibility"]["passed"]
+
+
+def test_invariant_report_describes_the_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict.update(representation="hermitian", tau=0.45, initial_state="random",
+                    stepper={"method": "rk4-fixed", "dt": 0.05},
+                    outputs=["summary", "invariant-report"])
+    cfg = write_config(tmp_path / "coarse.json", cfg_dict)
+    assert main(["run", cfg]) == 0
+    summary = json.loads((tmp_path / "coarse_summary.json").read_text())
+    report = json.loads((tmp_path / "coarse_invariants.json").read_text())
+    by_name = {r["name"]: r for r in report["checks"]}
+    assert by_name["norm-conservation"]["max_residual"] == summary["norm_drift"]
+
+
+@pytest.mark.parametrize("overrides", [{"seed": "x"}, {"scales": 5}])
+def test_unexpected_errors_exit_3_without_traceback(tmp_path, monkeypatch, capsys, overrides):
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict.update(overrides)
+    cfg = write_config(tmp_path / "odd.json", cfg_dict)
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

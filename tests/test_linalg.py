@@ -10,7 +10,9 @@ from qbundle.linalg import (
     SIGMA2,
     SIGMA3,
     adjoint,
+    central_difference,
     commutator,
+    contract,
     hermitian_sqrt,
     is_hermitian,
     is_positive_definite,
@@ -175,3 +177,52 @@ def test_matrix_exp_unitary_for_anti_hermitian():
     h = random_hermitian(rng, 4)
     u = matrix_exp(-1j * h)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+# ---------------------------------------------------------------- differences
+
+
+def test_central_difference_scalar_argument():
+    for x in (-0.4, 0.0, 1.3):
+        assert central_difference(np.sin, x, 1e-5) == pytest.approx(np.cos(x), abs=1e-10)
+
+
+def test_central_difference_shared_step_matrix_valued():
+    def f(r):
+        return np.array([[np.sin(r[0]) * r[1] ** 2, 1j * r[0] * r[1]],
+                         [np.exp(r[1]), 0.0]])
+
+    r = np.array([0.3, -0.7])
+    parts = central_difference(f, r, 1e-6)
+    assert len(parts) == 2
+    d0 = np.array([[np.cos(r[0]) * r[1] ** 2, 1j * r[1]], [0.0, 0.0]])
+    d1 = np.array([[2.0 * np.sin(r[0]) * r[1], 1j * r[0]], [np.exp(r[1]), 0.0]])
+    np.testing.assert_allclose(parts[0], d0, atol=1e-9)
+    np.testing.assert_allclose(parts[1], d1, atol=1e-9)
+
+
+def test_central_difference_per_coordinate_steps():
+    # for a cubic the central difference is exact up to h^2: 3 x^2 + h^2
+    r = np.array([2.0, -0.5])
+    steps = np.maximum(1e-2 * np.abs(r), 1e-3)
+
+    def f(x):
+        return x[0] ** 3 + x[1] ** 3
+
+    parts = central_difference(f, r, steps)
+    for a in range(2):
+        assert parts[a] == pytest.approx(3.0 * r[a] ** 2 + steps[a] ** 2, rel=1e-9)
+
+
+def test_contract_matches_accumulation_from_zeros():
+    rng = np.random.default_rng(SEED)
+    mats = [random_complex(rng, 3) for _ in range(3)]
+    v = rng.standard_normal(3)
+    expected = np.zeros_like(mats[0])
+    for a in range(3):
+        expected = expected + v[a] * mats[a]
+    assert np.array_equal(contract(v, mats), expected)
+    np.testing.assert_allclose(contract(v, mats), np.einsum("a,aij->ij", v, mats), atol=1e-14)
+    # starting from zeros turns a negative zero product into +0.0
+    out = contract([-1.0], [np.zeros((2, 2))])
+    assert not np.any(np.signbit(out))
