@@ -319,40 +319,47 @@ class SystemSpec:
 
     # -- generators along the curve ------------------------------------
 
-    def energy_generator(self, patch_id: str) -> Callable[[float], np.ndarray] | None:
+    def energy_generator(self, patch_id: str) -> Callable[..., np.ndarray] | None:
         """H_E(t) = rho^{-1} e(R(t)) rho on the chart, from the Hermitian-form
-        section; None when the system carries no energy observable."""
+        section; None when the system carries no energy observable.
+
+        The returned ``h_e(t, op=None)`` takes the metric operator at t when
+        the caller has already factorised it."""
         if self.energy is None or patch_id not in self.energy.fields:
             return None
         pd = self.patch(patch_id)
 
-        def h_e(t: float) -> np.ndarray:
+        def h_e(t: float, op: MetricOperator | None = None) -> np.ndarray:
             r = np.asarray(self.curve.position(t), dtype=float)
-            op = pd.metric.operator(r)
+            op = pd.metric.operator(r) if op is None else op
             return op.rho_inv @ self.energy.matrix(patch_id, r) @ op.rho
 
         return h_e
 
-    def generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
-        """Full H(t) = H_A(t) + H_E(t) on one chart."""
+    def generator(self, patch_id: str) -> Callable[..., np.ndarray]:
+        """Full H(t) = H_A(t) + H_E(t) on one chart; ``h(t, op=None)`` passes
+        an already factorised metric at t on to the energy part."""
         pd = self.patch(patch_id)
         h_e = self.energy_generator(patch_id)
 
-        def h(t: float) -> np.ndarray:
+        def h(t: float, op: MetricOperator | None = None) -> np.ndarray:
             out = pd.connection.contracted(self.curve.position(t), self.curve.velocity(t))
             if h_e is not None:
-                out = out + h_e(t)
+                out = out + h_e(t, op)
             return out
 
         return h
 
     def hermitian_generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
-        """h(t) = rho H rho^{-1} + i rhodot rho^{-1} on one chart."""
+        """h(t) = rho H rho^{-1} + i rhodot rho^{-1} on one chart, with the
+        metric factorised once per evaluation and shared by H_E, rho and
+        rhodot."""
         h = self.generator(patch_id)
         cm = self.curve_metric(patch_id)
 
         def h_herm(t: float) -> np.ndarray:
-            return hermitian_representation(h(t), cm, t)
+            op = cm.operator(t)
+            return hermitian_representation(h(t, op), cm, t, op)
 
         return h_herm
 

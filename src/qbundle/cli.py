@@ -8,9 +8,10 @@ run <config.json>
     (trajectory CSV and/or a summary JSON with the resolved configuration).
 
 check <config.json>
-    Run the invariant battery (metric compatibility, chart-gluing
-    consistency, intertwiner unitarity, section compatibility, generator
-    Hermiticity, the pseudo-Hermiticity defect law, norm conservation) and
+    Run the configured evolution, as ``run`` does, and the invariant
+    battery (metric compatibility, chart-gluing consistency, intertwiner
+    unitarity, section compatibility, generator Hermiticity, the
+    pseudo-Hermiticity defect law, norm conservation of that run) and
     write/print a report.  Exit code 1 when any check fails.
 
 compare <a.json> <b.json> [--tol X]
@@ -448,9 +449,10 @@ def _schedule_samples(system: SystemSpec, rng, n: int):
 def run_checks(cfg: dict, system: SystemSpec | None = None,
                result: EvolutionResult | None = None) -> dict:
     """Run the invariant battery for a configuration; returns the report.
-    ``result`` is the run it describes; without one the config is evolved."""
-    if system is None:
-        system = build_from_config(cfg)
+    ``system`` and ``result`` are the run it describes; without them the
+    config is run first, exactly as ``run`` would run it."""
+    if system is None or result is None:
+        system, result, _ = _run_one(cfg)
     tolerances = dict(CHECK_TOLERANCES)
     for key, val in (_take(cfg, "check_tolerances") or {}).items():
         if key not in tolerances:
@@ -526,10 +528,6 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     add("no-go-defect", [no_go(t, pid) for t, pid in samples])
 
     # end-to-end norm conservation of the run
-    if result is None:
-        stepper = _stepper_from_config(_take(cfg, "stepper"))
-        psi0 = _initial_state(cfg, system, rng)
-        result = evolve_across_patches(system, psi0, stepper=stepper)
     add("norm-conservation",
         [float(np.max(np.abs(result.eta_norm - result.eta_norm[0])))])
 
@@ -548,7 +546,8 @@ def _print_report(report: dict) -> None:
 
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
-    report = run_checks(cfg)
+    system, result, _ = _run_one(cfg)
+    report = run_checks(cfg, system, result)
     _print_report(report)
     out_dir = _output_dir(args)
     path = out_dir / f"{Path(args.config).stem}_invariants.json"

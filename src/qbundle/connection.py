@@ -35,7 +35,7 @@ from .errors import (
     PatchBoundaryCrossed,
 )
 from .metric import MetricField, pseudo_hermiticity_residual
-from .stepping import StepperConfig, integrate
+from .stepping import StepperConfig, integrate, linear_rhs
 
 #: default validation tolerance for the free (pseudo-Hermitian) part
 OMEGA_TOL = 1e-8
@@ -259,6 +259,11 @@ def _check_single_patch(a_form: ConnectionForm, path: CurvePath, t0: float, t1: 
             )
 
 
+def _transport_rhs(a_form: ConnectionForm, path: CurvePath):
+    """-i (sum_a Rdot^a A_a) y, with the generator evaluated once per node."""
+    return linear_rhs(lambda t: a_form.contracted(path.position(t), path.velocity(t)))
+
+
 def transport_operator(
     a_form: ConnectionForm,
     path: CurvePath,
@@ -277,11 +282,8 @@ def transport_operator(
     probe = a_form.components(path.position(0.5 * (t0 + t1)))[0]
     n = probe.shape[0]
 
-    def rhs(t: float, g: np.ndarray) -> np.ndarray:
-        gen = a_form.contracted(path.position(t), path.velocity(t))
-        return -1j * (gen @ g)
-
-    times, ops = integrate(rhs, np.eye(n, dtype=complex), t0, t1, stepper)
+    times, ops = integrate(_transport_rhs(a_form, path), np.eye(n, dtype=complex),
+                           t0, t1, stepper)
     return TransportResult(times=times, operators=ops)
 
 
@@ -299,11 +301,7 @@ def parallel_transport(
     _check_single_patch(a_form, path, t0, t1)
     psi0 = linalg.as_vector(psi0, name="psi0")
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        gen = a_form.contracted(path.position(t), path.velocity(t))
-        return -1j * (gen @ psi)
-
-    times, states = integrate(rhs, psi0, t0, t1, stepper)
+    times, states = integrate(_transport_rhs(a_form, path), psi0, t0, t1, stepper)
     return TransportResult(times=times, states=states)
 
 

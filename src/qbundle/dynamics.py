@@ -20,6 +20,15 @@ the Hermitian generator
 both forms being implemented and cross-checked.  rhodot is obtained either
 from the metric's coordinate partials by solving the Sylvester equation
 rho X + X rho = etadot, or by a central time difference as a fallback.
+
+The Sylvester equation is solved in the eigenbasis that the square root of
+eta already computed: with eta = V diag(w) V^dag,
+
+    rhodot = V [ (V^dag etadot V)_ij / (sqrt w_i + sqrt w_j) ] V^dag,
+
+so one Hermitian evaluation factorises eta once (``eigh`` plus the inverse
+of rho).  Callers that hold the :class:`MetricOperator` at t pass it as
+``op`` to :meth:`CurveMetric.rho_dot` and :func:`hermitian_representation`.
 """
 
 from __future__ import annotations
@@ -28,13 +37,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .connection import ConnectionForm, CurvePath
 from .errors import InvalidState, OutOfPatch
 from .metric import MetricField, MetricOperator, eta_inner, split_pseudo
-from .stepping import StepperConfig, integrate
+from .stepping import StepperConfig, integrate, linear_rhs
 
 #: default step for time-differencing rho(t) when analytic partials are absent
 RHO_DOT_TIME_STEP = 1e-6
@@ -114,17 +122,19 @@ class CurveMetric:
     def rho(self, t: float) -> np.ndarray:
         return self.operator(t).rho
 
-    def rho_dot(self, t: float, method: str = "sylvester") -> np.ndarray:
+    def rho_dot(self, t: float, method: str = "sylvester",
+                op: MetricOperator | None = None) -> np.ndarray:
         """d(rho)/dt along the curve.
 
         method "sylvester" differentiates the defining relation rho rho = eta:
-        rhodot solves  rho X + X rho = etadot  (unique for positive rho).
-        method "fd" uses a central difference of rho(t); it is the
-        independent oracle for the Sylvester route.
+        rhodot solves  rho X + X rho = etadot  (unique for positive rho),
+        in the eigenbasis of ``op``, the metric at t (factorised here when
+        not given).  method "fd" uses a central difference of rho(t); it is
+        the independent oracle for the Sylvester route.
         """
         if method == "sylvester":
-            rho = self.rho(t)
-            return scipy.linalg.solve_sylvester(rho, rho, self.eta_dot(t))
+            op = self.operator(t) if op is None else op
+            return op.root_derivative(self.eta_dot(t))
         if method == "fd":
             return linalg.central_difference(self.rho, t, RHO_DOT_TIME_STEP)
         raise ValueError(f"unknown rho_dot method {method!r}")
@@ -180,10 +190,7 @@ def evolve(
     if float(np.max(np.abs(psi0))) == 0.0:
         raise InvalidState("initial state is the zero vector")
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * (hamiltonian(t) @ psi)
-
-    times, states = integrate(rhs, psi0, t0, t1, stepper)
+    times, states = integrate(linear_rhs(hamiltonian), psi0, t0, t1, stepper)
 
     eta_norm = energy_expect = None
     if curve_metric is not None:
@@ -207,10 +214,13 @@ def hermitian_representation(
     h_full: np.ndarray,
     curve_metric: CurveMetric,
     t: float,
+    op: MetricOperator | None = None,
 ) -> np.ndarray:
-    """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}."""
-    op = curve_metric.operator(t)
-    rho_dot = curve_metric.rho_dot(t)
+    """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}.
+
+    ``op`` is the metric at t when the caller has already factorised it."""
+    op = curve_metric.operator(t) if op is None else op
+    rho_dot = curve_metric.rho_dot(t, op=op)
     return op.rho @ np.asarray(h_full, dtype=complex) @ op.rho_inv + 1j * rho_dot @ op.rho_inv
 
 
@@ -224,7 +234,7 @@ def hermitian_representation_via_physical(
     op = curve_metric.operator(t)
     h_a0 = -0.5j * op.eta_inv @ curve_metric.eta_dot(t)
     h_ph = np.asarray(h_full, dtype=complex) - h_a0
-    rho_dot = curve_metric.rho_dot(t)
+    rho_dot = curve_metric.rho_dot(t, op=op)
     return (op.rho @ h_ph @ op.rho_inv
             + 0.5j * (rho_dot @ op.rho_inv - op.rho_inv @ rho_dot))
 

@@ -13,7 +13,6 @@ max-absolute-entry norms unless stated otherwise.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -131,7 +130,7 @@ def is_positive_definite(m, tol: float | None = None) -> bool:
     return bool(np.min(w) > _pd_tolerance(w, tol))
 
 
-def hermitian_sqrt(m, tol: float | None = None) -> np.ndarray:
+def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
     """Unique positive-definite square root of a positive-definite matrix.
 
     Computed spectrally: m = V diag(w) V'  ->  sqrt(m) = V diag(sqrt(w)) V'.
@@ -139,7 +138,9 @@ def hermitian_sqrt(m, tol: float | None = None) -> np.ndarray:
     the decomposition deterministically; the resulting square root does not
     depend on the basis chosen inside degenerate eigenspaces.
 
-    Raises NotPositiveDefinite when the input fails the positivity check.
+    With ``eigenpairs`` the result is (sqrt(m), sqrt(w), V), so a caller can
+    reuse the factorisation.  Raises NotPositiveDefinite when the input fails
+    the positivity check.
     """
     m = as_square(m)
     herm = 0.5 * (m + m.conj().T)
@@ -152,12 +153,25 @@ def hermitian_sqrt(m, tol: float | None = None) -> np.ndarray:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})"
         )
-    return (v * np.sqrt(w)) @ v.conj().T
+    root_w = np.sqrt(w)
+    root = (v * root_w) @ v.conj().T
+    return (root, root_w, v) if eigenpairs else root
 
 
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+    # imported here: scipy is the package's only other dependency and costs
+    # about 0.3 s to import, which every CLI invocation would otherwise pay
+    import scipy.linalg
+
     return scipy.linalg.expm(as_square(m))
+
+
+def cross3(a, b) -> tuple:
+    """Cross product of two 3-vectors, as a tuple; for per-point inner loops,
+    where ``numpy.cross``'s general axis handling costs far more than the
+    six products."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def pauli_dot(coeffs) -> np.ndarray:

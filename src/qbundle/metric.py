@@ -45,11 +45,15 @@ class MetricOperator:
         Unique positive root, rho @ rho = eta.
     rho_inv, eta_inv : ndarray
         Cached inverses.
+    root_eigvals, eigvecs : ndarray
+        Spectral factorisation eta = V diag(root_eigvals**2) V^dag, kept
+        from the square root for :meth:`root_derivative`.
     """
 
     def __init__(self, eta):
         self.eta = linalg.as_square(eta, "eta")
-        self.rho = linalg.hermitian_sqrt(self.eta)
+        self.rho, self.root_eigvals, self.eigvecs = linalg.hermitian_sqrt(
+            self.eta, eigenpairs=True)
         self.rho_inv = np.linalg.inv(self.rho)
         self.eta_inv = self.rho_inv @ self.rho_inv
 
@@ -59,6 +63,17 @@ class MetricOperator:
 
     def inner(self, phi, psi) -> complex:
         return eta_inner(self.eta, phi, psi)
+
+    def root_derivative(self, eta_dot) -> np.ndarray:
+        """rhodot for a given etadot: the solution X of  rho X + X rho = etadot.
+
+        In the eigenbasis of eta the equation is diagonal,
+        X = V [(V^dag etadot V)_ij / (sqrt w_i + sqrt w_j)] V^dag,
+        and the denominators are positive, so X is unique.
+        """
+        v, s = self.eigvecs, self.root_eigvals
+        vh = v.conj().T
+        return v @ ((vh @ eta_dot @ v) / (s[:, None] + s[None, :])) @ vh
 
     def norm(self, psi) -> float:
         return float(np.sqrt(self.inner(psi, psi).real))

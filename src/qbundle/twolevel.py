@@ -461,8 +461,7 @@ def a_zero_closed(theta: float, phi: float, scales: ScaleFields,
     for i in range(2):
         scalar = da[i] / a + db[i] / b
         vec = (da[i] / a - db[i] / b) * x + c1 * dx[i]
-        cross = np.cross(x, dx[i])
-        m = scalar * ID2 + pauli_dot(vec) - 1j * c2 * pauli_dot(cross)
+        m = scalar * ID2 + pauli_dot(vec) - 1j * c2 * pauli_dot(linalg.cross3(x, dx[i]))
         out.append(-0.5j * m)
     return out
 

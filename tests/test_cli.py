@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbundle
 from qbundle.cli import build_from_config, main, run_checks
 
 THETA_FROM = math.pi / 6.0
@@ -340,6 +345,30 @@ def test_invariant_report_describes_the_run(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "coarse_invariants.json").read_text())
     by_name = {r["name"]: r for r in report["checks"]}
     assert by_name["norm-conservation"]["max_residual"] == summary["norm_drift"]
+
+
+def test_check_evolves_the_configured_run(tmp_path, monkeypatch):
+    """``check`` evolves in the config's representation, with its tau and its
+    seeded state, so its norm row is the drift ``run`` reports."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict.update(representation="hermitian", tau=0.45, initial_state="random", seed=3,
+                    stepper={"method": "rk4-fixed", "dt": 0.05}, outputs=["summary"])
+    cfg = write_config(tmp_path / "coarse.json", cfg_dict)
+    assert main(["run", cfg]) == 0
+    assert main(["check", cfg]) == 0
+    summary = json.loads((tmp_path / "coarse_summary.json").read_text())
+    report = json.loads((tmp_path / "coarse_invariants.json").read_text())
+    by_name = {r["name"]: r for r in report["checks"]}
+    assert by_name["norm-conservation"]["max_residual"] == summary["norm_drift"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(qbundle.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qbundle.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("overrides", [{"seed": "x"}, {"scales": 5}])

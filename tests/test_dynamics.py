@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbundle import stepping
 from qbundle.connection import ConnectionForm, CurvePath, a_zero_form
 from qbundle.dynamics import (
     CurveMetric,
@@ -22,7 +23,7 @@ from qbundle.metric import (
     is_pseudo_anti_hermitian,
     is_pseudo_hermitian,
 )
-from qbundle.stepping import StepperConfig
+from qbundle.stepping import StepperConfig, integrate
 
 SEED = 77
 
@@ -180,6 +181,25 @@ def test_rho_dot_sylvester_vs_finite_difference():
         cm.rho_dot(0.2, method="bogus")
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rho_dot_eigenbasis_matches_sylvester_solver(n):
+    import scipy.linalg
+
+    rng = np.random.default_rng(SEED + n)
+    for _ in range(5):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eta0 = m @ m.conj().T + 0.1 * np.eye(n)
+        d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eta_dot = d + d.conj().T
+        field = MetricField("main", lambda r: eta0 + r[0] * eta_dot,
+                            partials_fn=lambda r: [eta_dot], dim=1)
+        cm = CurveMetric(field, line_path())
+        rho = cm.rho(0.0)
+        expected = scipy.linalg.solve_sylvester(rho, rho, eta_dot)
+        got = cm.rho_dot(0.0)
+        assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
+
+
 def test_hermitian_representation_hermitian_for_compatible_generator():
     """H = H_A(A0) + H_E with pseudo-Hermitian H_E gives Hermitian h."""
     rng = np.random.default_rng(SEED)
@@ -232,3 +252,47 @@ def test_no_go_defect_matches_metric_motion():
         eta, eta_inv = op.eta, op.eta_inv
         defect = h_full.conj().T - eta @ h_full @ eta_inv
         np.testing.assert_allclose(defect, 1j * cm.eta_dot(t) @ eta_inv, atol=1e-7)
+
+
+def counting_generator(calls):
+    def h(t):
+        calls.append(t)
+        return np.array([[np.cos(t), 0.3j * t], [-0.3j * t, 1.0 + t * t]], dtype=complex)
+
+    return h
+
+
+def test_fixed_steps_evaluate_each_node_once():
+    """n fixed RK4 steps sample 2n+1 distinct node times, once each, and the
+    result equals integrating with a generator evaluated at every stage."""
+    calls = []
+    h = counting_generator(calls)
+    psi0 = np.array([1.0, 0.5j])
+    res = evolve(h, psi0, 0.0, 1.0, StepperConfig(dt=0.01))
+    n = len(res.times) - 1
+    assert n == 100
+    assert len(calls) == 2 * n + 1 == len(set(calls))
+    _, plain = integrate(lambda t, y: -1j * (h(t) @ y), psi0, 0.0, 1.0, StepperConfig(dt=0.01))
+    assert np.array_equal(res.states, plain)
+
+
+def test_adaptive_attempts_evaluate_at_most_four_new_nodes(monkeypatch):
+    """An adaptive attempt (three RK4 steps) has five distinct nodes; the
+    first is shared with the previous attempt."""
+    calls, starts = [], []
+    rk4_step = stepping.rk4_step
+
+    def counted_step(rhs, t, y, h, t_end=None):
+        if counted_step.n % 3 == 0:
+            starts.append(len(calls))
+        counted_step.n += 1
+        return rk4_step(rhs, t, y, h, t_end)
+
+    counted_step.n = 0
+    monkeypatch.setattr(stepping, "rk4_step", counted_step)
+    res = evolve(counting_generator(calls), np.array([1.0, 0.5j]), 0.0, 3.0,
+                 StepperConfig(method="rk4-adaptive", dt=0.5, target_local_error=1e-12))
+    new = np.diff(starts + [len(calls)])
+    assert counted_step.n % 3 == 0 and len(new) == counted_step.n // 3
+    assert len(new) > len(res.times) - 1  # some attempts were rejected
+    assert new[0] == 5 and np.all(new[1:] <= 4)
