@@ -19,6 +19,12 @@ dwell, convert the state with g^{-1}, continue on the next chart.  Physical
 endpoints do not depend on the switch time.  In the Hermitian representation
 the conversion uses G^{-1}, and the state Phi jumps at the switch (G is not
 the identity) while all eta-norms stay continuous.
+
+The generators of :class:`SystemSpec` are marked
+:func:`qbundle.linalg.stacked`: called on a stack of times they evaluate the
+curve once, factorise the metric once and return the stack of generators, so
+a fixed-step chart segment costs one call (see :mod:`qbundle.stepping`).
+:meth:`ObservableSection.matrix` likewise takes one point or a stack.
 """
 
 from __future__ import annotations
@@ -224,7 +230,9 @@ class ObservableSection:
             fn = self.fields[patch_id]
         except KeyError:
             raise OutOfOverlap(f"section has no field on patch '{patch_id}'") from None
-        return linalg.as_square(fn(np.asarray(point, dtype=float)), "observable")
+        rows, single = linalg.as_stack(point, 1)
+        out = linalg.as_square(linalg.over_points(fn, rows), "observable")
+        return out[0] if single else out
 
     def with_pushforward(
         self,
@@ -237,9 +245,11 @@ class ObservableSection:
         o~ = G^{-1} o G (raises OutOfOverlap when evaluated outside)."""
         src = self.fields[self.authoring_patch]
 
+        @linalg.stacked
         def fn(r: np.ndarray) -> np.ndarray:
-            gg = big_g(eta_field, eta_tilde_field, transition, r, check_tol=None)
-            return gg.conj().T @ src(r) @ gg
+            gg = np.array([big_g(eta_field, eta_tilde_field, transition, p, check_tol=None)
+                           for p in r])
+            return linalg.dagger(gg) @ linalg.over_points(src, r) @ gg
 
         fields = dict(self.fields)
         fields[target_patch] = fn
@@ -318,6 +328,34 @@ class SystemSpec:
         raise OutOfOverlap(f"no transition involving patch '{target_patch}'")
 
     # -- generators along the curve ------------------------------------
+    #
+    # Each closure takes one time t or a stack of times (n,) and returns one
+    # generator (N, N) or a stack (n, N, N).  It evaluates the curve once and
+    # shares R(t), Rdot(t) and the factorised metric between its terms.
+
+    def _energy_at(self, patch_id: str):
+        """(R, op=None) -> H_E = rho^{-1} e(R) rho, factorising the metric at
+        R unless ``op`` is given; None without an energy observable."""
+        if self.energy is None or patch_id not in self.energy.fields:
+            return None
+        metric = self.patch(patch_id).metric
+
+        def h_e(r, op: MetricOperator | None = None) -> np.ndarray:
+            op = metric.operator(r) if op is None else op
+            return op.rho_inv @ self.energy.matrix(patch_id, r) @ op.rho
+
+        return h_e
+
+    def _full_at(self, patch_id: str):
+        """(R, Rdot, op=None) -> H = Rdot^a A_a(R) + H_E(R)."""
+        conn = self.patch(patch_id).connection
+        h_e = self._energy_at(patch_id)
+
+        def full(r, v, op: MetricOperator | None = None) -> np.ndarray:
+            out = conn.contracted(r, v)
+            return out if h_e is None else out + h_e(r, op)
+
+        return full
 
     def energy_generator(self, patch_id: str) -> Callable[..., np.ndarray] | None:
         """H_E(t) = rho^{-1} e(R(t)) rho on the chart, from the Hermitian-form
@@ -325,41 +363,41 @@ class SystemSpec:
 
         The returned ``h_e(t, op=None)`` takes the metric operator at t when
         the caller has already factorised it."""
-        if self.energy is None or patch_id not in self.energy.fields:
+        h_e = self._energy_at(patch_id)
+        if h_e is None:
             return None
-        pd = self.patch(patch_id)
 
-        def h_e(t: float, op: MetricOperator | None = None) -> np.ndarray:
-            r = np.asarray(self.curve.position(t), dtype=float)
-            op = pd.metric.operator(r) if op is None else op
-            return op.rho_inv @ self.energy.matrix(patch_id, r) @ op.rho
+        @linalg.stacked
+        def energy(t, op: MetricOperator | None = None) -> np.ndarray:
+            return h_e(self.curve.points(t), op)
 
-        return h_e
+        return energy
 
     def generator(self, patch_id: str) -> Callable[..., np.ndarray]:
         """Full H(t) = H_A(t) + H_E(t) on one chart; ``h(t, op=None)`` passes
         an already factorised metric at t on to the energy part."""
-        pd = self.patch(patch_id)
-        h_e = self.energy_generator(patch_id)
+        full = self._full_at(patch_id)
 
-        def h(t: float, op: MetricOperator | None = None) -> np.ndarray:
-            out = pd.connection.contracted(self.curve.position(t), self.curve.velocity(t))
-            if h_e is not None:
-                out = out + h_e(t, op)
-            return out
+        @linalg.stacked
+        def h(t, op: MetricOperator | None = None) -> np.ndarray:
+            return full(self.curve.points(t), self.curve.velocities(t), op)
 
         return h
 
-    def hermitian_generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
+    def hermitian_generator(self, patch_id: str) -> Callable[..., np.ndarray]:
         """h(t) = rho H rho^{-1} + i rhodot rho^{-1} on one chart, with the
         metric factorised once per evaluation and shared by H_E, rho and
         rhodot."""
-        h = self.generator(patch_id)
+        metric = self.patch(patch_id).metric
+        full = self._full_at(patch_id)
         cm = self.curve_metric(patch_id)
 
-        def h_herm(t: float) -> np.ndarray:
-            op = cm.operator(t)
-            return hermitian_representation(h(t, op), cm, t, op)
+        @linalg.stacked
+        def h_herm(t) -> np.ndarray:
+            r, v = self.curve.points(t), self.curve.velocities(t)
+            op = metric.operator(r)
+            rho_dot = op.root_derivative(metric.eta_dot(r, v))
+            return hermitian_representation(full(r, v, op), cm, t, op, rho_dot)
 
         return h_herm
 
@@ -406,7 +444,7 @@ def evolve_across_patches(
                 raise TauNotInOverlap(
                     f"tau = {tau} outside the overlap dwell [{lo}, {hi}]"
                 )
-        r_tau = np.asarray(system.curve.position(tau), dtype=float)
+        r_tau = system.curve.points(tau)
         if not system.transition_into(pids[1]).in_overlap(r_tau):
             raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
         bounds.insert(1, tau)
@@ -419,7 +457,7 @@ def evolve_across_patches(
     pieces: list[EvolutionResult] = []
     for k, pid in enumerate(pids):
         if k:
-            r = np.asarray(system.curve.position(bounds[k]), dtype=float)
+            r = system.curve.points(bounds[k])
             transition = system.transition_into(pid)
             if hermitian:
                 gg = big_g(system.patch(pids[k - 1]).metric, system.patch(pid).metric,

@@ -56,7 +56,7 @@ from .bundle import (
 from .connection import ConnectionForm, CurvePath, check_metric_compatibility
 from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
-from .linalg import is_positive_definite, max_abs
+from .linalg import dagger, is_positive_definite, max_abs, stacked
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
@@ -227,7 +227,7 @@ def _custom_system(cfg: dict) -> SystemSpec:
     if not is_positive_definite(eta):
         raise ConfigError("'eta' must be a positive-definite Hermitian matrix")
     curve = _curve_from_config(_take(cfg, "curve", required=True), "custom-matrix-fields")
-    dim = np.asarray(curve.position(curve.t_start)).shape[0]
+    dim = curve.points(curve.t_start).shape[0]
     metric = constant_metric_field(patch, eta, dim=dim)
 
     conn_cfg = _take(cfg, "connection")
@@ -238,7 +238,9 @@ def _custom_system(cfg: dict) -> SystemSpec:
             raise ConfigError(
                 f"'connection' must list one matrix per coordinate ({dim})")
         comps = [matrix_from_json(c, f"connection[{a}]") for a, c in enumerate(conn_cfg)]
-    form = ConnectionForm(patch, lambda r: [c.copy() for c in comps], dim=dim)
+    comps = np.array(comps)
+    form = ConnectionForm(
+        patch, stacked(lambda r: np.broadcast_to(comps, (len(r),) + comps.shape)), dim=dim)
 
     energy = None
     if "energy_hermitian" in cfg:
@@ -262,9 +264,10 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
     component, which breaks metric compatibility by exactly 2 * magnitude."""
 
     def defected(form: ConnectionForm) -> ConnectionForm:
+        @stacked
         def components(r):
-            return [c + 1j * magnitude * np.eye(c.shape[0], dtype=complex)
-                    for c in form.components(r)]
+            c = form.components(r)
+            return c + 1j * magnitude * np.eye(c.shape[-1], dtype=complex)
 
         return ConnectionForm(form.patch_id, components, dim=form.dim, domain=form._domain)
 
@@ -306,8 +309,7 @@ def build_from_config(cfg: dict) -> SystemSpec:
 def _initial_state(cfg: dict, system: SystemSpec, rng: np.random.Generator) -> np.ndarray:
     node = _take(cfg, "initial_state", "random")
     pid = system.curve.patch_schedule[0][1]
-    dim = system.patch(pid).metric.eta(
-        system.curve.position(system.curve.t_start)).shape[0]
+    dim = system.patch(pid).metric.eta(system.curve.points(system.curve.t_start)).shape[0]
     if node == "random":
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return psi / np.linalg.norm(psi)
@@ -436,14 +438,19 @@ def _cmd_run(args) -> int:
 
 
 def _schedule_samples(system: SystemSpec, rng, n: int):
-    """(t, patch) samples drawn uniformly from each scheduled interval."""
+    """(patch, times) for each scheduled interval: n times drawn uniformly
+    from it."""
     out = []
     for (ta, tb), pid in system.curve.patch_schedule:
         lo, hi = min(ta, tb), max(ta, tb)
         pad = 1e-9 * (hi - lo)
-        for t in rng.uniform(lo + pad, hi - pad, n):
-            out.append((float(t), pid))
+        out.append((pid, rng.uniform(lo + pad, hi - pad, n)))
     return out
+
+
+def _worst_entries(m: np.ndarray) -> np.ndarray:
+    """Max-entry norm of each matrix of a stack."""
+    return np.max(np.abs(m), axis=(-2, -1))
 
 
 def run_checks(cfg: dict, system: SystemSpec | None = None,
@@ -476,13 +483,14 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
             "passed": bool(worst <= tol),
         })
 
-    # metric compatibility of each chart's connection along the curve
-    add("metric-compatibility", [
+    # metric compatibility of each chart's connection along the curve; the
+    # pointwise residuals below are evaluated on each chart's stack of samples
+    add("metric-compatibility", np.concatenate([
         check_metric_compatibility(system.patch(pid).connection,
                                    system.patch(pid).metric,
-                                   curve.position(t))
-        for t, pid in samples
-    ])
+                                   curve.points(ts))
+        for pid, ts in samples
+    ]))
 
     two_chart = system.transition is not None and system.overlap_window is not None
     if two_chart:
@@ -492,7 +500,7 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         metric_a = system.patch(pid_a).metric
         metric_b = system.patch(pid_b).metric
         transition = system.transition_into(pid_b)
-        pts = [np.asarray(curve.position(float(t)), dtype=float) for t in overlap_ts]
+        pts = curve.points(overlap_ts)
         add("transition-consistency", [
             max_abs(tilde_eta(transition, metric_a, r) - metric_b.eta(r))
             for r in pts
@@ -509,23 +517,21 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
             ])
 
     # Hermitian-representation generator must be Hermitian
-    herm_gens = {pid: system.hermitian_generator(pid)
-                 for pid in {pid for _, pid in samples}}
-    add("generator-hermiticity", [
-        max_abs(h - h.conj().T)
-        for t, pid in samples
-        for h in [herm_gens[pid](t)]
-    ])
+    def hermiticity(pid, ts):
+        h = system.hermitian_generator(pid)(ts)
+        return _worst_entries(h - dagger(h))
+
+    add("generator-hermiticity", np.concatenate([hermiticity(pid, ts) for pid, ts in samples]))
 
     # the pseudo-Hermiticity defect of the full generator equals i etadot eta^{-1}
-    def no_go(t, pid):
+    def no_go(pid, ts):
         cm = system.curve_metric(pid)
-        h = system.generator(pid)(t)
-        op = cm.operator(t)
-        return max_abs(h.conj().T - op.eta @ h @ op.eta_inv
-                       - 1j * cm.eta_dot(t) @ op.eta_inv)
+        h = system.generator(pid)(ts)
+        op = cm.operator(ts)
+        return _worst_entries(dagger(h) - op.eta @ h @ op.eta_inv
+                              - 1j * cm.eta_dot(ts) @ op.eta_inv)
 
-    add("no-go-defect", [no_go(t, pid) for t, pid in samples])
+    add("no-go-defect", np.concatenate([no_go(pid, ts) for pid, ts in samples]))
 
     # end-to-end norm conservation of the run
     add("norm-conservation",

@@ -18,6 +18,11 @@ Parallel transport along a curve R(t) is the solution of
     i dG/dt = sum_a Rdot^a(t) A_a(R(t)) G,      G(t0) = 1,
 
 a path-ordered exponential computed here by RK4 integration.
+
+Like :class:`qbundle.metric.MetricField`, a :class:`ConnectionForm` takes one
+point or a stack of points, and :class:`CurvePath` evaluates its position and
+velocity on one time or a stack of times (:meth:`CurvePath.points`,
+:meth:`CurvePath.velocities`).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     OutOfPatch,
     PatchBoundaryCrossed,
 )
-from .metric import MetricField, pseudo_hermiticity_residual
+from .metric import MetricField, chart_points, pseudo_hermiticity_residual
 from .stepping import StepperConfig, integrate, linear_rhs
 
 #: default validation tolerance for the free (pseudo-Hermitian) part
@@ -50,8 +55,9 @@ VELOCITY_FD_STEP = 1e-6
 class ConnectionForm:
     """Matrix-valued connection coefficients on one chart.
 
-    ``components(R)`` returns the list [A_1(R), ..., A_d(R)] of N x N
-    complex matrices at base point R.
+    ``components(R)`` returns the d connection matrices [A_1(R), ..., A_d(R)]
+    at base point R as a (d, N, N) array, or (n, d, N, N) for a stack of
+    points (n, d).
     """
 
     def __init__(
@@ -66,20 +72,16 @@ class ConnectionForm:
         self.dim = dim
         self._domain = domain
 
-    def components(self, point) -> list[np.ndarray]:
-        r = np.asarray(point, dtype=float)
-        if r.shape != (self.dim,):
+    def components(self, point) -> np.ndarray:
+        rows, single = chart_points(point, self.dim, self._domain, self.patch_id)
+        comps = linalg.as_square(linalg.over_points(self._components_fn, rows),
+                                 "connection component")
+        if comps.ndim != 4 or comps.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"expected a {self.dim}-vector of coordinates, got shape {r.shape}"
+                f"connection returned components of shape {comps.shape[1:]}, "
+                f"expected {self.dim} matrices"
             )
-        if self._domain is not None and not self._domain(r):
-            raise OutOfPatch(f"point {r} is outside patch '{self.patch_id}'")
-        comps = [linalg.as_square(c, "connection component") for c in self._components_fn(r)]
-        if len(comps) != self.dim:
-            raise DimensionMismatch(
-                f"connection returned {len(comps)} components, expected {self.dim}"
-            )
-        return comps
+        return comps[0] if single else comps
 
     def contracted(self, point, velocity) -> np.ndarray:
         """sum_a Rdot^a A_a(R): the generator of transport along a velocity."""
@@ -101,6 +103,18 @@ class CurvePath:
     velocity: Callable[[float], np.ndarray]
     patch_schedule: list[tuple[tuple[float, float], str]] = field(default_factory=list)
 
+    def points(self, t) -> np.ndarray:
+        """R(t) as a (d,) array, or (n, d) for a stack of times (n,)."""
+        ts, single = linalg.as_stack(t)
+        out = linalg.over_points(self.position, ts)
+        return out[0] if single else out
+
+    def velocities(self, t) -> np.ndarray:
+        """Rdot(t) as a (d,) array, or (n, d) for a stack of times (n,)."""
+        ts, single = linalg.as_stack(t)
+        out = linalg.over_points(self.velocity, ts)
+        return out[0] if single else out
+
     def patch_at(self, t: float) -> str | None:
         for (ta, tb), pid in self.patch_schedule:
             if min(ta, tb) - 1e-12 <= t <= max(ta, tb) + 1e-12:
@@ -121,8 +135,8 @@ class CurvePath:
         ts = np.linspace(self.t_start, self.t_end, n_samples + 2)[1:-1]
         worst = 0.0
         for t in ts:
-            fd = linalg.central_difference(self.position, t, VELOCITY_FD_STEP)
-            worst = max(worst, float(np.max(np.abs(fd - np.asarray(self.velocity(t))))))
+            fd = linalg.central_difference(self.points, t, VELOCITY_FD_STEP)
+            worst = max(worst, float(np.max(np.abs(fd - self.velocities(t)))))
         return worst
 
 
@@ -171,17 +185,18 @@ class TransportResult:
 # ---------------------------------------------------------------- assembly
 
 
-def a_zero(metric: MetricField, point) -> list[np.ndarray]:
-    """Canonical compatible connection  A0_a = -(i/2) eta^{-1} (d_a eta)."""
+def a_zero(metric: MetricField, point) -> np.ndarray:
+    """Canonical compatible connection  A0_a = -(i/2) eta^{-1} (d_a eta),
+    as (d, N, N), or (n, d, N, N) for a stack of points."""
     eta_inv = np.linalg.inv(metric.eta(point))
-    return [-0.5j * eta_inv @ d for d in metric.partials(point)]
+    return -0.5j * eta_inv[..., None, :, :] @ metric.partials(point)
 
 
 def a_zero_form(metric: MetricField) -> ConnectionForm:
     """The canonical connection packaged as a ConnectionForm on the chart."""
     return ConnectionForm(
         metric.patch_id,
-        lambda r: a_zero(metric, r),
+        linalg.stacked(lambda r: a_zero(metric, r)),
         dim=metric.dim,
         domain=metric.contains,
     )
@@ -201,21 +216,24 @@ def assemble_connection(
     must return one pseudo-Hermitian matrix per coordinate; when
     ``validate_at`` points are given, each component is checked there and an
     :class:`OmegaNotPseudoHermitian` (carrying the component index and point)
-    is raised on failure.
+    is raised on failure.  Both callables may be marked
+    :func:`qbundle.linalg.stacked`.
     """
     if omega_fn is not None and validate_at is not None:
         for r in validate_at:
+            r = np.asarray(r, dtype=float)
             eta = metric.eta(r)
-            for a, w in enumerate(omega_fn(np.asarray(r, dtype=float))):
+            for a, w in enumerate(linalg.over_points(omega_fn, r[np.newaxis])[0]):
                 res = pseudo_hermiticity_residual(w, eta)
                 if res > tol:
-                    raise OmegaNotPseudoHermitian(a, np.asarray(r), res, tol)
+                    raise OmegaNotPseudoHermitian(a, r, res, tol)
 
-    def components(r: np.ndarray) -> list[np.ndarray]:
-        base = a0_fn(r) if a0_fn is not None else a_zero(metric, r)
+    @linalg.stacked
+    def components(r: np.ndarray) -> np.ndarray:
+        base = linalg.over_points(a0_fn, r) if a0_fn is not None else a_zero(metric, r)
         if omega_fn is None:
-            return list(base)
-        return [b + w for b, w in zip(base, omega_fn(r))]
+            return base
+        return base + linalg.over_points(omega_fn, r)
 
     return ConnectionForm(
         metric.patch_id,
@@ -225,20 +243,20 @@ def assemble_connection(
     )
 
 
-def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, point) -> float:
-    """Residual of the compatibility condition at one point.
+def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, point):
+    """Residual of the compatibility condition at one point, or at each point
+    of a stack (n, d).
 
     Returns  max_a || A_a^dag - eta A_a eta^{-1} - i (d_a eta) eta^{-1} ||
-    in the max-entry norm; the caller compares against its own tolerance.
+    in the max-entry norm (an (n,) array for a stack); the caller compares
+    against its own tolerance.
     """
-    eta = metric.eta(point)
+    eta = metric.eta(point)[..., None, :, :]
     eta_inv = np.linalg.inv(eta)
-    parts = metric.partials(point)
-    worst = 0.0
-    for a, comp in enumerate(a_form.components(point)):
-        res = comp.conj().T - eta @ comp @ eta_inv - 1j * parts[a] @ eta_inv
-        worst = max(worst, linalg.max_abs(res))
-    return worst
+    comps = a_form.components(point)
+    res = linalg.dagger(comps) - eta @ comps @ eta_inv - 1j * metric.partials(point) @ eta_inv
+    worst = np.max(np.abs(res), axis=(-3, -2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------- transport
@@ -261,7 +279,8 @@ def _check_single_patch(a_form: ConnectionForm, path: CurvePath, t0: float, t1: 
 
 def _transport_rhs(a_form: ConnectionForm, path: CurvePath):
     """-i (sum_a Rdot^a A_a) y, with the generator evaluated once per node."""
-    return linear_rhs(lambda t: a_form.contracted(path.position(t), path.velocity(t)))
+    return linear_rhs(linalg.stacked(
+        lambda ts: a_form.contracted(path.points(ts), path.velocities(ts))))
 
 
 def transport_operator(
@@ -279,7 +298,7 @@ def transport_operator(
     t0 = path.t_start if t0 is None else t0
     t1 = path.t_end if t1 is None else t1
     _check_single_patch(a_form, path, t0, t1)
-    probe = a_form.components(path.position(0.5 * (t0 + t1)))[0]
+    probe = a_form.components(path.points(0.5 * (t0 + t1)))[0]
     n = probe.shape[0]
 
     times, ops = integrate(_transport_rhs(a_form, path), np.eye(n, dtype=complex),

@@ -29,6 +29,9 @@ eta already computed: with eta = V diag(w) V^dag,
 so one Hermitian evaluation factorises eta once (``eigh`` plus the inverse
 of rho).  Callers that hold the :class:`MetricOperator` at t pass it as
 ``op`` to :meth:`CurveMetric.rho_dot` and :func:`hermitian_representation`.
+
+:class:`CurveMetric` and :func:`hermitian_representation` take one time or a
+stack of times (n,), with matching stacks of generators and operators.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from . import linalg
 from .connection import ConnectionForm, CurvePath
 from .errors import InvalidState, OutOfPatch
-from .metric import MetricField, MetricOperator, eta_inner, split_pseudo
+from .metric import MetricField, MetricOperator, split_pseudo
 from .stepping import StepperConfig, integrate, linear_rhs
 
 #: default step for time-differencing rho(t) when analytic partials are absent
@@ -107,19 +110,19 @@ class CurveMetric:
         self.metric = metric
         self.path = path
 
-    def point(self, t: float) -> np.ndarray:
-        return np.asarray(self.path.position(t), dtype=float)
+    def point(self, t) -> np.ndarray:
+        return self.path.points(t)
 
-    def operator(self, t: float) -> MetricOperator:
+    def operator(self, t) -> MetricOperator:
         return self.metric.operator(self.point(t))
 
-    def eta(self, t: float) -> np.ndarray:
+    def eta(self, t) -> np.ndarray:
         return self.metric.eta(self.point(t))
 
-    def eta_dot(self, t: float) -> np.ndarray:
-        return self.metric.eta_dot(self.point(t), self.path.velocity(t))
+    def eta_dot(self, t) -> np.ndarray:
+        return self.metric.eta_dot(self.point(t), self.path.velocities(t))
 
-    def rho(self, t: float) -> np.ndarray:
+    def rho(self, t) -> np.ndarray:
         return self.operator(t).rho
 
     def rho_dot(self, t: float, method: str = "sylvester",
@@ -136,7 +139,9 @@ class CurveMetric:
             op = self.operator(t) if op is None else op
             return op.root_derivative(self.eta_dot(t))
         if method == "fd":
-            return linalg.central_difference(self.rho, t, RHO_DOT_TIME_STEP)
+            ts = np.asarray(t, dtype=float)[..., np.newaxis]
+            return linalg.central_difference(lambda s: self.rho(s[..., 0]), ts,
+                                             RHO_DOT_TIME_STEP)[0]
         raise ValueError(f"unknown rho_dot method {method!r}")
 
 
@@ -150,7 +155,7 @@ def geometric_hamiltonian(a_form: ConnectionForm, path: CurvePath, t: float) -> 
         raise OutOfPatch(
             f"path is on chart '{pid}' at t={t} but connection is on '{a_form.patch_id}'"
         )
-    return a_form.contracted(path.position(t), path.velocity(t))
+    return a_form.contracted(path.points(t), path.velocities(t))
 
 
 def split_geometric(h_a: np.ndarray, curve_metric: CurveMetric, t: float
@@ -184,7 +189,9 @@ def evolve(
     ``hamiltonian(t)`` returns the full generator.  When ``curve_metric`` is
     given, the metric norm of the state is recorded at each sample; when
     ``energy(t)`` is also given, so is the normalized real energy expectation
-    <psi, H_E psi>_eta / <psi, psi>_eta.
+    <psi, H_E psi>_eta / <psi, psi>_eta.  Both generators are evaluated on
+    the stack of node or sample times when marked
+    :func:`qbundle.linalg.stacked`.
     """
     psi0 = linalg.as_vector(psi0, name="psi0")
     if float(np.max(np.abs(psi0))) == 0.0:
@@ -194,15 +201,12 @@ def evolve(
 
     eta_norm = energy_expect = None
     if curve_metric is not None:
-        eta_norm = np.empty(times.shape[0])
-        energy_expect = None if energy is None else np.empty(times.shape[0])
-        for k, t in enumerate(times):
-            eta = curve_metric.eta(float(t))
-            den = eta_inner(eta, states[k], states[k]).real
-            eta_norm[k] = np.sqrt(den)
-            if energy is not None:
-                num = eta_inner(eta, states[k], energy(float(t)) @ states[k]).real
-                energy_expect[k] = num / den
+        bra_eta = np.einsum("ki,kij->kj", states.conj(), curve_metric.eta(times))
+        den = np.einsum("kj,kj->k", bra_eta, states).real
+        eta_norm = np.sqrt(den)
+        if energy is not None:
+            h_e = linalg.over_points(energy, times)
+            energy_expect = np.einsum("kj,kjl,kl->k", bra_eta, h_e, states).real / den
     trace = [patch_id] * times.shape[0] if patch_id is not None else None
     return EvolutionResult(times, states, eta_norm, energy_expect, trace)
 
@@ -213,14 +217,16 @@ def evolve(
 def hermitian_representation(
     h_full: np.ndarray,
     curve_metric: CurveMetric,
-    t: float,
+    t,
     op: MetricOperator | None = None,
+    rho_dot: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}.
 
-    ``op`` is the metric at t when the caller has already factorised it."""
+    ``op`` is the metric at t and ``rho_dot`` its derivative when the caller
+    has already computed them."""
     op = curve_metric.operator(t) if op is None else op
-    rho_dot = curve_metric.rho_dot(t, op=op)
+    rho_dot = curve_metric.rho_dot(t, op=op) if rho_dot is None else rho_dot
     return op.rho @ np.asarray(h_full, dtype=complex) @ op.rho_inv + 1j * rho_dot @ op.rho_inv
 
 

@@ -6,6 +6,16 @@ definiteness predicates, the Hermitian square root via spectral decomposition,
 matrix exponentials, commutators and Pauli contractions.  Matrices are plain
 ``numpy`` arrays of ``complex`` dtype; no wrapper classes.
 
+Stacks.  Fields and generators are evaluated on a whole stack of points or
+times at once: a stack of n points is an (n, d) array (n times: an (n,)
+array) and a stack of matrices is (n, N, N).  :func:`as_square`,
+:func:`hermitian_sqrt`, :func:`contract` and :func:`pauli_dot` broadcast over
+leading axes; :func:`hermitian_sqrt` applies its checks to each matrix and
+names the first failing one.  User-supplied callables are evaluated on a
+stack by :func:`over_points`, the only code that knows the calling rule: a
+callable marked with :func:`stacked` receives the whole stack and returns
+one result per point, any other callable is called once per point.
+
 Conventions: hbar = 1 everywhere; matrix norms used for tolerance checks are
 max-absolute-entry norms unless stated otherwise.
 """
@@ -30,13 +40,61 @@ HERMITICITY_TOL = 1e-12
 # ---------------------------------------------------------------- helpers
 
 
+def stacked(fn):
+    """Mark ``fn`` as evaluating a whole stack of points in one call.
+
+    A stacked callable takes (n, d) points (or (n,) times, or several (n,)
+    coordinate arrays) and returns an (n, ...) array; see :func:`over_points`.
+    """
+    fn.stacked = True
+    return fn
+
+
+def over_points(fn, points, *more) -> np.ndarray:
+    """``fn`` on every point of a stack, as one (n, ...) array.
+
+    ``points`` (and each of ``more``) holds one row per point.  A callable
+    marked :func:`stacked` receives the whole stacks at once; any other
+    callable is called once per point, with the rows of each argument (plain
+    floats for one-dimensional stacks), and its results are stacked.
+    """
+    if getattr(fn, "stacked", False):
+        out = np.asarray(fn(points, *more))
+        if out.shape[:1] != (len(points),):
+            raise DimensionMismatch(
+                f"stacked callable returned shape {out.shape} for {len(points)} points")
+        return out
+    rows = [a.tolist() if np.ndim(a) == 1 else a for a in (points, *more)]
+    return np.array([fn(*args) for args in zip(*rows)])
+
+
+def as_stack(x, point_ndim: int = 0) -> tuple[np.ndarray, bool]:
+    """(stack, single): ``x`` as a stack of points of ``point_ndim`` axes each
+    (0 for times, 1 for coordinate vectors), and whether it was one point."""
+    a = np.asarray(x, dtype=float)
+    single = a.ndim == point_ndim
+    return (a[np.newaxis] if single else a), single
+
+
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """(index, message suffix) of the first True entry of a per-matrix mask;
+    ((), "") for a single matrix."""
+    if bad.ndim == 0:
+        return (), ""
+    k = tuple(int(i) for i in np.argwhere(bad)[0])
+    return k, f" (stack index {k})"
+
+
 def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray, raising DimensionMismatch otherwise."""
+    """Coerce to a complex ndarray of square matrices (..., N, N), raising
+    DimensionMismatch otherwise."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
+        raise DimensionMismatch(f"{name} contains non-finite entries{_first(bad)[1]}")
     return a
 
 
@@ -57,32 +115,45 @@ def max_abs(m) -> float:
 def central_difference(fn, x, step):
     """Central difference  (fn(x + h) - fn(x - h)) / 2h,  error O(h^2).
 
-    Scalar ``x``: the derivative.  Coordinate vector ``x``: the list of
-    partials, with ``step`` shared or one per coordinate.  ``fn`` may return
-    anything ``numpy.asarray`` accepts (a number, a vector, matrices).
+    Scalar ``x``: the derivative.  Coordinate vector ``x``, or a stack of
+    them (n, d): the list of partials along the last axis, with ``step``
+    shared, one per coordinate, or one per entry of ``x``.  ``fn`` may return
+    anything ``numpy.asarray`` accepts (a number, a vector, matrices), with
+    one leading axis per leading axis of ``x``.
     """
 
     def diff(xp, xm, h):
-        return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
+        d = np.asarray(fn(xp)) - np.asarray(fn(xm))
+        return d / (2.0 * np.reshape(h, np.shape(h) + (1,) * (d.ndim - np.ndim(h))))
 
     if np.ndim(x) == 0:
         return diff(x + step, x - step, step)
     x = np.asarray(x, dtype=float)
+    steps = np.broadcast_to(step, x.shape)
     out = []
-    for a, h in enumerate(np.broadcast_to(step, x.shape)):
+    for a in range(x.shape[-1]):
         xp, xm = x.copy(), x.copy()
-        xp[a] += h
-        xm[a] -= h
+        h = steps[..., a]
+        xp[..., a] += h
+        xm[..., a] -= h
         out.append(diff(xp, xm, h))
     return out
 
 
 def contract(coeffs, mats) -> np.ndarray:
-    """sum_a coeffs[a] * mats[a], accumulated from zeros in coordinate order."""
-    out = np.zeros_like(mats[0])
-    for c, m in zip(coeffs, mats):
-        out = out + c * m
+    """sum_a coeffs[..., a] * mats[..., a, :, :], accumulated from zeros in
+    coordinate order; coeffs (..., d) and mats (..., d, N, N) broadcast."""
+    c = np.asarray(coeffs)
+    m = np.asarray(mats)
+    out = np.zeros(np.broadcast_shapes(c.shape[:-1], m.shape[:-3]) + m.shape[-2:], m.dtype)
+    for a in range(m.shape[-3]):
+        out = out + c[..., a, None, None] * m[..., a, :, :]
     return out
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack, without validation."""
+    return m.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------- operations
@@ -90,7 +161,7 @@ def contract(coeffs, mats) -> np.ndarray:
 
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
-    return as_square(m).conj().T
+    return dagger(as_square(m))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -103,31 +174,37 @@ def commutator(a, b) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_square(m)
-    return max_abs(m - m.conj().T) <= tol
+    return hermiticity_residual(m) <= tol
 
 
 def hermiticity_residual(m) -> float:
     m = as_square(m)
-    return max_abs(m - m.conj().T)
+    return max_abs(m - dagger(m))
 
 
-def _pd_tolerance(eigvals: np.ndarray, tol: float | None) -> float:
-    # default: 1e-12 relative to the largest eigenvalue magnitude, floored at
-    # an absolute scale of 1 so near-zero matrices are handled sanely
-    if tol is not None:
-        return tol
-    scale = max(float(np.max(np.abs(eigvals))), 1.0) if eigvals.size else 1.0
-    return 1e-12 * scale
+def _not_positive(eigvals: np.ndarray, tol: float | None) -> np.ndarray:
+    """Per matrix: is the smallest of its ascending eigenvalues at or below
+    the tolerance?  By default 1e-12 relative to the largest eigenvalue
+    magnitude, floored at an absolute scale of 1 so near-zero matrices are
+    handled sanely."""
+    if tol is None:
+        tol = 1e-12 * np.maximum(np.max(np.abs(eigvals), axis=-1), 1.0)
+    return eigvals[..., 0] <= tol
+
+
+def _residuals(m: np.ndarray) -> np.ndarray:
+    """Hermiticity residual of each matrix of a stack."""
+    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
 
 
 def is_positive_definite(m, tol: float | None = None) -> bool:
-    """True if m is Hermitian (within tolerance) with strictly positive spectrum."""
+    """True if every matrix of m is Hermitian (within tolerance) with strictly
+    positive spectrum."""
     m = as_square(m)
-    if not is_hermitian(m, tol=1e-10 if tol is None else max(tol, 1e-10)):
+    if np.any(_residuals(m) > (1e-10 if tol is None else max(tol, 1e-10))):
         return False
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return bool(np.min(w) > _pd_tolerance(w, tol))
+    w = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
+    return not np.any(_not_positive(w, tol))
 
 
 def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
@@ -139,22 +216,24 @@ def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
     depend on the basis chosen inside degenerate eigenspaces.
 
     With ``eigenpairs`` the result is (sqrt(m), sqrt(w), V), so a caller can
-    reuse the factorisation.  Raises NotPositiveDefinite when the input fails
-    the positivity check.
+    reuse the factorisation.  A stack (..., N, N) is factorised in one call
+    and each matrix checked on its own.  Raises NotPositiveDefinite when a
+    matrix fails the Hermiticity or the positivity check, naming the first.
     """
     m = as_square(m)
-    herm = 0.5 * (m + m.conj().T)
-    if hermiticity_residual(m) > 1e-10:
+    res = _residuals(m)
+    bad = res > 1e-10
+    if np.any(bad):
+        k, where = _first(bad)
+        raise NotPositiveDefinite(f"matrix is not Hermitian (residual {res[k]:.3e}){where}")
+    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    bad = _not_positive(w, tol)
+    if np.any(bad):
+        k, where = _first(bad)
         raise NotPositiveDefinite(
-            f"matrix is not Hermitian (residual {hermiticity_residual(m):.3e})"
-        )
-    w, v = np.linalg.eigh(herm)
-    if np.min(w) <= _pd_tolerance(w, tol):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})"
-        )
+            f"matrix is not positive definite (min eigenvalue {w[k][0]:.3e}){where}")
     root_w = np.sqrt(w)
-    root = (v * root_w) @ v.conj().T
+    root = (v * root_w[..., None, :]) @ dagger(v)
     return (root, root_w, v) if eigenpairs else root
 
 
@@ -167,19 +246,17 @@ def matrix_exp(m) -> np.ndarray:
     return scipy.linalg.expm(as_square(m))
 
 
-def cross3(a, b) -> tuple:
-    """Cross product of two 3-vectors, as a tuple; for per-point inner loops,
-    where ``numpy.cross``'s general axis handling costs far more than the
-    six products."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def pauli_dot(coeffs) -> np.ndarray:
-    """Contract a real or complex 3-vector with the Pauli matrices.
+    """Contract real or complex 3-vectors (..., 3) with the Pauli matrices.
 
     pauli_dot((c1, c2, c3)) = c1*SIGMA1 + c2*SIGMA2 + c3*SIGMA3
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (3,):
-        raise DimensionMismatch(f"pauli_dot expects a 3-vector, got shape {c.shape}")
-    return c[0] * SIGMA1 + c[1] * SIGMA2 + c[2] * SIGMA3
+    if c.shape[-1:] != (3,):
+        raise DimensionMismatch(f"pauli_dot expects 3-vectors, got shape {c.shape}")
+    out = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = c[..., 2]
+    out[..., 0, 1] = c[..., 0] - 1j * c[..., 1]
+    out[..., 1, 0] = c[..., 0] + 1j * c[..., 1]
+    out[..., 1, 1] = -c[..., 2]
+    return out

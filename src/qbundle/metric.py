@@ -14,6 +14,16 @@ pseudo-Hermitian.
 :class:`MetricOperator` wraps one metric at a point and caches rho and its
 inverse; :class:`MetricField` is a metric-valued field over a coordinate patch
 of the base manifold, with analytic or finite-difference partial derivatives.
+
+Stacks.  Every :class:`MetricField` method takes one point (d,) or a stack
+of points (n, d) and returns one result or a stack of n.  The field's
+callables are evaluated through :func:`qbundle.linalg.over_points`, so a
+pointwise ``eta_fn`` works unchanged and one marked
+:func:`qbundle.linalg.stacked` is called once per stack.  A
+:class:`MetricOperator` built from a stack (n, N, N) factorises all n metrics
+in one batched ``eigh`` and holds stacks of rho, rho^{-1} and eta^{-1}.  The
+chart domain, shape, finiteness, Hermiticity and positivity checks apply to
+every point of a stack, and their errors name the first failing point.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ FD_STEP_FLOOR = 1e-7
 
 
 class MetricOperator:
-    """A positive-definite metric on C^N with cached square root.
+    """A positive-definite metric on C^N with cached square root, or a stack
+    of them (all attributes then carry the leading stack axis).
 
     Attributes
     ----------
@@ -59,7 +70,7 @@ class MetricOperator:
 
     @property
     def dim(self) -> int:
-        return self.eta.shape[0]
+        return self.eta.shape[-1]
 
     def inner(self, phi, psi) -> complex:
         return eta_inner(self.eta, phi, psi)
@@ -72,8 +83,8 @@ class MetricOperator:
         and the denominators are positive, so X is unique.
         """
         v, s = self.eigvecs, self.root_eigvals
-        vh = v.conj().T
-        return v @ ((vh @ eta_dot @ v) / (s[:, None] + s[None, :])) @ vh
+        vh = linalg.dagger(v)
+        return v @ ((vh @ eta_dot @ v) / (s[..., :, None] + s[..., None, :])) @ vh
 
     def norm(self, psi) -> float:
         return float(np.sqrt(self.inner(psi, psi).real))
@@ -146,6 +157,21 @@ def hermitize(m, metric) -> np.ndarray:
 # ---------------------------------------------------------------- fields
 
 
+def chart_points(point, dim: int, domain, patch_id: str) -> tuple[np.ndarray, bool]:
+    """(stack of points, single): one point (dim,) or a stack (n, dim) as an
+    (n, dim) stack, after the shape check and the chart-domain check of every
+    point; the error names the first point outside the chart."""
+    rows, single = linalg.as_stack(point, 1)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionMismatch(
+            f"expected {dim}-vectors of coordinates, got shape {np.shape(point)}")
+    if domain is not None:
+        inside = linalg.over_points(domain, rows)
+        if not inside.all():
+            raise OutOfPatch(f"point {rows[np.argmin(inside)]} is outside patch '{patch_id}'")
+    return rows, single
+
+
 class MetricField:
     """Metric-operator-valued field over one coordinate patch.
 
@@ -181,34 +207,37 @@ class MetricField:
         self.dim = dim
         self._domain = domain
 
-    def _coords(self, point) -> np.ndarray:
-        r = np.asarray(point, dtype=float)
-        if r.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected a {self.dim}-vector of coordinates, got shape {r.shape}"
-            )
-        if self._domain is not None and not self._domain(r):
-            raise OutOfPatch(f"point {r} is outside patch '{self.patch_id}'")
-        return r
+    def _coords(self, point) -> tuple[np.ndarray, bool]:
+        return chart_points(point, self.dim, self._domain, self.patch_id)
 
-    def contains(self, point) -> bool:
-        r = np.asarray(point, dtype=float)
-        return self._domain is None or bool(self._domain(r))
+    @linalg.stacked
+    def contains(self, point):
+        """Whether the point lies in the chart (one flag per point of a stack)."""
+        rows, single = linalg.as_stack(point, 1)
+        inside = (np.ones(len(rows), dtype=bool) if self._domain is None
+                  else linalg.over_points(self._domain, rows).astype(bool))
+        return bool(inside[0]) if single else inside
 
     def eta(self, point) -> np.ndarray:
-        return linalg.as_square(self._eta_fn(self._coords(point)), "eta")
+        rows, single = self._coords(point)
+        eta = linalg.as_square(linalg.over_points(self._eta_fn, rows), "eta")
+        return eta[0] if single else eta
 
     def operator(self, point) -> MetricOperator:
         return MetricOperator(self.eta(point))
 
-    def partials(self, point) -> list[np.ndarray]:
-        """[d eta / d R^a for each coordinate a], analytic when available."""
-        r = self._coords(point)
+    def partials(self, point) -> np.ndarray:
+        """d eta / d R^a for each coordinate a, analytic when available:
+        (d, N, N) for one point, (n, d, N, N) for a stack."""
+        rows, single = self._coords(point)
         if self._partials_fn is not None:
-            parts = self._partials_fn(r)
-            return [linalg.as_square(p, "partial of eta") for p in parts]
-        steps = np.maximum(FD_STEP * np.abs(r), FD_STEP_FLOOR)
-        return linalg.central_difference(self._eta_fn, r, steps)
+            parts = linalg.as_square(linalg.over_points(self._partials_fn, rows),
+                                     "partial of eta")
+        else:
+            steps = np.maximum(FD_STEP * np.abs(rows), FD_STEP_FLOOR)
+            parts = np.stack(linalg.central_difference(
+                lambda x: linalg.over_points(self._eta_fn, x), rows, steps), axis=1)
+        return parts[0] if single else parts
 
     def eta_dot(self, point, velocity) -> np.ndarray:
         """Time derivative of eta along a curve: sum_a (d eta/d R^a) Rdot^a."""
@@ -218,10 +247,10 @@ class MetricField:
 def constant_metric_field(patch_id: str, eta, dim: int = 2) -> MetricField:
     """Field whose metric does not depend on the base point."""
     eta = linalg.as_square(eta, "eta")
-    zero = np.zeros_like(eta)
+    zero = np.zeros((dim,) + eta.shape, dtype=complex)
     return MetricField(
         patch_id,
-        lambda r: eta,
-        partials_fn=lambda r: [zero] * dim,
+        linalg.stacked(lambda r: np.broadcast_to(eta, (len(r),) + eta.shape)),
+        partials_fn=linalg.stacked(lambda r: np.broadcast_to(zero, (len(r),) + zero.shape)),
         dim=dim,
     )

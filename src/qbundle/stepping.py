@@ -15,8 +15,17 @@ t0 + (k+1) h, the same float as the start node of step k+1, so n steps cost
 2n+1 evaluations instead of 4n.  An adaptive attempt (one full step and two
 half steps) has five distinct nodes t, t+h/4, t+h/2, t+3h/4, t+h; the second
 half step ends at the full step's t+h, and t is shared with the previous
-attempt, so each attempt costs at most 4 new evaluations instead of 12.  The
-node memory holds the last five times, never more than one attempt's nodes.
+attempt, so each attempt costs at most 4 new evaluations instead of 12.
+
+Stacked nodes.  The integrators know their node times before they step:
+the fixed stepper declares the 2n+1 nodes of up to ``FIXED_CHUNK_STEPS``
+steps at a time, and the adaptive stepper the five nodes of each attempt,
+to the right-hand side's node table (``rhs.declare``, present on every
+:func:`linear_rhs`).  The first lookup of a declared node evaluates every
+node still missing in one stacked call of the generator (see
+:func:`qbundle.linalg.over_points`); later lookups read the table.  Node
+times come from :func:`rk4_nodes`, the same floats :func:`rk4_step` samples.
+Any other ``rhs`` callable is integrated as before, one call per stage.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import StepperDiverged
 
 RK4_FIXED = "rk4-fixed"
@@ -54,28 +64,45 @@ class StepperConfig:
             raise ValueError("target_local_error must be positive")
 
 
-#: distinct node times one adaptive attempt samples; the size of the node memory
-_ATTEMPT_NODES = 5
+#: the fixed stepper declares the nodes of at most this many steps at once,
+#: so a segment's generator stack stays bounded for tiny dt
+FIXED_CHUNK_STEPS = 1024
 
 
 def linear_rhs(generator: Callable[[float], np.ndarray]) -> Callable:
     """Right-hand side  rhs(t, y) = -i H(t) y  of the linear ODE i dy/dt = H(t) y.
 
-    ``generator(t)`` returns H(t); it is called once per distinct node time
-    among the last five requested (see the module docstring).
+    ``generator(t)`` returns H(t), or the stack of H at a stack of times when
+    it is marked :func:`qbundle.linalg.stacked`.  ``rhs.declare(times)``
+    replaces the node table with the given times, keeping the generators it
+    already holds for them; a lookup of a missing node evaluates all missing
+    declared nodes in one call.  A time that was never declared becomes the
+    table's only node.
     """
-    memory: dict[float, np.ndarray] = {}
+    table: dict[float, np.ndarray | None] = {}
+
+    def declare(times) -> None:
+        nonlocal table
+        table = {t: table.get(t) for t in np.asarray(times, dtype=float).tolist()}
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        h = memory.pop(t, None)
+        h = table.get(t)
         if h is None:
-            h = generator(t)
-            if len(memory) >= _ATTEMPT_NODES:
-                del memory[next(iter(memory))]
-        memory[t] = h
+            if t not in table:
+                declare((t,))
+            missing = [s for s, v in table.items() if v is None]
+            table.update(zip(missing, linalg.over_points(generator, np.array(missing))))
+            h = table[t]
         return -1j * (h @ y)
 
+    rhs.declare = declare
     return rhs
+
+
+def rk4_nodes(t, h, t_end=None):
+    """The node times (t, t + h/2, t_end or t + h) of an RK4 step from t;
+    ``t`` may be an array of step starts."""
+    return t, t + 0.5 * h, t + h if t_end is None else t_end
 
 
 def rk4_step(rhs: Callable, t: float, y: np.ndarray, h: float,
@@ -86,11 +113,11 @@ def rk4_step(rhs: Callable, t: float, y: np.ndarray, h: float,
     the integrators pass the time the next step starts at, so the two share
     one node.
     """
-    t_mid = t + 0.5 * h
+    _, t_mid, t_end = rk4_nodes(t, h, t_end)
     k1 = rhs(t, y)
     k2 = rhs(t_mid, y + 0.5 * h * k1)
     k3 = rhs(t_mid, y + 0.5 * h * k2)
-    k4 = rhs(t + h if t_end is None else t_end, y + h * k3)
+    k4 = rhs(t_end, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -128,8 +155,14 @@ def _integrate_fixed(rhs, y, t0, t1, dt):
     states = np.empty((n + 1,) + y.shape, dtype=complex)
     times[0] = t0
     states[0] = y
+    declare = getattr(rhs, "declare", None)
     t = t0
     for k in range(n):
+        if declare is not None and k % FIXED_CHUNK_STEPS == 0:
+            starts = t0 + np.arange(k, min(k + FIXED_CHUNK_STEPS, n) + 1) * h
+            starts[0] = t
+            _, mids, ends = rk4_nodes(starts[:-1], h, starts[1:])
+            declare(np.concatenate(([t], np.column_stack((mids, ends)).ravel())))
         t_next = t0 + (k + 1) * h
         y = rk4_step(rhs, t, y, h, t_next)
         _check_finite(y, t_next)
@@ -151,16 +184,20 @@ def _integrate_adaptive(rhs, y, t0, t1, dt0, tol):
     scale = max(1.0, float(np.max(np.abs(y))))
     max_steps = 5_000_000
     attempts = 0
+    declare = getattr(rhs, "declare", None)
     while (t1 - t) * direction > 1e-15 * max(span, 1.0):
         attempts += 1
         if attempts > max_steps:
             raise StepperDiverged("adaptive stepper exceeded the step budget")
         if abs(h) > abs(t1 - t):
             h = t1 - t
-        t_end = t + h
+        t_end, half = t + h, 0.5 * h
+        t_half = rk4_nodes(t, h)[1]
+        if declare is not None:  # the five distinct nodes of the three steps below
+            declare((t, rk4_nodes(t, half)[1], t_half, rk4_nodes(t_half, half)[1], t_end))
         y_full = rk4_step(rhs, t, y, h)
-        y_half = rk4_step(rhs, t, y, 0.5 * h)
-        y_two = rk4_step(rhs, t + 0.5 * h, y_half, 0.5 * h, t_end)
+        y_half = rk4_step(rhs, t, y, half)
+        y_two = rk4_step(rhs, t_half, y_half, half, t_end)
         _check_finite(y_two, t_end)
         # RK4 is order 4, so the doubling estimate carries a 1/(2^4 - 1) factor
         err = float(np.max(np.abs(y_two - y_full))) / 15.0

@@ -20,8 +20,9 @@ defined Hermitian-form field omega_H, and the final Hermitian generator
 on the plus chart (an analogous formula on minus), which is independent of
 the scale fields altogether.
 
-Matrix-valued one-forms are represented as pairs (theta-component,
-phi-component).  Default geometry: theta_plus = 2 pi / 3, theta_minus =
+Every closed form takes scalars or arrays of (theta, phi) and broadcasts;
+matrix-valued one-forms are arrays whose axis -3 holds the (theta, phi)
+components.  Default geometry: theta_plus = 2 pi / 3, theta_minus =
 pi / 3, scale fields xi = xi~ = 1, zeta = 1 - cos(theta)/cos(theta_plus),
 zeta~ = 1 + cos(theta)/cos(theta_plus), which degenerate exactly on the
 opposite chart's boundary circle and nowhere inside their own chart.
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .bundle import ObservableSection, PatchData, SystemSpec, TransitionFunctionField
-from .connection import ConnectionForm, CurvePath, assemble_connection
+from .connection import CurvePath, assemble_connection
 from .errors import (
     ConfigError,
     CurveTouchesPoleMargin,
@@ -83,6 +84,39 @@ class S2Point:
 
 
 # ---------------------------------------------------------------- fields
+#
+# Every closed form below broadcasts over arrays of (theta, phi): scalars
+# give one value or matrix, arrays of shape S give S + (...).  The field
+# callables (scale fields, alpha, energy) are evaluated through
+# linalg.over_points, so pointwise user lambdas keep working, and the
+# built-in fields are marked stacked.
+
+
+def _grid(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi as float arrays of one broadcast shape."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.shape != phi.shape:
+        theta, phi = np.broadcast_arrays(theta, phi)
+    return theta, phi
+
+
+def _pointwise(fn, theta, phi) -> np.ndarray:
+    """A field callable fn(theta, phi) on broadcast coordinate arrays."""
+    theta, phi = _grid(theta, phi)
+    out = linalg.over_points(fn, theta.reshape(-1), phi.reshape(-1))
+    return out.reshape(theta.shape + out.shape[1:])
+
+
+def _m(x) -> np.ndarray:
+    """Scalars of shape S lifted to scale matrices of shape S + (2, 2)."""
+    return np.asarray(x)[..., None, None]
+
+
+def _constant(value):
+    """A stacked field callable equal to ``value`` (a number or a vector)
+    everywhere."""
+    v = np.asarray(value, dtype=float)
+    return linalg.stacked(lambda th, ph: np.broadcast_to(v, np.shape(th) + v.shape))
 
 
 class ScalarField:
@@ -98,20 +132,22 @@ class ScalarField:
         self._d_theta = d_theta
         self._d_phi = d_phi
 
-    def __call__(self, theta: float, phi: float) -> float:
-        return float(self._fn(theta, phi))
+    def __call__(self, theta, phi) -> np.ndarray:
+        return _pointwise(self._fn, theta, phi)
 
-    def partials(self, theta: float, phi: float) -> tuple[float, float]:
-        h = SCALAR_FD_STEP
-        dt = (self._d_theta(theta, phi) if self._d_theta is not None
-              else linalg.central_difference(lambda x: self._fn(x, phi), theta, h))
-        dp = (self._d_phi(theta, phi) if self._d_phi is not None
-              else linalg.central_difference(lambda x: self._fn(theta, x), phi, h))
-        return float(dt), float(dp)
+    def partials(self, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dtheta, d/dphi), analytic where given, else central differences."""
+        fd = None
+        if self._d_theta is None or self._d_phi is None:
+            fd = linalg.central_difference(lambda p: self(p[..., 0], p[..., 1]),
+                                           np.stack(_grid(theta, phi), axis=-1),
+                                           SCALAR_FD_STEP)
+        return tuple(fd[i] if d is None else _pointwise(d, theta, phi)
+                     for i, d in enumerate((self._d_theta, self._d_phi)))
 
 
 def constant_field(c: float) -> ScalarField:
-    return ScalarField(lambda th, ph: c, lambda th, ph: 0.0, lambda th, ph: 0.0)
+    return ScalarField(_constant(c), _constant(0.0), _constant(0.0))
 
 
 @dataclass
@@ -134,18 +170,19 @@ class ScaleFields:
 def default_scales(theta_plus: float = THETA_PLUS_DEFAULT) -> ScaleFields:
     """The reference scale fields, degenerating on the opposite boundary."""
     c = math.cos(theta_plus)
+    zero = _constant(0.0)
     return ScaleFields(
         xi=constant_field(1.0),
         zeta=ScalarField(
-            lambda th, ph: 1.0 - math.cos(th) / c,
-            lambda th, ph: math.sin(th) / c,
-            lambda th, ph: 0.0,
+            linalg.stacked(lambda th, ph: 1.0 - np.cos(th) / c),
+            linalg.stacked(lambda th, ph: np.sin(th) / c),
+            zero,
         ),
         xi_tilde=constant_field(1.0),
         zeta_tilde=ScalarField(
-            lambda th, ph: 1.0 + math.cos(th) / c,
-            lambda th, ph: -math.sin(th) / c,
-            lambda th, ph: 0.0,
+            linalg.stacked(lambda th, ph: 1.0 + np.cos(th) / c),
+            linalg.stacked(lambda th, ph: -np.sin(th) / c),
+            zero,
         ),
     )
 
@@ -171,14 +208,12 @@ class AlphaField:
 
 
 def zero_alpha() -> AlphaField:
-    z = np.zeros(3)
-    return AlphaField(lambda th, ph: z, lambda th, ph: z)
+    z = _constant(np.zeros(3))
+    return AlphaField(z, z)
 
 
 def constant_alpha(theta_vec, phi_vec) -> AlphaField:
-    tv = np.asarray(theta_vec, dtype=float)
-    pv = np.asarray(phi_vec, dtype=float)
-    return AlphaField(lambda th, ph: tv, lambda th, ph: pv)
+    return AlphaField(_constant(theta_vec), _constant(phi_vec))
 
 
 @dataclass
@@ -195,54 +230,67 @@ def constant_energy(eps: float = 1.0, y=(0.0, 0.0, 1.0)) -> EnergyFieldS2:
     n = float(np.linalg.norm(yv))
     if n == 0.0:
         raise ConfigError("energy direction must be a nonzero vector")
-    yv = yv / n
-    return EnergyFieldS2(lambda th, ph: eps, lambda th, ph: yv)
+    return EnergyFieldS2(_constant(eps), _constant(yv / n))
 
 
 # ------------------------------------------------------------- geometry
 
 
-def unit_vector(theta: float, phi: float) -> np.ndarray:
+def _vectors(x, y, z) -> np.ndarray:
+    """3-vectors (..., 3) from three broadcastable component arrays."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
+
+
+def unit_vector(theta, phi) -> np.ndarray:
     """xhat = (sin t cos p, sin t sin p, cos t)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), ct])
+    st, ct = np.sin(theta), np.cos(theta)
+    return _vectors(st * np.cos(phi), st * np.sin(phi), ct)
 
 
-def unit_vector_mirror(theta: float, phi: float) -> np.ndarray:
+_MIRROR = np.array([1.0, 1.0, -1.0])
+
+
+def unit_vector_mirror(theta, phi) -> np.ndarray:
     """The minus-chart direction (x1, x2, -x3)."""
-    x = unit_vector(theta, phi)
-    return np.array([x[0], x[1], -x[2]])
+    return unit_vector(theta, phi) * _MIRROR
 
 
-def unit_vector_prime(theta: float, phi: float) -> np.ndarray:
+def unit_vector_prime(theta, phi) -> np.ndarray:
     """(cos t cos p, cos t sin p, sin t): xhat rotated a quarter turn in
     its meridian plane; the intertwiner is sigma3 (xhat' . sigma)."""
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([ct * math.cos(phi), ct * math.sin(phi), st])
+    ct, st = np.cos(theta), np.sin(theta)
+    return _vectors(ct * np.cos(phi), ct * np.sin(phi), st)
 
 
-def d_unit_vector(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def d_unit_vector(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """(d xhat / d theta, d xhat / d phi)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    return (np.array([ct * cp, ct * sp, -st]),
-            np.array([-st * sp, st * cp, 0.0]))
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    return (_vectors(ct * cp, ct * sp, -st), _vectors(-st * sp, st * cp, 0.0))
 
 
-def d_unit_vector_mirror(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def d_unit_vector_mirror(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     dth, dph = d_unit_vector(theta, phi)
-    flip = np.array([1.0, 1.0, -1.0])
-    return dth * flip, dph * flip
+    return dth * _MIRROR, dph * _MIRROR
 
 
-def radial_pauli(phi: float) -> np.ndarray:
+def _frame(theta, phi, patch: str) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, d xhat) on the chart, mirrored on minus; d xhat holds the theta
+    and phi derivatives on axis -2."""
+    x, dx = unit_vector(theta, phi), np.stack(d_unit_vector(theta, phi), axis=-2)
+    return (x, dx) if patch == PLUS else (x * _MIRROR, dx * _MIRROR)
+
+
+def radial_pauli(phi) -> np.ndarray:
     """cos(phi) sigma1 + sin(phi) sigma2: in-plane Pauli along the meridian."""
-    return math.cos(phi) * SIGMA1 + math.sin(phi) * SIGMA2
+    return _m(np.cos(phi)) * SIGMA1 + _m(np.sin(phi)) * SIGMA2
 
 
-def tangent_pauli(phi: float) -> np.ndarray:
+def tangent_pauli(phi) -> np.ndarray:
     """-sin(phi) sigma1 + cos(phi) sigma2: in-plane Pauli along the parallel."""
-    return -math.sin(phi) * SIGMA1 + math.cos(phi) * SIGMA2
+    return -_m(np.sin(phi)) * SIGMA1 + _m(np.cos(phi)) * SIGMA2
 
 
 def u_matrix(theta: float, phi: float) -> np.ndarray:
@@ -256,72 +304,69 @@ def u_matrix(theta: float, phi: float) -> np.ndarray:
 # ------------------------------------------------------------- metric data
 
 
-def _chi(xi: float, zeta: float) -> tuple[float, float]:
+def _chi(xi, zeta):
     return 0.5 * (xi * xi + zeta * zeta), 0.5 * (xi * xi - zeta * zeta)
 
 
-def eta_matrix(theta: float, phi: float, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
+def _xhat(theta, phi, patch: str) -> np.ndarray:
+    return unit_vector(theta, phi) if patch == PLUS else unit_vector_mirror(theta, phi)
+
+
+def _scale_data(scales: ScaleFields, patch: str, theta, phi):
+    """(a, b, da, db): the chart's two scale fields and their partials, with
+    the (theta, phi) partials on a last axis."""
+    fa, fb = scales.pair(patch)
+    return (fa(theta, phi), fb(theta, phi),
+            np.stack(fa.partials(theta, phi), axis=-1), np.stack(fb.partials(theta, phi), axis=-1))
+
+
+def eta_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     """Closed-form fiber metric on the requested chart."""
     fa, fb = scales.pair(patch)
-    a, b = fa(theta, phi), fb(theta, phi)
-    chi_p, chi_m = _chi(a, b)
-    x = unit_vector(theta, phi) if patch == PLUS else unit_vector_mirror(theta, phi)
-    return chi_p * ID2 + chi_m * pauli_dot(x)
+    chi_p, chi_m = _chi(fa(theta, phi), fb(theta, phi))
+    return _m(chi_p) * ID2 + _m(chi_m) * pauli_dot(_xhat(theta, phi, patch))
 
 
-def eta_partials(theta: float, phi: float, scales: ScaleFields,
-                 patch: str = PLUS) -> list[np.ndarray]:
-    """Analytic (d_theta eta, d_phi eta) by the chain rule."""
-    fa, fb = scales.pair(patch)
-    a, b = fa(theta, phi), fb(theta, phi)
-    da = fa.partials(theta, phi)
-    db = fb.partials(theta, phi)
-    if patch == PLUS:
-        x = unit_vector(theta, phi)
-        dx = d_unit_vector(theta, phi)
-    else:
-        x = unit_vector_mirror(theta, phi)
-        dx = d_unit_vector_mirror(theta, phi)
+def eta_partials(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
+    """Analytic (d_theta eta, d_phi eta) by the chain rule, stacked on axis -3."""
+    a, b, da, db = _scale_data(scales, patch, theta, phi)
+    x, dx = _frame(theta, phi, patch)
     chi_m = 0.5 * (a * a - b * b)
-    out = []
-    for i in range(2):
-        d_chi_p = a * da[i] + b * db[i]
-        d_chi_m = a * da[i] - b * db[i]
-        out.append(d_chi_p * ID2 + d_chi_m * pauli_dot(x) + chi_m * pauli_dot(dx[i]))
-    return out
+    a, b = a[..., None], b[..., None]
+    return (_m(a * da + b * db) * ID2 + _m(a * da - b * db) * pauli_dot(x)[..., None, :, :]
+            + _m(chi_m[..., None]) * pauli_dot(dx))
 
 
-def rho_matrix(theta: float, phi: float, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
+def rho_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     """Closed-form positive root of the metric:
     rho = (xi + zeta)/2 1 + (xi - zeta)/2 xhat . sigma."""
     fa, fb = scales.pair(patch)
     a, b = fa(theta, phi), fb(theta, phi)
-    x = unit_vector(theta, phi) if patch == PLUS else unit_vector_mirror(theta, phi)
-    return 0.5 * (a + b) * ID2 + 0.5 * (a - b) * pauli_dot(x)
+    return _m(0.5 * (a + b)) * ID2 + _m(0.5 * (a - b)) * pauli_dot(_xhat(theta, phi, patch))
 
 
-def rho_inverse_matrix(theta: float, phi: float, scales: ScaleFields,
-                       patch: str = PLUS) -> np.ndarray:
+def rho_inverse_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     fa, fb = scales.pair(patch)
     a, b = fa(theta, phi), fb(theta, phi)
-    x = unit_vector(theta, phi) if patch == PLUS else unit_vector_mirror(theta, phi)
-    return (0.5 * (a + b) * ID2 - 0.5 * (a - b) * pauli_dot(x)) / (a * b)
+    x = _xhat(theta, phi, patch)
+    return (_m(0.5 * (a + b)) * ID2 - _m(0.5 * (a - b)) * pauli_dot(x)) / _m(a * b)
 
 
 def metric_field(scales: ScaleFields, patch: str = PLUS,
                  theta_plus: float = THETA_PLUS_DEFAULT,
                  theta_minus: float = THETA_MINUS_DEFAULT) -> MetricField:
-    """Metric field on one chart, with analytic partials and chart domain."""
+    """Metric field on one chart, with analytic partials and chart domain;
+    all three callables take whole stacks of points."""
     if patch == PLUS:
-        domain = lambda r: -1e-12 <= r[0] < theta_plus
+        domain = lambda r: (r[:, 0] >= -1e-12) & (r[:, 0] < theta_plus)
     else:
-        domain = lambda r: theta_minus < r[0] <= np.pi + 1e-12
+        domain = lambda r: (r[:, 0] > theta_minus) & (r[:, 0] <= np.pi + 1e-12)
     return MetricField(
         patch,
-        lambda r: eta_matrix(r[0], r[1], scales, patch),
-        partials_fn=lambda r: eta_partials(r[0], r[1], scales, patch),
+        linalg.stacked(lambda r: eta_matrix(r[:, 0], r[:, 1], scales, patch)),
+        partials_fn=linalg.stacked(lambda r: eta_partials(r[:, 0], r[:, 1], scales, patch)),
         dim=2,
-        domain=domain,
+        domain=linalg.stacked(domain),
     )
 
 
@@ -398,24 +443,31 @@ def big_g_s2(theta: float, phi: float) -> np.ndarray:
     return np.array([[st, ct / e], [-ct * e, st]], dtype=complex)
 
 
-def sigma_tilde(j: int, theta: float, phi: float) -> np.ndarray:
+def _sigma_tilde_basis(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma~_1, sigma~_2, sigma~_3) in closed form."""
+    theta, phi = _grid(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    s2t, c2t = np.sin(2.0 * theta), np.cos(2.0 * theta)
+    s2p, c2p = np.sin(2.0 * phi), np.cos(2.0 * phi)
+    return ((_m(st * st - ct * ct * c2p) * SIGMA1
+             - _m(ct * ct * s2p) * SIGMA2
+             - _m(s2t * np.cos(phi)) * SIGMA3),
+            (_m(-ct * ct * s2p) * SIGMA1
+             + _m(st * st + ct * ct * c2p) * SIGMA2
+             - _m(s2t * np.sin(phi)) * SIGMA3),
+            _m(s2t) * radial_pauli(phi) - _m(c2t) * SIGMA3)
+
+
+def sigma_tilde(j: int, theta, phi) -> np.ndarray:
     """Conjugated Pauli matrices  sigma~_j = G^{-1} sigma_j G  in closed form."""
-    st, ct = math.sin(theta), math.cos(theta)
-    s2t = math.sin(2.0 * theta)
-    c2t = math.cos(2.0 * theta)
-    s2p = math.sin(2.0 * phi)
-    c2p = math.cos(2.0 * phi)
-    if j == 1:
-        return ((st * st - ct * ct * c2p) * SIGMA1
-                - ct * ct * s2p * SIGMA2
-                - s2t * math.cos(phi) * SIGMA3)
-    if j == 2:
-        return (-ct * ct * s2p * SIGMA1
-                + (st * st + ct * ct * c2p) * SIGMA2
-                - s2t * math.sin(phi) * SIGMA3)
-    if j == 3:
-        return s2t * radial_pauli(phi) - c2t * SIGMA3
-    raise ValueError(f"Pauli index must be 1, 2 or 3, got {j}")
+    if j not in (1, 2, 3):
+        raise ValueError(f"Pauli index must be 1, 2 or 3, got {j}")
+    return _sigma_tilde_basis(theta, phi)[j - 1]
+
+
+def _sigma_tilde_dot(vecs: np.ndarray, theta, phi) -> np.ndarray:
+    """sum_j v_j sigma~_j for 3-vectors (..., 3)."""
+    return sum(_m(vecs[..., j]) * s for j, s in enumerate(_sigma_tilde_basis(theta, phi)))
 
 
 def transition_field(scales: ScaleFields,
@@ -432,10 +484,12 @@ def transition_field(scales: ScaleFields,
 
 
 # ------------------------------------------------------- connection pieces
+#
+# Matrix-valued one-forms are arrays whose axis -3 holds the (theta, phi)
+# components: (2, 2, 2) at one point, S + (2, 2, 2) on arrays of points.
 
 
-def a_zero_closed(theta: float, phi: float, scales: ScaleFields,
-                  patch: str = PLUS) -> list[np.ndarray]:
+def a_zero_closed(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     """Canonical connection components in closed form:
 
         A0 = -(i/2) { (dxi/xi + dzeta/zeta) 1
@@ -444,52 +498,44 @@ def a_zero_closed(theta: float, phi: float, scales: ScaleFields,
                           - i (xi^2 - zeta^2)^2/(4 xi^2 zeta^2) xhat x dxhat ] . sigma }
 
     (tilded data and mirrored xhat on the minus chart)."""
-    fa, fb = scales.pair(patch)
-    a, b = fa(theta, phi), fb(theta, phi)
-    da = fa.partials(theta, phi)
-    db = fb.partials(theta, phi)
-    if patch == PLUS:
-        x = unit_vector(theta, phi)
-        dx = d_unit_vector(theta, phi)
-    else:
-        x = unit_vector_mirror(theta, phi)
-        dx = d_unit_vector_mirror(theta, phi)
+    a, b, da, db = _scale_data(scales, patch, theta, phi)
+    x, dx = _frame(theta, phi, patch)
     a2, b2 = a * a, b * b
     c1 = (a2 * a2 - b2 * b2) / (4.0 * a2 * b2)
     c2 = (a2 - b2) ** 2 / (4.0 * a2 * b2)
-    out = []
-    for i in range(2):
-        scalar = da[i] / a + db[i] / b
-        vec = (da[i] / a - db[i] / b) * x + c1 * dx[i]
-        m = scalar * ID2 + pauli_dot(vec) - 1j * c2 * pauli_dot(linalg.cross3(x, dx[i]))
-        out.append(-0.5j * m)
-    return out
+    a, b, x = a[..., None], b[..., None], x[..., None, :]  # against the (theta, phi) axis
+    vec = (da / a - db / b)[..., None] * x + c1[..., None, None] * dx
+    m = (_m(da / a + db / b) * ID2 + pauli_dot(vec)
+         - 1j * _m(c2[..., None]) * pauli_dot(np.cross(x, dx)))
+    return -0.5j * m
 
 
-def gamma_plus(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _one_form(theta_part, phi_part) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(theta_part, phi_part), axis=-3)
+
+
+def gamma_plus(theta, phi) -> np.ndarray:
     """Gamma_+ = -s_t dtheta + [cos t s_r - sin t sigma3] sin t dphi, where
     s_r, s_t are the in-plane Pauli fields."""
-    st, ct = math.sin(theta), math.cos(theta)
-    return (-tangent_pauli(phi),
-            (ct * radial_pauli(phi) - st * SIGMA3) * st)
+    st, ct = _m(np.sin(theta)), _m(np.cos(theta))
+    return _one_form(-tangent_pauli(phi), (ct * radial_pauli(phi) - st * SIGMA3) * st)
 
 
-def gamma_minus(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def gamma_minus(theta, phi) -> np.ndarray:
     """Gamma_- : same theta part as Gamma_+, opposite phi part."""
-    st, ct = math.sin(theta), math.cos(theta)
-    return (-tangent_pauli(phi),
-            -(ct * radial_pauli(phi) - st * SIGMA3) * st)
+    st, ct = _m(np.sin(theta)), _m(np.cos(theta))
+    return _one_form(-tangent_pauli(phi), -(ct * radial_pauli(phi) - st * SIGMA3) * st)
 
 
-def gamma_zero(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def gamma_zero(theta, phi) -> np.ndarray:
     """Gamma_0 = -cos t (xhat . sigma) dphi
               = -[sin t s_r + cos t sigma3] cos t dphi."""
-    st, ct = math.sin(theta), math.cos(theta)
-    return (np.zeros((2, 2), dtype=complex),
-            -(st * radial_pauli(phi) + ct * SIGMA3) * ct)
+    st, ct = _m(np.sin(theta)), _m(np.cos(theta))
+    phi_part = -(st * radial_pauli(phi) + ct * SIGMA3) * ct
+    return _one_form(np.zeros_like(phi_part), phi_part)
 
 
-def gamma_minus_conjugated(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def gamma_minus_conjugated(theta, phi) -> np.ndarray:
     """G^{-1} Gamma_- G in closed form:
     -s_t dtheta + [cos t s_r + sin t sigma3] sin t dphi.
 
@@ -497,25 +543,26 @@ def gamma_minus_conjugated(theta: float, phi: float) -> tuple[np.ndarray, np.nda
     theta -> pi - theta (the dtheta component changes sign under the
     pullback, so componentwise the theta parts agree and the phi parts
     flip)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    return (-tangent_pauli(phi),
-            (ct * radial_pauli(phi) + st * SIGMA3) * st)
+    st, ct = _m(np.sin(theta)), _m(np.cos(theta))
+    return _one_form(-tangent_pauli(phi), (ct * radial_pauli(phi) + st * SIGMA3) * st)
 
 
-def _curly_x(xi: float, zeta: float) -> float:
+def _curly_x(xi, zeta):
     return (xi * xi + zeta * zeta) / (4.0 * xi * zeta)
 
 
-def gamma_total(theta: float, phi: float, scales: ScaleFields
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _lift_form(x) -> np.ndarray:
+    """Scalars of shape S lifted to scale one-forms of shape S + (2, 2, 2)."""
+    return np.asarray(x)[..., None, None, None]
+
+
+def gamma_total(theta, phi, scales: ScaleFields) -> np.ndarray:
     """Gamma = X Gamma_+ + X~ Gamma_- + Gamma_0 on the overlap, with
     X = (xi^2 + zeta^2)/(4 xi zeta) and tilded X~."""
     x_plain = _curly_x(scales.xi(theta, phi), scales.zeta(theta, phi))
     x_tilde = _curly_x(scales.xi_tilde(theta, phi), scales.zeta_tilde(theta, phi))
-    gp = gamma_plus(theta, phi)
-    gm = gamma_minus(theta, phi)
-    g0 = gamma_zero(theta, phi)
-    return tuple(x_plain * gp[i] + x_tilde * gm[i] + g0[i] for i in range(2))
+    return (_lift_form(x_plain) * gamma_plus(theta, phi)
+            + _lift_form(x_tilde) * gamma_minus(theta, phi) + gamma_zero(theta, phi))
 
 
 def gamma_total_from_definition(theta: float, phi: float, scales: ScaleFields
@@ -533,21 +580,20 @@ def gamma_total_from_definition(theta: float, phi: float, scales: ScaleFields
     return tuple(out)
 
 
-def _alpha_matrices(theta: float, phi: float, alpha: AlphaField,
-                    patch: str) -> list[np.ndarray]:
+def _alpha_matrices(theta, phi, alpha: AlphaField, patch: str) -> np.ndarray:
     """alpha_a as matrices: coefficients contract sigma on plus and the
     conjugated sigma~ on minus."""
-    vecs = [np.asarray(alpha.theta_vec(theta, phi), dtype=float),
-            np.asarray(alpha.phi_vec(theta, phi), dtype=float)]
+    vecs = np.stack([_pointwise(alpha.theta_vec, theta, phi),
+                     _pointwise(alpha.phi_vec, theta, phi)], axis=-2)
     if patch == PLUS:
-        return [pauli_dot(v) for v in vecs]
-    basis = [sigma_tilde(j, theta, phi) for j in (1, 2, 3)]
-    return [sum(v[j] * basis[j] for j in range(3)) for v in vecs]
+        return pauli_dot(vecs)
+    theta, phi = _grid(theta, phi)
+    return _sigma_tilde_dot(vecs, theta[..., None], phi[..., None])  # against the component axis
 
 
-def omega_hermitian(theta: float, phi: float, scales: ScaleFields,
+def omega_hermitian(theta, phi, scales: ScaleFields,
                     alpha: AlphaField | None = None,
-                    patch: str = PLUS) -> list[np.ndarray]:
+                    patch: str = PLUS) -> np.ndarray:
     """The Hermitian-form free connection part fixing global consistency:
 
         omega_H  = alpha - X Gamma_+ - Gamma_0          (plus chart)
@@ -557,25 +603,28 @@ def omega_hermitian(theta: float, phi: float, scales: ScaleFields,
     alphas = _alpha_matrices(theta, phi, alpha, patch)
     if patch == PLUS:
         x_plain = _curly_x(scales.xi(theta, phi), scales.zeta(theta, phi))
-        gp = gamma_plus(theta, phi)
-        g0 = gamma_zero(theta, phi)
-        return [alphas[i] - x_plain * gp[i] - g0[i] for i in range(2)]
+        return (alphas - _lift_form(x_plain) * gamma_plus(theta, phi)
+                - gamma_zero(theta, phi))
     x_tilde = _curly_x(scales.xi_tilde(theta, phi), scales.zeta_tilde(theta, phi))
-    gm = gamma_minus_conjugated(theta, phi)
-    return [alphas[i] + x_tilde * gm[i] for i in range(2)]
+    return alphas + _lift_form(x_tilde) * gamma_minus_conjugated(theta, phi)
 
 
-def omega_lower(theta: float, phi: float, scales: ScaleFields,
+def omega_lower(theta, phi, scales: ScaleFields,
                 alpha: AlphaField | None = None,
-                patch: str = PLUS) -> list[np.ndarray]:
+                patch: str = PLUS) -> np.ndarray:
     """The free connection part in its native (pseudo-Hermitian) form:
     omega_a = rho^{-1} omega_H_a rho."""
-    rho = rho_matrix(theta, phi, scales, patch)
-    rho_inv = rho_inverse_matrix(theta, phi, scales, patch)
-    return [rho_inv @ w @ rho for w in omega_hermitian(theta, phi, scales, alpha, patch)]
+    rho = rho_matrix(theta, phi, scales, patch)[..., None, :, :]
+    rho_inv = rho_inverse_matrix(theta, phi, scales, patch)[..., None, :, :]
+    return rho_inv @ omega_hermitian(theta, phi, scales, alpha, patch) @ rho
 
 
-def h_rho_term(theta: float, phi: float, theta_dot: float, phi_dot: float,
+def _along(form: np.ndarray, theta_dot, phi_dot) -> np.ndarray:
+    """A one-form contracted with the velocity (theta_dot, phi_dot)."""
+    return form[..., 0, :, :] * _m(theta_dot) + form[..., 1, :, :] * _m(phi_dot)
+
+
+def h_rho_term(theta, phi, theta_dot, phi_dot,
                scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     """The metric-motion contribution  (i/2)[rhodot, rho^{-1}]  to the
     Hermitian generator, in closed form:
@@ -585,18 +634,16 @@ def h_rho_term(theta: float, phi: float, theta_dot: float, phi_dot: float,
     """
     fa, fb = scales.pair(patch)
     a, b = fa(theta, phi), fb(theta, phi)
-    coeff = (a - b) ** 2 / (4.0 * a * b)
+    coeff = _m((a - b) ** 2 / (4.0 * a * b))
     if patch == PLUS:
-        form = gamma_plus(theta, phi)
-        return coeff * (form[0] * theta_dot + form[1] * phi_dot)
-    form = gamma_minus_conjugated(theta, phi)
-    return -coeff * (form[0] * theta_dot + form[1] * phi_dot)
+        return coeff * _along(gamma_plus(theta, phi), theta_dot, phi_dot)
+    return -coeff * _along(gamma_minus_conjugated(theta, phi), theta_dot, phi_dot)
 
 
 # ------------------------------------------------------------- energy
 
 
-def energy_matrix(theta: float, phi: float, energy: EnergyFieldS2,
+def energy_matrix(theta, phi, energy: EnergyFieldS2,
                   patch: str = PLUS, pole_phi: float | None = 0.0) -> np.ndarray:
     """Hermitian-form energy observable on a chart.
 
@@ -604,22 +651,23 @@ def energy_matrix(theta: float, phi: float, energy: EnergyFieldS2,
     (eps/2) sum_j y_j sigma~_j, whose phi-dependence survives at the south
     pole; there the ``pole_phi`` convention value is used (pass None to get
     a PoleAmbiguity error instead)."""
-    eps = float(energy.epsilon(theta, phi))
-    y = np.asarray(energy.y_hat(theta, phi), dtype=float)
+    theta, phi = _grid(theta, phi)
+    half_eps = _m(0.5 * _pointwise(energy.epsilon, theta, phi))
+    y = _pointwise(energy.y_hat, theta, phi)
     if patch == PLUS:
-        return 0.5 * eps * pauli_dot(y)
-    if abs(theta - np.pi) < _POLE_EPS:
+        return half_eps * pauli_dot(y)
+    at_pole = np.abs(theta - np.pi) < _POLE_EPS
+    if np.any(at_pole):
         if pole_phi is None:
             raise PoleAmbiguity(
                 "minus-chart energy matrix at the south pole needs a phi "
                 "convention (pole_phi)"
             )
-        phi = pole_phi
-    basis = [sigma_tilde(j, theta, phi) for j in (1, 2, 3)]
-    return 0.5 * eps * sum(y[j] * basis[j] for j in range(3))
+        phi = np.where(at_pole, pole_phi, phi)
+    return half_eps * _sigma_tilde_dot(y, theta, phi)
 
 
-def hermitian_hamiltonian(theta: float, phi: float, theta_dot: float, phi_dot: float,
+def hermitian_hamiltonian(theta, phi, theta_dot, phi_dot,
                           alpha: AlphaField | None = None,
                           energy: EnergyFieldS2 | None = None,
                           patch: str = PLUS,
@@ -630,20 +678,18 @@ def hermitian_hamiltonian(theta: float, phi: float, theta_dot: float, phi_dot: f
         h  = e + alpha(Rdot) - (1/2) Gamma_+(Rdot) - Gamma_0(Rdot)   (plus)
         h~ = e~ + alpha~(Rdot) + (1/2) (G^{-1}Gamma_- G)(Rdot)       (minus)
     """
-    out = np.zeros((2, 2), dtype=complex)
+    theta, phi, theta_dot, phi_dot = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (theta, phi, theta_dot, phi_dot)))
+    out = np.zeros(theta.shape + (2, 2), dtype=complex)
     if energy is not None:
         out = out + energy_matrix(theta, phi, energy, patch, pole_phi)
     if alpha is not None:
-        a_th, a_ph = _alpha_matrices(theta, phi, alpha, patch)
-        out = out + a_th * theta_dot + a_ph * phi_dot
+        out = out + _along(_alpha_matrices(theta, phi, alpha, patch), theta_dot, phi_dot)
     if patch == PLUS:
-        gp = gamma_plus(theta, phi)
-        g0 = gamma_zero(theta, phi)
-        out = out - 0.5 * (gp[0] * theta_dot + gp[1] * phi_dot)
-        out = out - (g0[0] * theta_dot + g0[1] * phi_dot)
+        out = out - 0.5 * _along(gamma_plus(theta, phi), theta_dot, phi_dot)
+        out = out - _along(gamma_zero(theta, phi), theta_dot, phi_dot)
     else:
-        gm = gamma_minus_conjugated(theta, phi)
-        out = out + 0.5 * (gm[0] * theta_dot + gm[1] * phi_dot)
+        out = out + 0.5 * _along(gamma_minus_conjugated(theta, phi), theta_dot, phi_dot)
     return out
 
 
@@ -680,6 +726,13 @@ def sigma_check(j: int, xi: float, zeta: float) -> np.ndarray:
 
 
 # ------------------------------------------------------------- curves
+#
+# position and velocity take one time or a stack of times (n,) and return
+# (2,) or (n, 2); they are marked stacked.
+
+
+def _theta_phi(theta, phi) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(theta, phi), axis=-1)
 
 
 def circle_curve(theta0: float, t_start: float = 0.0, t_end: float = 1.0,
@@ -687,11 +740,13 @@ def circle_curve(theta0: float, t_start: float = 0.0, t_end: float = 1.0,
     """Constant-latitude circle, phi advancing by 2 pi revolutions."""
     rate = 2.0 * np.pi * revolutions / (t_end - t_start)
 
-    def position(t: float) -> np.ndarray:
-        return np.array([theta0, phi0 + rate * (t - t_start)])
+    @linalg.stacked
+    def position(t) -> np.ndarray:
+        return _theta_phi(theta0, phi0 + rate * (np.asarray(t, dtype=float) - t_start))
 
-    def velocity(t: float) -> np.ndarray:
-        return np.array([0.0, rate])
+    @linalg.stacked
+    def velocity(t) -> np.ndarray:
+        return _theta_phi(np.zeros(np.shape(t)), rate)
 
     return CurvePath(t_start, t_end, position, velocity, [])
 
@@ -701,11 +756,13 @@ def meridian_curve(phi0: float, theta_from: float, theta_to: float,
     """Constant-longitude arc, theta moving linearly in t."""
     rate = (theta_to - theta_from) / (t_end - t_start)
 
-    def position(t: float) -> np.ndarray:
-        return np.array([theta_from + rate * (t - t_start), phi0])
+    @linalg.stacked
+    def position(t) -> np.ndarray:
+        return _theta_phi(theta_from + rate * (np.asarray(t, dtype=float) - t_start), phi0)
 
-    def velocity(t: float) -> np.ndarray:
-        return np.array([rate, 0.0])
+    @linalg.stacked
+    def velocity(t) -> np.ndarray:
+        return _theta_phi(np.full(np.shape(t), rate), 0.0)
 
     return CurvePath(t_start, t_end, position, velocity, [])
 
@@ -714,44 +771,45 @@ def great_circle_curve(inclination: float, t_start: float = 0.0, t_end: float = 
                        revolutions: float = 1.0, offset: float = 0.0) -> CurvePath:
     """Great circle whose plane is tilted by ``inclination`` from the equator.
 
-    The curve is exact in Cartesian coordinates; the spherical phi(t) is
-    unwrapped on a dense construction-time grid so position() stays
-    continuous across the phi branch cut.
+    The curve is exact in Cartesian coordinates,
+    x(s) = (cos i cos s, sin s, -sin i cos s) with s = offset + rate (t - t_start).
+    The spherical phi(t) is unwrapped analytically, starting from atan2's
+    principal value at t_start: for cos i > 0 the continuous phi stays
+    within pi/2 of s + 2 pi k, because (cos s, sin s) . (cos i cos s, sin s)
+    > 0, so the branch of atan2 nearest s + 2 pi k is the continuous one
+    (for cos i < 0 the same holds with pi - s in place of s).
     """
     rate = 2.0 * np.pi * revolutions / (t_end - t_start)
     ci, si = math.cos(inclination), math.sin(inclination)
-    # orthonormal pair spanning the tilted plane
-    e1 = np.array([ci, 0.0, -si])
-    e2 = np.array([0.0, 1.0, 0.0])
-
-    def cartesian(t: float) -> np.ndarray:
-        s = offset + rate * (t - t_start)
-        return math.cos(s) * e1 + math.sin(s) * e2
-
-    def d_cartesian(t: float) -> np.ndarray:
-        s = offset + rate * (t - t_start)
-        return rate * (-math.sin(s) * e1 + math.cos(s) * e2)
-
-    grid = np.linspace(t_start, t_end, 4097)
-    raw = np.array([math.atan2(cartesian(t)[1], cartesian(t)[0]) for t in grid])
-    unwrapped = np.unwrap(raw)
     two_pi = 2.0 * np.pi
 
-    def position(t: float) -> np.ndarray:
-        p = cartesian(t)
-        theta = math.acos(float(np.clip(p[2], -1.0, 1.0)))
-        # pick the branch of atan2 nearest the smooth unwrapped reference
-        raw_phi = math.atan2(p[1], p[0])
-        target = float(np.interp(t, grid, unwrapped))
-        phi = raw_phi + two_pi * round((target - raw_phi) / two_pi)
-        return np.array([theta, phi])
+    def cartesian(t):
+        s = offset + rate * (np.asarray(t, dtype=float) - t_start)
+        c, sn = np.cos(s), np.sin(s)
+        return s, ci * c, sn, -si * c
 
-    def velocity(t: float) -> np.ndarray:
-        p, dp = cartesian(t), d_cartesian(t)
-        s2 = p[0] * p[0] + p[1] * p[1]
-        theta_dot = -dp[2] / math.sqrt(max(s2, 1e-300))
-        phi_dot = (p[0] * dp[1] - p[1] * dp[0]) / max(s2, 1e-300)
-        return np.array([theta_dot, phi_dot])
+    def smooth(s):
+        """The angle the continuous phi stays within pi/2 of, up to 2 pi k."""
+        return s if ci >= 0.0 else np.pi - s
+
+    raw0 = math.atan2(math.sin(offset), ci * math.cos(offset))
+    branch = two_pi * round((raw0 - smooth(offset)) / two_pi)
+
+    @linalg.stacked
+    def position(t) -> np.ndarray:
+        s, x, y, z = cartesian(t)
+        raw_phi = np.arctan2(y, x)
+        target = smooth(s) + branch
+        return _theta_phi(np.arccos(np.clip(z, -1.0, 1.0)),
+                          raw_phi + two_pi * np.round((target - raw_phi) / two_pi))
+
+    @linalg.stacked
+    def velocity(t) -> np.ndarray:
+        s, x, y, _ = cartesian(t)
+        sn = np.sin(s)
+        dx, dy, dz = rate * (-sn * ci), rate * np.cos(s), rate * (sn * si)
+        s2 = np.maximum(x * x + y * y, 1e-300)
+        return _theta_phi(-dz / np.sqrt(s2), (x * dy - y * dx) / s2)
 
     return CurvePath(t_start, t_end, position, velocity, [])
 
@@ -765,17 +823,19 @@ def waypoint_curve(waypoints: Sequence[Sequence[float]]) -> CurvePath:
     if not np.all(np.diff(ts) > 0):
         raise ConfigError("waypoint times must be strictly increasing")
 
-    def segment(t: float) -> int:
-        return int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+    def segment(t):
+        return np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
 
-    def position(t: float) -> np.ndarray:
+    @linalg.stacked
+    def position(t) -> np.ndarray:
         k = segment(t)
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return pts[k, 1:] + w * (pts[k + 1, 1:] - pts[k, 1:])
+        w = (np.asarray(t, dtype=float) - ts[k]) / (ts[k + 1] - ts[k])
+        return pts[k, 1:] + w[..., None] * (pts[k + 1, 1:] - pts[k, 1:])
 
-    def velocity(t: float) -> np.ndarray:
+    @linalg.stacked
+    def velocity(t) -> np.ndarray:
         k = segment(t)
-        return (pts[k + 1, 1:] - pts[k, 1:]) / (ts[k + 1] - ts[k])
+        return (pts[k + 1, 1:] - pts[k, 1:]) / (ts[k + 1] - ts[k])[..., None]
 
     return CurvePath(ts[0], ts[-1], position, velocity, [])
 
@@ -791,7 +851,7 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float,
     OutOfPatch/ConfigError when no admissible single-switch itinerary
     exists."""
     ts = np.linspace(curve.t_start, curve.t_end, n_samples)
-    thetas = np.array([float(curve.position(t)[0]) for t in ts])
+    thetas = curve.points(ts)[:, 0]
     if np.any(thetas < pole_margin) or np.any(thetas > np.pi - pole_margin):
         worst = ts[int(np.argmin(np.minimum(thetas, np.pi - thetas)))]
         raise CurveTouchesPoleMargin(
@@ -865,27 +925,31 @@ def build_system(
         mf = metric_field(scales, pid, theta_plus, theta_minus)
         conn = assemble_connection(
             mf,
-            omega_fn=lambda r, p=pid: omega_lower(r[0], r[1], scales, alpha, p),
-            a0_fn=lambda r, p=pid: a_zero_closed(r[0], r[1], scales, p),
+            omega_fn=linalg.stacked(
+                lambda r, p=pid: omega_lower(r[:, 0], r[:, 1], scales, alpha, p)),
+            a0_fn=linalg.stacked(lambda r, p=pid: a_zero_closed(r[:, 0], r[:, 1], scales, p)),
         )
         patches[pid] = PatchData(metric=mf, connection=conn)
 
     # verify the declared itinerary stays inside the chart domains
     for (ta, tb), pid in schedule:
-        for t in np.linspace(ta, tb, 101):
-            r = curve.position(float(t))
-            if not patches[pid].metric.contains(r):
-                raise OutOfPatch(
-                    f"curve point {np.asarray(r)} at t = {float(t):.6g} lies "
-                    f"outside its scheduled chart '{pid}'"
-                )
+        ts = np.linspace(ta, tb, 101)
+        rs = curve.points(ts)
+        inside = patches[pid].metric.contains(rs)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise OutOfPatch(
+                f"curve point {rs[k]} at t = {ts[k]:.6g} lies "
+                f"outside its scheduled chart '{pid}'"
+            )
 
     section = None
     if energy is not None:
         section = ObservableSection(
             {
-                PLUS: lambda r: energy_matrix(r[0], r[1], energy, PLUS),
-                MINUS: lambda r: energy_matrix(r[0], r[1], energy, MINUS, pole_phi),
+                PLUS: linalg.stacked(lambda r: energy_matrix(r[:, 0], r[:, 1], energy, PLUS)),
+                MINUS: linalg.stacked(
+                    lambda r: energy_matrix(r[:, 0], r[:, 1], energy, MINUS, pole_phi)),
             },
             authoring_patch=PLUS,
         )
@@ -903,3 +967,4 @@ def build_system(
             "pole_margin": pole_margin,
         },
     )
+

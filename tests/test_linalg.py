@@ -13,7 +13,6 @@ from qbundle.linalg import (
     central_difference,
     commutator,
     contract,
-    cross3,
     hermitian_sqrt,
     is_hermitian,
     is_positive_definite,
@@ -228,9 +227,3 @@ def test_contract_matches_accumulation_from_zeros():
     out = contract([-1.0], [np.zeros((2, 2))])
     assert not np.any(np.signbit(out))
 
-
-def test_cross3_matches_numpy_cross():
-    rng = np.random.default_rng(SEED)
-    for _ in range(50):
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert max_abs(np.array(cross3(a, b)) - np.cross(a, b)) <= 1e-15

@@ -1,0 +1,313 @@
+"""Stacked evaluation: every layer that takes a stack of points or times
+returns exactly its row-by-row evaluation, applies the same checks to every
+row, and lets the integrators evaluate a chart segment in one call."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbundle import cli, stepping
+from qbundle import twolevel as tl
+from qbundle.bundle import SystemSpec, evolve_across_patches
+from qbundle.dynamics import hermitian_representation
+from qbundle.errors import DimensionMismatch, NotPositiveDefinite, OutOfPatch
+from qbundle.linalg import (
+    contract,
+    hermitian_sqrt,
+    max_abs,
+    over_points,
+    pauli_dot,
+    stacked,
+)
+from qbundle.metric import MetricField
+from qbundle.stepping import StepperConfig
+
+ALPHA = tl.constant_alpha((0.1, -0.2, 0.3), (0.05, 0.4, -0.15))
+ENERGY = tl.constant_energy(0.8, (0.2, -0.3, 0.93))
+EXAMPLES = settings(max_examples=20, deadline=None)
+
+
+def wavy_scales() -> tl.ScaleFields:
+    """Scale fields given as plain pointwise ``math`` lambdas (not stacked)."""
+    return tl.ScaleFields(
+        xi=tl.ScalarField(lambda th, ph: 1.2 + 0.3 * math.sin(th) * math.cos(ph),
+                          lambda th, ph: 0.3 * math.cos(th) * math.cos(ph),
+                          lambda th, ph: -0.3 * math.sin(th) * math.sin(ph)),
+        zeta=tl.ScalarField(lambda th, ph: 0.8 + 0.2 * math.cos(th),
+                            lambda th, ph: -0.2 * math.sin(th)),
+        xi_tilde=tl.ScalarField(lambda th, ph: 1.0 + 0.25 * math.sin(th) * math.sin(ph)),
+        zeta_tilde=tl.ScalarField(lambda th, ph: 1.5 + 0.1 * math.cos(th) * math.sin(ph),
+                                  lambda th, ph: -0.1 * math.sin(th) * math.sin(ph),
+                                  lambda th, ph: 0.1 * math.cos(th) * math.cos(ph)),
+    )
+
+
+SCALES = {"default": tl.default_scales(), "wavy": wavy_scales()}
+
+
+def chart_points(patch):
+    """Stacks (n, 2) of points inside the chart, away from its boundary."""
+    if patch == tl.PLUS:
+        theta = st.floats(0.05, tl.THETA_PLUS_DEFAULT - 0.05)
+    else:
+        theta = st.floats(tl.THETA_MINUS_DEFAULT + 0.05, np.pi - 0.05)
+    point = st.tuples(theta, st.floats(-np.pi, 3.0 * np.pi))
+    return st.lists(point, min_size=1, max_size=6).map(lambda p: np.array(p, dtype=float))
+
+
+def assert_rows(stack, rows):
+    """The stacked result equals the row-by-row results to 1e-14 (relative to
+    the size of the entries, floored at 1)."""
+    rows = np.array(rows)
+    assert np.shape(stack) == rows.shape
+    assert max_abs(stack - rows) <= 1e-14 * max(1.0, max_abs(rows))
+
+
+def assert_stacks_rows(fn, *stacks):
+    """fn on whole stacks equals fn on each row of them."""
+    assert_rows(fn(*stacks), [fn(*row) for row in zip(*stacks)])
+
+
+# ------------------------------------------------------------- closed forms
+
+
+@EXAMPLES
+@given(data=st.data(), patch=st.sampled_from([tl.PLUS, tl.MINUS]),
+       scales=st.sampled_from(sorted(SCALES)))
+def test_closed_forms_broadcast_row_by_row(data, patch, scales):
+    pts = data.draw(chart_points(patch))
+    vel = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * len(pts),
+                             max_size=2 * len(pts)))
+    th, ph = pts[:, 0], pts[:, 1]
+    th_dot, ph_dot = np.reshape(vel, (2, -1))
+    s = SCALES[scales]
+    for fn in (tl.eta_matrix, tl.eta_partials, tl.rho_matrix, tl.rho_inverse_matrix,
+               tl.a_zero_closed):
+        assert_stacks_rows(lambda t, p: fn(t, p, s, patch), th, ph)
+    for fn in (tl.omega_hermitian, tl.omega_lower):
+        assert_stacks_rows(lambda t, p: fn(t, p, s, ALPHA, patch), th, ph)
+    for fn in (tl.gamma_plus, tl.gamma_minus, tl.gamma_zero, tl.gamma_minus_conjugated,
+               tl.unit_vector, tl.unit_vector_mirror):
+        assert_stacks_rows(fn, th, ph)
+    for j in (1, 2, 3):
+        assert_stacks_rows(lambda t, p: tl.sigma_tilde(j, t, p), th, ph)
+    assert_stacks_rows(lambda t, p: tl.gamma_total(t, p, s), th, ph)
+    assert_stacks_rows(lambda t, p: tl.energy_matrix(t, p, ENERGY, patch), th, ph)
+    assert_stacks_rows(lambda t, p, td, pd: tl.h_rho_term(t, p, td, pd, s, patch),
+                       th, ph, th_dot, ph_dot)
+    assert_stacks_rows(lambda t, p, td, pd: tl.hermitian_hamiltonian(
+        t, p, td, pd, ALPHA, ENERGY, patch), th, ph, th_dot, ph_dot)
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), dim=st.integers(1, 4))
+def test_linalg_broadcasts_row_by_row(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    positive = m @ m.conj().swapaxes(-1, -2) + 0.1 * np.eye(dim)
+    root, root_w, v = hermitian_sqrt(positive, eigenpairs=True)
+    rows = [hermitian_sqrt(p, eigenpairs=True) for p in positive]
+    for got, k in ((root, 0), (root_w, 1), (v, 2)):
+        assert_rows(got, [r[k] for r in rows])
+    coeffs = rng.standard_normal((n, 3))
+    assert_rows(pauli_dot(coeffs), [pauli_dot(c) for c in coeffs])
+    assert_rows(contract(coeffs, m[:, None].repeat(3, axis=1)),
+                [contract(c, [x] * 3) for c, x in zip(coeffs, m)])
+
+
+# ------------------------------------------------------------- generic layers
+
+
+@EXAMPLES
+@given(data=st.data(), patch=st.sampled_from([tl.PLUS, tl.MINUS]),
+       scales=st.sampled_from(sorted(SCALES)))
+def test_fields_and_operators_stack_row_by_row(data, patch, scales):
+    pts = data.draw(chart_points(patch))
+    vel = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * len(pts),
+                                        max_size=2 * len(pts))), (-1, 2))
+    system = tl.build_system(tl.circle_curve(1.0), scales=SCALES[scales], alpha=ALPHA,
+                             energy=ENERGY)
+    metric = system.patch(patch).metric
+    for fn in (metric.eta, metric.partials):
+        assert_stacks_rows(fn, pts)
+    assert list(metric.contains(pts)) == [metric.contains(r) for r in pts]
+    assert_stacks_rows(metric.eta_dot, pts, vel)
+    op = metric.operator(pts)
+    eta_dot = metric.eta_dot(pts, vel)
+    for name in ("rho", "rho_inv", "eta_inv", "root_eigvals", "eigvecs"):
+        assert_rows(getattr(op, name), [getattr(metric.operator(r), name) for r in pts])
+    assert_rows(op.root_derivative(eta_dot),
+                [metric.operator(r).root_derivative(e) for r, e in zip(pts, eta_dot)])
+    defected = cli._apply_connection_defect(system, 0.05)
+    for sys_ in (system, defected):
+        conn = sys_.patch(patch).connection
+        assert_stacks_rows(conn.components, pts)
+        assert_stacks_rows(conn.contracted, pts, vel)
+    assert_stacks_rows(lambda r: system.energy.matrix(patch, r), pts)
+
+
+@EXAMPLES
+@given(us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       scales=st.sampled_from(sorted(SCALES)), defect=st.booleans())
+def test_generators_stack_row_by_row(us, scales, defect):
+    curve = tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6)
+    system = tl.build_system(curve, scales=SCALES[scales], alpha=ALPHA, energy=ENERGY)
+    if defect:
+        system = cli._apply_connection_defect(system, 0.05)
+    for (ta, tb), pid in system.curve.patch_schedule:
+        ts = ta + np.array(us) * (tb - ta)
+        for gen in (system.generator(pid), system.hermitian_generator(pid),
+                    system.energy_generator(pid)):
+            assert getattr(gen, "stacked", False)
+            assert_stacks_rows(gen, ts)
+        cm = system.curve_metric(pid)
+        for fn in (cm.eta, cm.eta_dot, cm.rho, cm.rho_dot,
+                   functools.partial(cm.rho_dot, method="fd")):
+            assert_stacks_rows(fn, ts)
+        h = system.generator(pid)(ts)
+        assert_rows(hermitian_representation(h, cm, ts),
+                    [hermitian_representation(x, cm, t) for x, t in zip(h, ts)])
+
+
+# ------------------------------------------------------------- checks per row
+
+
+@EXAMPLES
+@given(data=st.data(), patch=st.sampled_from([tl.PLUS, tl.MINUS]))
+def test_stack_with_one_out_of_chart_point_raises(data, patch):
+    pts = data.draw(chart_points(patch))
+    bad = (2.5 if patch == tl.PLUS else 0.5, 0.3)
+    k = data.draw(st.integers(0, len(pts)))
+    pts = np.insert(pts, k, bad, axis=0)
+    system = tl.build_system(tl.circle_curve(1.0))
+    metric, conn = system.patch(patch).metric, system.patch(patch).connection
+    for fn in (metric.eta, metric.operator, metric.partials, conn.components):
+        with pytest.raises(OutOfPatch, match=r"point \[" + str(bad[0])):
+            fn(pts)
+    assert list(metric.contains(pts)) == [i != k for i in range(len(pts))]
+
+
+@EXAMPLES
+@given(xs=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=6), data=st.data())
+def test_stack_with_one_indefinite_eta_raises(xs, data):
+    field = MetricField("main", lambda r: np.diag([1.0, r[0]]).astype(complex), dim=1)
+    k = data.draw(st.integers(0, len(xs)))
+    pts = np.insert(np.array(xs), k, data.draw(st.floats(-5.0, 0.0)))[:, None]
+    field.eta(pts)  # the metric itself is well formed
+    with pytest.raises(NotPositiveDefinite, match=rf"stack index \({k},\)"):
+        field.operator(pts)
+
+
+def test_over_points_calling_rule():
+    calls = []
+
+    def pointwise(t):
+        calls.append(t)
+        return np.eye(2) * t
+
+    @stacked
+    def whole(ts):
+        calls.append(len(ts))
+        return ts[:, None, None] * np.eye(2)
+
+    ts = np.array([0.5, 1.5, 2.5])
+    assert np.array_equal(over_points(pointwise, ts), over_points(whole, ts))
+    assert calls == [0.5, 1.5, 2.5, 3] and all(type(c) is float for c in calls[:3])
+    with pytest.raises(DimensionMismatch):
+        over_points(stacked(lambda ts: np.eye(2)), ts)
+
+
+# ------------------------------------------------------------- integrators
+
+
+def counting_generators(monkeypatch):
+    """Record the length of every stack passed to SystemSpec.generator closures."""
+    stacks = []
+    factory = SystemSpec.generator
+
+    def generator(self, patch_id):
+        h = factory(self, patch_id)
+
+        @functools.wraps(h)
+        def counted(t, op=None):
+            stacks.append(np.size(t))
+            return h(t, op)
+
+        return counted
+
+    monkeypatch.setattr(SystemSpec, "generator", generator)
+    return stacks
+
+
+def readme_system():
+    return tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6), energy=ENERGY)
+
+
+def test_fixed_steps_call_the_generator_once_per_chart_segment(monkeypatch):
+    stacks = counting_generators(monkeypatch)
+    res = evolve_across_patches(readme_system(), np.array([0.8, -0.2 + 0.4j]),
+                                stepper=StepperConfig(dt=1e-3))
+    assert len(stacks) == 2  # two chart segments, one call each
+    assert sum(stacks) == 2 * (len(res.times) - 2) + 2  # 2n+1 nodes per segment
+
+
+def test_adaptive_attempts_call_the_generator_at_most_once(monkeypatch):
+    stacks = counting_generators(monkeypatch)
+    steps = []
+    rk4_step = stepping.rk4_step
+
+    def counted_step(*args):
+        steps.append(1)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(stepping, "rk4_step", counted_step)
+    evolve_across_patches(readme_system(), np.array([0.8, -0.2 + 0.4j]),
+                          stepper=StepperConfig(method="rk4-adaptive", dt=0.05,
+                                                target_local_error=1e-12))
+    attempts = len(steps) // 3
+    assert len(steps) % 3 == 0 and 0 < len(stacks) <= attempts
+    assert max(stacks) == 5 and sorted(stacks)[:-2] == [4] * (len(stacks) - 2)
+
+
+def test_fixed_chunks_share_their_boundary_node(monkeypatch):
+    """Chunked node tables give the same states; each chunk is one call and
+    no node is evaluated twice."""
+    evals = []
+
+    @stacked
+    def h(ts):
+        evals.append(len(ts))
+        return np.cos(ts)[:, None, None] * np.array([[1.0, 0.3j], [-0.3j, 2.0]])
+
+    psi0, config = np.array([1.0, 0.5j]), StepperConfig(dt=0.05)
+    _, whole = stepping.integrate(stepping.linear_rhs(h), psi0, 0.0, 1.0, config)
+    assert evals == [41]  # 20 steps: 2*20+1 nodes in one call
+    monkeypatch.setattr(stepping, "FIXED_CHUNK_STEPS", 7)
+    evals.clear()
+    _, chunked = stepping.integrate(stepping.linear_rhs(h), psi0, 0.0, 1.0, config)
+    assert np.array_equal(whole, chunked)
+    assert evals == [15, 14, 12]  # chunks of 7, 7 and 6 steps
+
+
+# ------------------------------------------------------------- great circle
+
+
+@pytest.mark.parametrize("inclination", [0.05, 0.43, 1.0, 1.5])
+@pytest.mark.parametrize("offset", [0.0, 1.3, -2.0, 3.1, 7.5])
+def test_great_circle_phi_matches_dense_unwrap(inclination, offset):
+    """The analytic branch of phi equals np.unwrap of atan2 on a dense grid,
+    starting from atan2's principal value at t_start."""
+    curve = tl.great_circle_curve(inclination, t_start=0.5, t_end=2.0, revolutions=1.5,
+                                  offset=offset)
+    ts = np.linspace(0.5, 2.0, 40001)
+    s = offset + 2.0 * np.pi * 1.5 / 1.5 * (ts - 0.5)
+    reference = np.unwrap(np.arctan2(np.sin(s), math.cos(inclination) * np.cos(s)))
+    pts = curve.points(ts)
+    assert max_abs(pts[:, 1] - reference) <= 1e-12
+    assert max_abs(np.cos(pts[:, 0]) + math.sin(inclination) * np.cos(s)) <= 1e-12
+    for k in (0, 1234, 40000):
+        assert np.array_equal(curve.position(ts[k]), pts[k])
