@@ -350,25 +350,39 @@ def _output_dir(args) -> Path:
     return base
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a csv cell: quoted, as the csv module's default dialect
+    quotes, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_trajectory_csv(path: Path, result, dim: int) -> None:
+    """One row per sample: t, patch, the state's real and imaginary parts,
+    eta_norm and energy_expect; columns without data are left empty."""
+    header = ["t", "patch"]
+    for k in range(dim):
+        header += [f"re_psi_{k}", f"im_psi_{k}"]
+    header += ["eta_norm", "energy_expect"]
+    fields, columns = ["%.17g"], [result.times.tolist()]
+    if result.patch_trace:
+        fields.append("%s")
+        cells = {p: _csv_cell(p) for p in set(result.patch_trace)}
+        columns.append([cells[p] for p in result.patch_trace])
+    else:
+        fields.append("")
+    for k in range(dim):
+        fields += ["%.17g", "%.17g"]
+        columns += [result.states[:, k].real.tolist(), result.states[:, k].imag.tolist()]
+    for values in (result.eta_norm, result.energy_expect):
+        fields.append("" if values is None else "%.17g")
+        if values is not None:
+            columns.append(np.asarray(values, dtype=float).tolist())
+    row = ",".join(fields) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "patch"]
-        for k in range(dim):
-            header += [f"re_psi_{k}", f"im_psi_{k}"]
-        header += ["eta_norm", "energy_expect"]
-        writer.writerow(header)
-        n = len(result.times)
-        for i in range(n):
-            row = [_fmt(float(result.times[i]))]
-            row.append(result.patch_trace[i] if result.patch_trace else "")
-            for k in range(dim):
-                row.append(_fmt(float(result.states[i][k].real)))
-                row.append(_fmt(float(result.states[i][k].imag)))
-            row.append(_fmt(float(result.eta_norm[i])) if result.eta_norm is not None else "")
-            row.append(_fmt(float(result.energy_expect[i]))
-                       if result.energy_expect is not None else "")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -17,15 +17,21 @@ half steps) has five distinct nodes t, t+h/4, t+h/2, t+3h/4, t+h; the second
 half step ends at the full step's t+h, and t is shared with the previous
 attempt, so each attempt costs at most 4 new evaluations instead of 12.
 
-Stacked nodes.  The integrators know their node times before they step:
-the fixed stepper declares the 2n+1 nodes of up to ``FIXED_CHUNK_STEPS``
-steps at a time, and the adaptive stepper the five nodes of each attempt,
-to the right-hand side's node table (``rhs.declare``, present on every
-:func:`linear_rhs`).  The first lookup of a declared node evaluates every
-node still missing in one stacked call of the generator (see
-:func:`qbundle.linalg.over_points`); later lookups read the table.  Node
-times come from :func:`rk4_nodes`, the same floats :func:`rk4_step` samples.
-Any other ``rhs`` callable is integrated as before, one call per stage.
+Step matrices.  For a linear ODE one RK4 step is a matrix,
+y_{k+1} = M_k y_k with M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) a polynomial in
+the step's three node generators.  The fixed stepper takes up to
+``FIXED_CHUNK_STEPS`` steps at a time: it declares their 2n+1 node times to
+the right-hand side's node table (``rhs.declare``), reads the stacked
+generators back with ``rhs.generators``, which evaluates every missing node
+in one stacked call of the generator (see :func:`qbundle.linalg.over_points`),
+and builds all n matrices M_k with one :func:`rk4_step` on the identity
+whose node times are the arrays of step starts and ends.  The state then
+advances by one matrix product per step, which serves vector states and
+matrix-valued propagators alike, and finiteness is checked once per chunk.
+The adaptive stepper declares the five nodes of each attempt and steps the
+state itself.  Node times come from :func:`rk4_nodes`, the same floats
+:func:`rk4_step` samples.  Any other ``rhs`` callable is integrated one
+:func:`rk4_step` per step, one call per stage.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ class StepperConfig:
             raise ValueError("target_local_error must be positive")
 
 
-#: the fixed stepper declares the nodes of at most this many steps at once,
-#: so a segment's generator stack stays bounded for tiny dt
+#: the fixed stepper builds the nodes and step matrices of at most this many
+#: steps at once, so a segment's generator and matrix stacks stay bounded
 FIXED_CHUNK_STEPS = 1024
 
 
@@ -75,9 +81,10 @@ def linear_rhs(generator: Callable[[float], np.ndarray]) -> Callable:
     ``generator(t)`` returns H(t), or the stack of H at a stack of times when
     it is marked :func:`qbundle.linalg.stacked`.  ``rhs.declare(times)``
     replaces the node table with the given times, keeping the generators it
-    already holds for them; a lookup of a missing node evaluates all missing
-    declared nodes in one call.  A time that was never declared becomes the
-    table's only node.
+    already holds for them.  ``rhs.generators(times)`` returns the stack of H
+    at the given times; a lookup of a missing node evaluates all missing
+    declared nodes in one call.  Times that were never declared become the
+    table's only nodes.
     """
     table: dict[float, np.ndarray | None] = {}
 
@@ -85,17 +92,23 @@ def linear_rhs(generator: Callable[[float], np.ndarray]) -> Callable:
         nonlocal table
         table = {t: table.get(t) for t in np.asarray(times, dtype=float).tolist()}
 
+    def generators(times) -> np.ndarray:
+        keys = np.asarray(times, dtype=float).tolist()
+        if not table.keys() >= set(keys):
+            declare(keys)
+        missing = [s for s, v in table.items() if v is None]
+        if missing:
+            table.update(zip(missing, linalg.over_points(generator, np.array(missing))))
+        return np.array([table[t] for t in keys])
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         h = table.get(t)
         if h is None:
-            if t not in table:
-                declare((t,))
-            missing = [s for s, v in table.items() if v is None]
-            table.update(zip(missing, linalg.over_points(generator, np.array(missing))))
-            h = table[t]
+            h = generators((t,))[0]
         return -1j * (h @ y)
 
     rhs.declare = declare
+    rhs.generators = generators
     return rhs
 
 
@@ -111,7 +124,8 @@ def rk4_step(rhs: Callable, t: float, y: np.ndarray, h: float,
 
     ``t_end`` is the float at which to sample the end node, by default t+h;
     the integrators pass the time the next step starts at, so the two share
-    one node.
+    one node.  ``t`` and ``t_end`` may be arrays of step starts and ends when
+    ``rhs`` takes a stack of node times and returns a stack of slopes.
     """
     _, t_mid, t_end = rk4_nodes(t, h, t_end)
     k1 = rhs(t, y)
@@ -121,9 +135,12 @@ def rk4_step(rhs: Callable, t: float, y: np.ndarray, h: float,
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_finite(y: np.ndarray, t: float):
-    if not (np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag))):
-        raise StepperDiverged(f"non-finite state at t = {t}")
+def _check_finite(states: np.ndarray, times):
+    """Raise StepperDiverged naming the first of ``times`` whose state in the
+    stack ``states`` is not finite."""
+    finite = np.isfinite(states.reshape(len(states), -1)).all(axis=1)
+    if not finite.all():
+        raise StepperDiverged(f"non-finite state at t = {times[int(np.argmin(finite))]}")
 
 
 def integrate(
@@ -151,24 +168,29 @@ def _integrate_fixed(rhs, y, t0, t1, dt):
     span = t1 - t0
     n = max(1, int(round(abs(span) / dt)))
     h = span / n
-    times = np.empty(n + 1)
+    starts = (t0 + np.arange(n + 1) * h).tolist()  # step k runs from starts[k] to starts[k+1]
     states = np.empty((n + 1,) + y.shape, dtype=complex)
-    times[0] = t0
     states[0] = y
-    declare = getattr(rhs, "declare", None)
-    t = t0
-    for k in range(n):
-        if declare is not None and k % FIXED_CHUNK_STEPS == 0:
-            starts = t0 + np.arange(k, min(k + FIXED_CHUNK_STEPS, n) + 1) * h
-            starts[0] = t
-            _, mids, ends = rk4_nodes(starts[:-1], h, starts[1:])
-            declare(np.concatenate(([t], np.column_stack((mids, ends)).ravel())))
-        t_next = t0 + (k + 1) * h
-        y = rk4_step(rhs, t, y, h, t_next)
-        _check_finite(y, t_next)
-        times[k + 1] = t_next
-        states[k + 1] = y
-        t = t_next
+    generators = getattr(rhs, "generators", None)
+    if generators is None:
+        for k in range(n):
+            y = rk4_step(rhs, starts[k], y, h, starts[k + 1])
+            _check_finite(y[np.newaxis], (starts[k + 1],))
+            states[k + 1] = y
+    else:
+        eye = np.eye(y.shape[0], dtype=complex)
+        for a in range(0, n, FIXED_CHUNK_STEPS):
+            b = min(a + FIXED_CHUNK_STEPS, n)
+            chunk = np.array(starts[a:b + 1])
+            _, mids, ends = rk4_nodes(chunk[:-1], h, chunk[1:])
+            rhs.declare(np.concatenate((chunk[:1], np.column_stack((mids, ends)).ravel())))
+            # RK4 applied to the identity gives every step matrix M_k of the chunk
+            steps = rk4_step(lambda ts, ys: -1j * (generators(ts) @ ys), chunk[:-1], eye, h, ends)
+            rows = list(states[a:b + 1])
+            for k, m in enumerate(steps):
+                np.matmul(m, rows[k], out=rows[k + 1])
+            _check_finite(states[a + 1:b + 1], starts[a + 1:b + 1])
+    times = np.array(starts)
     times[n] = t1
     return times, states
 
@@ -198,7 +220,7 @@ def _integrate_adaptive(rhs, y, t0, t1, dt0, tol):
         y_full = rk4_step(rhs, t, y, h)
         y_half = rk4_step(rhs, t, y, half)
         y_two = rk4_step(rhs, t_half, y_half, half, t_end)
-        _check_finite(y_two, t_end)
+        _check_finite(y_two[np.newaxis], (t_end,))
         # RK4 is order 4, so the doubling estimate carries a 1/(2^4 - 1) factor
         err = float(np.max(np.abs(y_two - y_full))) / 15.0
         if err <= tol * scale or abs(h) <= h_min:

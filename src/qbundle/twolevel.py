@@ -879,9 +879,10 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float,
             "curve leaves both charts more than once; only a single chart "
             "switch is supported"
         )
-    # shrink by one sample so the default switch point is strictly inside
+    # shrink by two samples: the crossing lies within one sample of each edge,
+    # so both edges sit at least one sample inside the open overlap
     dt = ts[1] - ts[0]
-    window = (window[0] + dt, window[1] - dt)
+    window = (window[0] + 2 * dt, window[1] - 2 * dt)
     if window[0] >= window[1]:
         raise ConfigError("overlap dwell of the curve is too short to switch charts")
     tau = 0.5 * (window[0] + window[1])

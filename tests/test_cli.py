@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 import qbundle
-from qbundle.cli import build_from_config, main, run_checks
+from qbundle.cli import _run_one, _write_trajectory_csv, build_from_config, main, run_checks
+from qbundle.dynamics import evolve
+from qbundle.stepping import StepperConfig
 
 THETA_FROM = math.pi / 6.0
 THETA_TO = 5.0 * math.pi / 6.0
@@ -122,6 +126,42 @@ def test_run_hermitian_representation(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "h_summary.json").read_text())
     # the 2-norm of the Hermitian-representation state is conserved
     assert payload["norm_drift"] < 1e-8
+
+
+def csv_module_trajectory(path, result, dim):
+    """The trajectory CSV written cell by cell through the csv module."""
+    fmt = lambda x: f"{x:.17g}"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "patch"] + [f"{p}_psi_{k}" for k in range(dim) for p in ("re", "im")]
+                        + ["eta_norm", "energy_expect"])
+        for i in range(len(result.times)):
+            row = [fmt(float(result.times[i])), result.patch_trace[i] if result.patch_trace else ""]
+            for k in range(dim):
+                row += [fmt(float(result.states[i][k].real)), fmt(float(result.states[i][k].imag))]
+            row.append(fmt(float(result.eta_norm[i])) if result.eta_norm is not None else "")
+            row.append(fmt(float(result.energy_expect[i]))
+                       if result.energy_expect is not None else "")
+            writer.writerow(row)
+
+
+def test_trajectory_csv_matches_the_csv_module(tmp_path):
+    """The row-format writer gives the csv module's bytes: a two-chart result,
+    one without metric or patches, and patch labels that need quoting."""
+    cfg_dict = base_config()
+    cfg_dict["stepper"] = {"method": "rk4-fixed", "dt": 0.05}
+    _, two_chart, _ = _run_one(cfg_dict)
+    h = np.array([[1.0, 0.2j], [-0.2j, -0.5]])
+    plain = evolve(lambda t: np.cos(t) * h, np.array([1.0, -0.0j]), 0.0, 1.0,
+                   StepperConfig(dt=0.1))
+    assert two_chart.eta_norm is not None and set(two_chart.patch_trace) == {"plus", "minus"}
+    assert plain.eta_norm is None and plain.patch_trace is None
+    labels = ["a,b", 'say "hi"', "line\nbreak", "plain"]
+    quoted = dataclasses.replace(plain, patch_trace=[labels[i % 4] for i in range(len(plain.times))])
+    for result in (two_chart, plain, quoted):
+        _write_trajectory_csv(tmp_path / "rows.csv", result, 2)
+        csv_module_trajectory(tmp_path / "cells.csv", result, 2)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- errors
@@ -361,6 +401,26 @@ def test_check_evolves_the_configured_run(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "coarse_invariants.json").read_text())
     by_name = {r["name"]: r for r in report["checks"]}
     assert by_name["norm-conservation"]["max_residual"] == summary["norm_drift"]
+
+
+def test_check_samples_the_overlap_inside_both_charts(tmp_path, monkeypatch):
+    """A meridian that crosses the minus chart's edge within one ulp of an
+    itinerary grid sample, where the intertwiner is degenerate: the battery
+    must sample the overlap at least one sample inside both charts."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    del cfg_dict["alpha"]
+    cfg_dict.update(
+        curve={"kind": "meridian", "phi0": 6.087599174221093,
+               "theta_from": THETA_FROM, "theta_to": THETA_TO},
+        stepper={"method": "rk4-fixed", "dt": 1e-3}, outputs=["summary"],
+        initial_state=[[-0.02748779677065662, 0.9757981291064066],
+                       [-0.205642166208949, -0.06909219737439523]],
+        seed=1527537352)
+    cfg = write_config(tmp_path / "edge.json", cfg_dict)
+    assert main(["check", cfg]) == 0
+    report = json.loads((tmp_path / "edge_invariants.json").read_text())
+    assert report["all_passed"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -263,8 +263,10 @@ def counting_generator(calls):
 
 
 def test_fixed_steps_evaluate_each_node_once():
-    """n fixed RK4 steps sample 2n+1 distinct node times, once each, and the
-    result equals integrating with a generator evaluated at every stage."""
+    """n fixed RK4 steps sample 2n+1 distinct node times, once each.  The
+    states are the RK4 step matrices M_k (one step applied to the identity)
+    applied in order, and agree with integrating with a generator evaluated
+    at every stage to rounding."""
     calls = []
     h = counting_generator(calls)
     psi0 = np.array([1.0, 0.5j])
@@ -272,8 +274,14 @@ def test_fixed_steps_evaluate_each_node_once():
     n = len(res.times) - 1
     assert n == 100
     assert len(calls) == 2 * n + 1 == len(set(calls))
+    nodes = (np.arange(n + 1) * 0.01).tolist()
+    stepped = [psi0.astype(complex)]
+    for t, t_next in zip(nodes, nodes[1:]):
+        m = stepping.rk4_step(lambda s, y: -1j * (h(s) @ y), t, np.eye(2), 0.01, t_next)
+        stepped.append(m @ stepped[-1])
+    assert np.array_equal(res.states, np.array(stepped))
     _, plain = integrate(lambda t, y: -1j * (h(t) @ y), psi0, 0.0, 1.0, StepperConfig(dt=0.01))
-    assert np.array_equal(res.states, plain)
+    assert max_abs(res.states - plain) <= 1e-14 * np.linalg.norm(psi0)
 
 
 def test_adaptive_attempts_evaluate_at_most_four_new_nodes(monkeypatch):

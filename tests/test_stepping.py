@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qbundle import stepping
 from qbundle.errors import StepperDiverged
-from qbundle.stepping import StepperConfig, integrate, rk4_step
+from qbundle.stepping import StepperConfig, integrate, linear_rhs, rk4_step
 
 
 def test_config_validation():
@@ -67,6 +68,26 @@ def test_divergence_detected():
     with np.errstate(all="ignore"), pytest.raises(StepperDiverged):
         integrate(lambda t, y: y * y * 1e3, np.array(10.0 + 0j), 0.0, 10.0,
                   StepperConfig(dt=0.5))
+
+
+@pytest.mark.parametrize("chunk", [1024, 100])
+def test_linear_divergence_names_the_first_nonfinite_time(monkeypatch, chunk):
+    """A linear rhs steps with step matrices and checks finiteness once per
+    chunk; it names the same first non-finite sample time as the per-stage
+    path.  The state overflows after about 7000 steps."""
+    monkeypatch.setattr(stepping, "FIXED_CHUNK_STEPS", chunk)
+
+    def gen(t):
+        return 1j * (1.0 + 0.5 * math.cos(t)) * np.diag([0.1, 0.05])
+
+    messages = []
+    for rhs in (linear_rhs(gen), lambda t, y: -1j * (gen(t) @ y)):
+        with np.errstate(all="ignore"), pytest.raises(StepperDiverged) as err:
+            integrate(rhs, np.array([1.0, 1.0j]), 0.0, 9000.0, StepperConfig(dt=1.0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    t_bad = float(messages[0].rsplit("=", 1)[1])
+    assert 6000.0 < t_bad < 8000.0 and t_bad % chunk != 0.0
 
 
 def test_rk4_step_matches_taylor_locally():
