@@ -357,30 +357,26 @@ class SystemSpec:
 
         return full
 
-    def energy_generator(self, patch_id: str) -> Callable[..., np.ndarray] | None:
+    def energy_generator(self, patch_id: str) -> Callable[[float], np.ndarray] | None:
         """H_E(t) = rho^{-1} e(R(t)) rho on the chart, from the Hermitian-form
-        section; None when the system carries no energy observable.
-
-        The returned ``h_e(t, op=None)`` takes the metric operator at t when
-        the caller has already factorised it."""
+        section; None when the system carries no energy observable."""
         h_e = self._energy_at(patch_id)
         if h_e is None:
             return None
 
         @linalg.stacked
-        def energy(t, op: MetricOperator | None = None) -> np.ndarray:
-            return h_e(self.curve.points(t), op)
+        def energy(t) -> np.ndarray:
+            return h_e(self.curve.points(t))
 
         return energy
 
-    def generator(self, patch_id: str) -> Callable[..., np.ndarray]:
-        """Full H(t) = H_A(t) + H_E(t) on one chart; ``h(t, op=None)`` passes
-        an already factorised metric at t on to the energy part."""
+    def generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
+        """Full H(t) = H_A(t) + H_E(t) on one chart."""
         full = self._full_at(patch_id)
 
         @linalg.stacked
-        def h(t, op: MetricOperator | None = None) -> np.ndarray:
-            return full(self.curve.points(t), self.curve.velocities(t), op)
+        def h(t) -> np.ndarray:
+            return full(self.curve.points(t), self.curve.velocities(t))
 
         return h
 

@@ -17,7 +17,8 @@ Parallel transport along a curve R(t) is the solution of
 
     i dG/dt = sum_a Rdot^a(t) A_a(R(t)) G,      G(t0) = 1,
 
-a path-ordered exponential computed here by RK4 integration.
+a path-ordered exponential that :func:`qbundle.stepping.integrate` computes by
+RK4 from the stacked generator sum_a Rdot^a A_a.
 
 Like :class:`qbundle.metric.MetricField`, a :class:`ConnectionForm` takes one
 point or a stack of points, and :class:`CurvePath` evaluates its position and
@@ -40,7 +41,7 @@ from .errors import (
     PatchBoundaryCrossed,
 )
 from .metric import MetricField, chart_points, pseudo_hermiticity_residual
-from .stepping import StepperConfig, integrate, linear_rhs
+from .stepping import StepperConfig, integrate
 
 #: default validation tolerance for the free (pseudo-Hermitian) part
 OMEGA_TOL = 1e-8
@@ -277,10 +278,9 @@ def _check_single_patch(a_form: ConnectionForm, path: CurvePath, t0: float, t1: 
             )
 
 
-def _transport_rhs(a_form: ConnectionForm, path: CurvePath):
-    """-i (sum_a Rdot^a A_a) y, with the generator evaluated once per node."""
-    return linear_rhs(linalg.stacked(
-        lambda ts: a_form.contracted(path.points(ts), path.velocities(ts))))
+def _transport_generator(a_form: ConnectionForm, path: CurvePath):
+    """The stacked transport generator t -> sum_a Rdot^a(t) A_a(R(t))."""
+    return linalg.stacked(lambda ts: a_form.contracted(path.points(ts), path.velocities(ts)))
 
 
 def transport_operator(
@@ -301,7 +301,7 @@ def transport_operator(
     probe = a_form.components(path.points(0.5 * (t0 + t1)))[0]
     n = probe.shape[0]
 
-    times, ops = integrate(_transport_rhs(a_form, path), np.eye(n, dtype=complex),
+    times, ops = integrate(_transport_generator(a_form, path), np.eye(n, dtype=complex),
                            t0, t1, stepper)
     return TransportResult(times=times, operators=ops)
 
@@ -320,7 +320,7 @@ def parallel_transport(
     _check_single_patch(a_form, path, t0, t1)
     psi0 = linalg.as_vector(psi0, name="psi0")
 
-    times, states = integrate(_transport_rhs(a_form, path), psi0, t0, t1, stepper)
+    times, states = integrate(_transport_generator(a_form, path), psi0, t0, t1, stepper)
     return TransportResult(times=times, states=states)
 
 

@@ -45,7 +45,7 @@ from . import linalg
 from .connection import ConnectionForm, CurvePath
 from .errors import InvalidState, OutOfPatch
 from .metric import MetricField, MetricOperator, split_pseudo
-from .stepping import StepperConfig, integrate, linear_rhs
+from .stepping import StepperConfig, integrate
 
 #: default step for time-differencing rho(t) when analytic partials are absent
 RHO_DOT_TIME_STEP = 1e-6
@@ -186,18 +186,19 @@ def evolve(
 ) -> EvolutionResult:
     """Integrate  i dpsi/dt = H(t) psi  and record trajectory diagnostics.
 
-    ``hamiltonian(t)`` returns the full generator.  When ``curve_metric`` is
-    given, the metric norm of the state is recorded at each sample; when
-    ``energy(t)`` is also given, so is the normalized real energy expectation
-    <psi, H_E psi>_eta / <psi, psi>_eta.  Both generators are evaluated on
-    the stack of node or sample times when marked
-    :func:`qbundle.linalg.stacked`.
+    ``hamiltonian(t)`` returns the full generator, which
+    :func:`qbundle.stepping.integrate` evaluates once per distinct RK4 node
+    time.  When ``curve_metric`` is given, the metric norm of the state is
+    recorded at each sample; when ``energy(t)`` is also given, so is the
+    normalized real energy expectation <psi, H_E psi>_eta / <psi, psi>_eta.
+    Both generators are evaluated on the stack of node or sample times when
+    marked :func:`qbundle.linalg.stacked`.
     """
     psi0 = linalg.as_vector(psi0, name="psi0")
     if float(np.max(np.abs(psi0))) == 0.0:
         raise InvalidState("initial state is the zero vector")
 
-    times, states = integrate(linear_rhs(hamiltonian), psi0, t0, t1, stepper)
+    times, states = integrate(hamiltonian, psi0, t0, t1, stepper)
 
     eta_norm = energy_expect = None
     if curve_metric is not None:

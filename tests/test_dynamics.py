@@ -23,7 +23,7 @@ from qbundle.metric import (
     is_pseudo_anti_hermitian,
     is_pseudo_hermitian,
 )
-from qbundle.stepping import StepperConfig, integrate
+from qbundle.stepping import StepperConfig
 
 SEED = 77
 
@@ -265,8 +265,8 @@ def counting_generator(calls):
 def test_fixed_steps_evaluate_each_node_once():
     """n fixed RK4 steps sample 2n+1 distinct node times, once each.  The
     states are the RK4 step matrices M_k (one step applied to the identity)
-    applied in order, and agree with integrating with a generator evaluated
-    at every stage to rounding."""
+    applied in order, and agree with a per-stage RK4 integration, with the
+    generator evaluated at every stage, to rounding."""
     calls = []
     h = counting_generator(calls)
     psi0 = np.array([1.0, 0.5j])
@@ -276,31 +276,38 @@ def test_fixed_steps_evaluate_each_node_once():
     assert len(calls) == 2 * n + 1 == len(set(calls))
     nodes = (np.arange(n + 1) * 0.01).tolist()
     stepped = [psi0.astype(complex)]
+    per_stage = [psi0.astype(complex)]
     for t, t_next in zip(nodes, nodes[1:]):
-        m = stepping.rk4_step(lambda s, y: -1j * (h(s) @ y), t, np.eye(2), 0.01, t_next)
+        m = stepping.rk4_step((h(t), h(t + 0.005), h(t_next)), np.eye(2), 0.01)
         stepped.append(m @ stepped[-1])
+        y = per_stage[-1]
+        k1 = -1j * (h(t) @ y)
+        k2 = -1j * (h(t + 0.005) @ (y + 0.005 * k1))
+        k3 = -1j * (h(t + 0.005) @ (y + 0.005 * k2))
+        k4 = -1j * (h(t_next) @ (y + 0.01 * k3))
+        per_stage.append(y + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     assert np.array_equal(res.states, np.array(stepped))
-    _, plain = integrate(lambda t, y: -1j * (h(t) @ y), psi0, 0.0, 1.0, StepperConfig(dt=0.01))
-    assert max_abs(res.states - plain) <= 1e-14 * np.linalg.norm(psi0)
+    assert max_abs(res.states - np.array(per_stage)) <= 1e-14 * np.linalg.norm(psi0)
 
 
 def test_adaptive_attempts_evaluate_at_most_four_new_nodes(monkeypatch):
     """An adaptive attempt (three RK4 steps) has five distinct nodes; the
-    first is shared with the previous attempt."""
-    calls, starts = [], []
+    first is shared with the previous attempt.  The nodes of an attempt are
+    evaluated before its first RK4 step."""
+    calls, evaluated = [], []
     rk4_step = stepping.rk4_step
 
-    def counted_step(rhs, t, y, h, t_end=None):
+    def counted_step(*args):
         if counted_step.n % 3 == 0:
-            starts.append(len(calls))
+            evaluated.append(len(calls))
         counted_step.n += 1
-        return rk4_step(rhs, t, y, h, t_end)
+        return rk4_step(*args)
 
     counted_step.n = 0
     monkeypatch.setattr(stepping, "rk4_step", counted_step)
     res = evolve(counting_generator(calls), np.array([1.0, 0.5j]), 0.0, 3.0,
                  StepperConfig(method="rk4-adaptive", dt=0.5, target_local_error=1e-12))
-    new = np.diff(starts + [len(calls)])
+    new = np.diff([0] + evaluated)
     assert counted_step.n % 3 == 0 and len(new) == counted_step.n // 3
     assert len(new) > len(res.times) - 1  # some attempts were rejected
     assert new[0] == 5 and np.all(new[1:] <= 4)

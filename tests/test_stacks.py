@@ -233,9 +233,9 @@ def counting_generators(monkeypatch):
         h = factory(self, patch_id)
 
         @functools.wraps(h)
-        def counted(t, op=None):
+        def counted(t):
             stacks.append(np.size(t))
-            return h(t, op)
+            return h(t)
 
         return counted
 
@@ -274,7 +274,7 @@ def test_adaptive_attempts_call_the_generator_at_most_once(monkeypatch):
 
 
 def test_fixed_chunks_share_their_boundary_node(monkeypatch):
-    """Chunked node tables give the same states; each chunk is one call and
+    """Chunked fixed steps give the same states; each chunk is one call and
     no node is evaluated twice."""
     evals = []
 
@@ -284,11 +284,11 @@ def test_fixed_chunks_share_their_boundary_node(monkeypatch):
         return np.cos(ts)[:, None, None] * np.array([[1.0, 0.3j], [-0.3j, 2.0]])
 
     psi0, config = np.array([1.0, 0.5j]), StepperConfig(dt=0.05)
-    _, whole = stepping.integrate(stepping.linear_rhs(h), psi0, 0.0, 1.0, config)
+    _, whole = stepping.integrate(h, psi0, 0.0, 1.0, config)
     assert evals == [41]  # 20 steps: 2*20+1 nodes in one call
     monkeypatch.setattr(stepping, "FIXED_CHUNK_STEPS", 7)
     evals.clear()
-    _, chunked = stepping.integrate(stepping.linear_rhs(h), psi0, 0.0, 1.0, config)
+    _, chunked = stepping.integrate(h, psi0, 0.0, 1.0, config)
     assert np.array_equal(whole, chunked)
     assert evals == [15, 14, 12]  # chunks of 7, 7 and 6 steps
 
