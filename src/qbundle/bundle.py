@@ -24,7 +24,12 @@ The generators of :class:`SystemSpec` are marked
 :func:`qbundle.linalg.stacked`: called on a stack of times they evaluate the
 curve once, factorise the metric once and return the stack of generators, so
 a fixed-step chart segment costs one call (see :mod:`qbundle.stepping`).
-:meth:`ObservableSection.matrix` likewise takes one point or a stack.
+The gluing layer follows :class:`qbundle.metric.MetricField`:
+:class:`TransitionFunctionField` (partials on axis -3), the transforms
+(:func:`tilde_eta`, :func:`big_g`, :func:`transform_state`,
+:func:`transform_observable`) and :func:`check_section_compatibility` take
+one point (d,) or a stack (n, d) with matching states and matrices, check
+every point and name the first failing one.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     OutOfOverlap,
     TauNotInOverlap,
 )
-from .metric import MetricField, MetricOperator
+from .metric import MetricField, MetricOperator, _in_region, chart_points
 from .stepping import StepperConfig
 
 #: default tolerance for unitarity checks on intertwiners
@@ -53,14 +58,28 @@ UNITARITY_TOL = 1e-8
 G_FD_STEP = 1e-6
 
 
-def unitarity_defect(m) -> float:
-    """max-entry norm of  m^dag m - identity."""
+def unitarity_defect(m):
+    """max-entry norm of  m^dag m - identity: a float for one matrix, one per
+    matrix of a stack (n, N, N)."""
     m = linalg.as_square(m)
-    return linalg.max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+    defect = np.max(np.abs(linalg.dagger(m) @ m - np.eye(m.shape[-1])), axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
+
+
+def _check_unitary(gg: np.ndarray, tol: float, points=None) -> None:
+    """Raise NotUnitary naming the first intertwiner (and point) of a stack
+    whose unitarity defect exceeds ``tol``."""
+    defect = np.asarray(unitarity_defect(gg))
+    if np.any(defect > tol):
+        k, where = linalg._first(defect > tol)
+        at = "" if points is None else f" at {np.asarray(points, dtype=float)[k]}"
+        raise NotUnitary(f"intertwiner fails unitarity{at}{where}: "
+                         f"defect {defect[k]:.3e} > tol {tol:.3e}")
 
 
 class TransitionFunctionField:
-    """Invertible matrix field g(R) relating two charts on their overlap."""
+    """Invertible matrix field g(R) relating two charts on their overlap;
+    its callables are evaluated through :func:`qbundle.linalg.over_points`."""
 
     def __init__(
         self,
@@ -78,34 +97,30 @@ class TransitionFunctionField:
         self._overlap = overlap
         self.dim = dim
 
-    def in_overlap(self, point) -> bool:
-        r = np.asarray(point, dtype=float)
-        return self._overlap is None or bool(self._overlap(r))
+    @linalg.stacked
+    def in_overlap(self, point):
+        """Whether the point lies in the overlap (one flag per point of a stack)."""
+        return _in_region(self._overlap, point)
 
-    def _coords(self, point) -> np.ndarray:
-        r = np.asarray(point, dtype=float)
-        if r.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected a {self.dim}-vector of coordinates, got shape {r.shape}"
-            )
-        if not self.in_overlap(r):
-            raise OutOfOverlap(
-                f"point {r} is outside the overlap of charts "
-                f"'{self.from_patch}' and '{self.to_patch}'"
-            )
-        return r
+    def _values(self, fn, point, name: str) -> np.ndarray:
+        rows, single = chart_points(
+            point, self.dim, self._overlap,
+            f"the overlap of charts '{self.from_patch}' and '{self.to_patch}'", OutOfOverlap)
+        out = linalg.as_square(linalg.over_points(fn, rows), name)
+        return out[0] if single else out
 
     def g(self, point) -> np.ndarray:
-        return linalg.as_square(self._g_fn(self._coords(point)), "g")
+        return self._values(self._g_fn, point, "g")
 
     def g_inv(self, point) -> np.ndarray:
         return np.linalg.inv(self.g(point))
 
-    def partial_g(self, point) -> list[np.ndarray]:
-        r = self._coords(point)
-        if self._partials_fn is not None:
-            return [linalg.as_square(p, "partial of g") for p in self._partials_fn(r)]
-        return linalg.central_difference(self._g_fn, r, G_FD_STEP)
+    def partial_g(self, point) -> np.ndarray:
+        """d g / d R^a for each coordinate a, analytic when available:
+        (d, N, N) for one point, (n, d, N, N) for a stack."""
+        fn = self._partials_fn or linalg.stacked(lambda r: np.stack(linalg.central_difference(
+            lambda x: linalg.over_points(self._g_fn, x), r, G_FD_STEP), axis=1))
+        return self._values(fn, point, "partial of g")
 
     def g_dot(self, point, velocity) -> np.ndarray:
         """Time derivative of g along a curve through ``point``."""
@@ -114,17 +129,15 @@ class TransitionFunctionField:
     def inverse(self) -> "TransitionFunctionField":
         """The reversed transition, g -> g^{-1} with patches swapped."""
 
-        def g_fn(r):
-            return np.linalg.inv(self._g_fn(r))
-
+        @linalg.stacked
         def partials_fn(r):
-            gi = np.linalg.inv(self._g_fn(r))
-            return [-gi @ p @ gi for p in self.partial_g(r)]
+            gi = self.g_inv(r)[:, None]
+            return -gi @ self.partial_g(r) @ gi
 
         return TransitionFunctionField(
             self.to_patch,
             self.from_patch,
-            g_fn,
+            linalg.stacked(lambda r: self.g_inv(r)),
             partials_fn=partials_fn,
             overlap=self._overlap,
             dim=self.dim,
@@ -137,7 +150,7 @@ class TransitionFunctionField:
 def tilde_eta(transition: TransitionFunctionField, eta_field: MetricField, point) -> np.ndarray:
     """Metric induced on the target chart:  eta~ = g^dag eta g."""
     g = transition.g(point)
-    return g.conj().T @ eta_field.eta(point) @ g
+    return linalg.dagger(g) @ eta_field.eta(point) @ g
 
 
 def big_g(
@@ -147,28 +160,27 @@ def big_g(
     point,
     check_tol: float | None = UNITARITY_TOL,
 ) -> np.ndarray:
-    """The unitary intertwiner  G = rho g rho~^{-1}  at a point.
+    """The unitary intertwiner  G = rho g rho~^{-1}  at a point or a stack.
 
-    Raises :class:`NotUnitary` when the assembled matrix fails the unitarity
-    check, which happens exactly when the two metric fields are inconsistent
-    with the transition function there.
+    Raises :class:`NotUnitary`, naming the first failing point, when the
+    assembled matrix fails the unitarity check, which happens exactly when
+    the two metric fields are inconsistent with the transition function
+    there.
     """
-    rho = eta_field.operator(point).rho
-    rho_tilde_inv = eta_tilde_field.operator(point).rho_inv
-    gg = rho @ transition.g(point) @ rho_tilde_inv
+    g = transition.g(point)  # first, so a point outside the overlap is named as such
+    gg = eta_field.operator(point).rho @ g @ eta_tilde_field.operator(point).rho_inv
     if check_tol is not None:
-        defect = unitarity_defect(gg)
-        if defect > check_tol:
-            raise NotUnitary(
-                f"intertwiner fails unitarity at {np.asarray(point)}: "
-                f"defect {defect:.3e} > tol {check_tol:.3e}"
-            )
+        _check_unitary(gg, check_tol, point)
     return gg
 
 
 def transform_state(transition: TransitionFunctionField, point, psi) -> np.ndarray:
     """State components on the target chart:  psi~ = g^{-1} psi."""
-    return transition.g_inv(point) @ linalg.as_vector(psi, name="psi")
+    g_inv = transition.g_inv(point)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != g_inv.shape[:-1]:
+        raise DimensionMismatch(f"psi has shape {psi.shape}, expected {g_inv.shape[:-1]}")
+    return (g_inv @ psi[..., None])[..., 0]
 
 
 def transform_hamiltonian(
@@ -193,12 +205,11 @@ def transform_hamiltonian(
 
 
 def transform_observable(observable, intertwiner, tol: float = UNITARITY_TOL) -> np.ndarray:
-    """Observable in the target chart's Hermitian form:  o~ = G^{-1} o G."""
+    """Observable in the target chart's Hermitian form:  o~ = G^{-1} o G,
+    for one intertwiner or a stack, each checked for unitarity."""
     gg = linalg.as_square(intertwiner, "intertwiner")
-    defect = unitarity_defect(gg)
-    if defect > tol:
-        raise NotUnitary(f"intertwiner defect {defect:.3e} > tol {tol:.3e}")
-    return gg.conj().T @ linalg.as_square(observable, "observable") @ gg
+    _check_unitary(gg, tol)
+    return linalg.dagger(gg) @ linalg.as_square(observable, "observable") @ gg
 
 
 # ---------------------------------------------------------------- sections
@@ -247,8 +258,7 @@ class ObservableSection:
 
         @linalg.stacked
         def fn(r: np.ndarray) -> np.ndarray:
-            gg = np.array([big_g(eta_field, eta_tilde_field, transition, p, check_tol=None)
-                           for p in r])
+            gg = big_g(eta_field, eta_tilde_field, transition, r, check_tol=None)
             return linalg.dagger(gg) @ linalg.over_points(src, r) @ gg
 
         fields = dict(self.fields)
@@ -265,14 +275,10 @@ def check_section_compatibility(
     transition: TransitionFunctionField,
     samples: Sequence,
 ) -> float:
-    """Max residual of  o_b - G^{-1} o_a G  over overlap sample points."""
-    worst = 0.0
-    for r in samples:
-        gg = big_g(eta_field, eta_tilde_field, transition, r, check_tol=None)
-        o_a = section.matrix(patch_a, r)
-        o_b = section.matrix(patch_b, r)
-        worst = max(worst, linalg.max_abs(o_b - gg.conj().T @ o_a @ gg))
-    return worst
+    """Max residual of  o_b - G^{-1} o_a G  over a stack of overlap points."""
+    gg = big_g(eta_field, eta_tilde_field, transition, samples, check_tol=None)
+    o_a = section.matrix(patch_a, samples)
+    return linalg.max_abs(section.matrix(patch_b, samples) - linalg.dagger(gg) @ o_a @ gg)
 
 
 # ---------------------------------------------------------------- systems

@@ -56,7 +56,7 @@ from .bundle import (
 from .connection import ConnectionForm, CurvePath, check_metric_compatibility
 from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
-from .linalg import dagger, is_positive_definite, max_abs, stacked
+from .linalg import dagger, is_hermitian, is_positive_definite, max_abs, stacked
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
@@ -245,7 +245,7 @@ def _custom_system(cfg: dict) -> SystemSpec:
     energy = None
     if "energy_hermitian" in cfg:
         e_mat = matrix_from_json(cfg["energy_hermitian"], "energy_hermitian")
-        if max_abs(e_mat - e_mat.conj().T) > 1e-10:
+        if not is_hermitian(e_mat, tol=None):
             raise ConfigError("'energy_hermitian' must be a Hermitian matrix")
         energy = ObservableSection({patch: lambda r: e_mat.copy()}, patch)
 
@@ -471,7 +471,13 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
                result: EvolutionResult | None = None) -> dict:
     """Run the invariant battery for a configuration; returns the report.
     ``system`` and ``result`` are the run it describes; without them the
-    config is run first, exactly as ``run`` would run it."""
+    config is run first, exactly as ``run`` would run it.
+
+    Each row reports the worst residual over its sample points.  The chart
+    rows evaluate each chart's stack of curve samples in one call; the three
+    overlap rows (transition consistency, intertwiner unitarity, section
+    compatibility) evaluate the stack of ``check_samples`` overlap points in
+    one call per chart pair."""
     if system is None or result is None:
         system, result, _ = _run_one(cfg)
     tolerances = dict(CHECK_TOLERANCES)
@@ -485,13 +491,13 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     samples = _schedule_samples(system, rng, n)
     rows = []
 
-    def add(name, values):
-        values = list(values)
-        worst = float(np.max(values)) if values else 0.0
+    def add(name, values, samples=None):  # samples: one per value unless given
+        values = np.ravel(values)
+        worst = float(np.max(values)) if values.size else 0.0
         tol = tolerances[name]
         rows.append({
             "name": name,
-            "samples": len(values),
+            "samples": values.size if samples is None else samples,
             "max_residual": worst,
             "tolerance": tol,
             "passed": bool(worst <= tol),
@@ -515,20 +521,15 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         metric_b = system.patch(pid_b).metric
         transition = system.transition_into(pid_b)
         pts = curve.points(overlap_ts)
-        add("transition-consistency", [
-            max_abs(tilde_eta(transition, metric_a, r) - metric_b.eta(r))
-            for r in pts
-        ])
-        add("intertwiner-unitarity", [
-            unitarity_defect(big_g(metric_a, metric_b, transition, r, check_tol=None))
-            for r in pts
-        ])
+        add("transition-consistency",
+            _worst_entries(tilde_eta(transition, metric_a, pts) - metric_b.eta(pts)))
+        add("intertwiner-unitarity",
+            unitarity_defect(big_g(metric_a, metric_b, transition, pts, check_tol=None)))
         if system.energy is not None:
-            add("section-compatibility", [
+            add("section-compatibility",
                 check_section_compatibility(system.energy, pid_a, pid_b,
-                                            metric_a, metric_b, transition, [r])
-                for r in pts
-            ])
+                                            metric_a, metric_b, transition, pts),
+                samples=len(pts))
 
     # Hermitian-representation generator must be Hermitian
     def hermiticity(pid, ts):

@@ -74,7 +74,8 @@ class ConnectionForm:
         self._domain = domain
 
     def components(self, point) -> np.ndarray:
-        rows, single = chart_points(point, self.dim, self._domain, self.patch_id)
+        rows, single = chart_points(point, self.dim, self._domain,
+                                    f"patch '{self.patch_id}'")
         comps = linalg.as_square(linalg.over_points(self._components_fn, rows),
                                  "connection component")
         if comps.ndim != 4 or comps.shape[1] != self.dim:
@@ -134,11 +135,9 @@ class CurvePath:
         """Max deviation between declared velocity and a central difference
         of the position over interior samples (a sanity diagnostic)."""
         ts = np.linspace(self.t_start, self.t_end, n_samples + 2)[1:-1]
-        worst = 0.0
-        for t in ts:
-            fd = linalg.central_difference(self.points, t, VELOCITY_FD_STEP)
-            worst = max(worst, float(np.max(np.abs(fd - self.velocities(t)))))
-        return worst
+        h = VELOCITY_FD_STEP
+        return linalg.max_abs((self.points(ts + h) - self.points(ts - h)) / (2.0 * h)
+                              - self.velocities(ts))
 
 
 def path_from_position(
@@ -328,15 +327,10 @@ def parallel_transport(
 
 
 def _curvature_at_step(a_form: ConnectionForm, r: np.ndarray, h: float):
-    d = a_form.dim
     comps = a_form.components(r)
-    n = comps[0].shape[0]
-    grad = linalg.central_difference(a_form.components, r, h)  # grad[a][b] = d_a A_b
-    f = np.empty((d, d, n, n), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            f[a, b] = grad[a][b] - grad[b][a] + 1j * linalg.commutator(comps[a], comps[b])
-    return f
+    left, right = comps[:, None], comps[None]  # [a, b]: A_a and A_b
+    grad = np.stack(linalg.central_difference(a_form.components, r, h))  # [a, b]: d_a A_b
+    return grad - grad.swapaxes(0, 1) + 1j * (left @ right - right @ left)
 
 
 def curvature(a_form: ConnectionForm, point, fd_step: float = CURVATURE_FD_STEP) -> np.ndarray:
@@ -355,18 +349,16 @@ def curvature(a_form: ConnectionForm, point, fd_step: float = CURVATURE_FD_STEP)
 # ---------------------------------------------------------------- gauge maps
 
 
-def gauge_transform_connection(a_form: ConnectionForm, transition, point,
-                               new_patch_id: str | None = None) -> list[np.ndarray]:
+def gauge_transform_connection(a_form: ConnectionForm, transition, point) -> np.ndarray:
     """Components of the transformed connection on the other chart:
 
-        A~_a = g^{-1} A_a g - i g^{-1} (d_a g).
+        A~_a = g^{-1} A_a g - i g^{-1} (d_a g),
 
+    as (d, N, N) for one point, or (n, d, N, N) for a stack of points (n, d).
     ``transition`` must provide g(R) and partial_g(R) (see
     :class:`qbundle.bundle.TransitionFunctionField`).
     """
-    r = np.asarray(point, dtype=float)
-    g = transition.g(r)
+    g = transition.g(point)[..., None, :, :]
     g_inv = np.linalg.inv(g)
-    dg = transition.partial_g(r)
-    comps = a_form.components(r)
-    return [g_inv @ comps[a] @ g - 1j * g_inv @ dg[a] for a in range(a_form.dim)]
+    return (g_inv @ a_form.components(point) @ g
+            - 1j * g_inv @ np.asarray(transition.partial_g(point)))

@@ -173,7 +173,11 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m, tol: float | None = HERMITICITY_TOL) -> bool:
+    """Whether every matrix of m is Hermitian: within the absolute ``tol``,
+    or, with ``tol=None``, within the relative gate of :func:`hermitian_sqrt`."""
+    if tol is None:
+        return not np.any(_not_hermitian(as_square(m))[0])
     return hermiticity_residual(m) <= tol
 
 
@@ -192,16 +196,20 @@ def _not_positive(eigvals: np.ndarray, tol: float | None) -> np.ndarray:
     return eigvals[..., 0] <= tol
 
 
-def _residuals(m: np.ndarray) -> np.ndarray:
-    """Hermiticity residual of each matrix of a stack."""
-    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+def _not_hermitian(m: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, residuals): per matrix of a stack, its Hermiticity residual and
+    whether it exceeds 1e-10 times its largest entry floored at 1 (or ``floor``)."""
+    res = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+    gate = 1e-10 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+    return res > np.maximum(gate, floor), res
 
 
 def is_positive_definite(m, tol: float | None = None) -> bool:
-    """True if every matrix of m is Hermitian (within tolerance) with strictly
-    positive spectrum."""
+    """True if every matrix of m is Hermitian (within the gate of
+    :func:`hermitian_sqrt`, or ``tol`` if larger) with strictly positive
+    spectrum."""
     m = as_square(m)
-    if np.any(_residuals(m) > (1e-10 if tol is None else max(tol, 1e-10))):
+    if np.any(_not_hermitian(m, 0.0 if tol is None else tol)[0]):
         return False
     w = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
     return not np.any(_not_positive(w, tol))
@@ -219,10 +227,12 @@ def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
     reuse the factorisation.  A stack (..., N, N) is factorised in one call
     and each matrix checked on its own.  Raises NotPositiveDefinite when a
     matrix fails the Hermiticity or the positivity check, naming the first.
+    The Hermiticity gate is 1e-10 relative to each matrix's largest entry,
+    floored at 1, so products such as g^dag eta g with large entries pass
+    with their rounding-level residual.
     """
     m = as_square(m)
-    res = _residuals(m)
-    bad = res > 1e-10
+    bad, res = _not_hermitian(m)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(f"matrix is not Hermitian (residual {res[k]:.3e}){where}")

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, OutOfPatch
+from .errors import DimensionMismatch, OutOfPatch, QBundleError
 
 #: default tolerance for pseudo-(anti-)Hermiticity residual checks
 PSEUDO_HERMITICITY_TOL = 1e-8
@@ -157,18 +157,26 @@ def hermitize(m, metric) -> np.ndarray:
 # ---------------------------------------------------------------- fields
 
 
-def chart_points(point, dim: int, domain, patch_id: str) -> tuple[np.ndarray, bool]:
+def _in_region(domain, point):
+    """Whether a point lies where the predicate ``domain`` holds (everywhere
+    without one): one flag, or one per point of a stack (n, d)."""
+    rows, single = linalg.as_stack(point, 1)
+    inside = np.ones(len(rows), bool) if domain is None else linalg.over_points(domain, rows)
+    return bool(inside[0]) if single else inside.astype(bool)
+
+
+def chart_points(point, dim: int, domain, region: str,
+                 error: type[QBundleError] = OutOfPatch) -> tuple[np.ndarray, bool]:
     """(stack of points, single): one point (dim,) or a stack (n, dim) as an
-    (n, dim) stack, after the shape check and the chart-domain check of every
-    point; the error names the first point outside the chart."""
+    (n, dim) stack, after the shape and domain checks of every point;
+    ``error`` names the first point outside ``region``."""
     rows, single = linalg.as_stack(point, 1)
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise DimensionMismatch(
             f"expected {dim}-vectors of coordinates, got shape {np.shape(point)}")
-    if domain is not None:
-        inside = linalg.over_points(domain, rows)
-        if not inside.all():
-            raise OutOfPatch(f"point {rows[np.argmin(inside)]} is outside patch '{patch_id}'")
+    inside = _in_region(domain, rows)
+    if not inside.all():
+        raise error(f"point {rows[np.argmin(inside)]} is outside {region}")
     return rows, single
 
 
@@ -208,15 +216,12 @@ class MetricField:
         self._domain = domain
 
     def _coords(self, point) -> tuple[np.ndarray, bool]:
-        return chart_points(point, self.dim, self._domain, self.patch_id)
+        return chart_points(point, self.dim, self._domain, f"patch '{self.patch_id}'")
 
     @linalg.stacked
     def contains(self, point):
         """Whether the point lies in the chart (one flag per point of a stack)."""
-        rows, single = linalg.as_stack(point, 1)
-        inside = (np.ones(len(rows), dtype=bool) if self._domain is None
-                  else linalg.over_points(self._domain, rows).astype(bool))
-        return bool(inside[0]) if single else inside
+        return _in_region(self._domain, point)
 
     def eta(self, point) -> np.ndarray:
         rows, single = self._coords(point)

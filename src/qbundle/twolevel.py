@@ -271,11 +271,6 @@ def d_unit_vector(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return (_vectors(ct * cp, ct * sp, -st), _vectors(-st * sp, st * cp, 0.0))
 
 
-def d_unit_vector_mirror(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    dth, dph = d_unit_vector(theta, phi)
-    return dth * _MIRROR, dph * _MIRROR
-
-
 def _frame(theta, phi, patch: str) -> tuple[np.ndarray, np.ndarray]:
     """(xhat, d xhat) on the chart, mirrored on minus; d xhat holds the theta
     and phi derivatives on axis -2."""
@@ -373,74 +368,69 @@ def metric_field(scales: ScaleFields, patch: str = PLUS,
 # ------------------------------------------------------------- transition
 
 
-def transition_g(theta: float, phi: float, scales: ScaleFields) -> np.ndarray:
+def _glue_matrix(diag, upper, lower, e) -> np.ndarray:
+    """[[diag, upper / e], [lower * e, diag]] from broadcast component arrays:
+    the shape shared by g, its partials and G."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, (diag, upper, lower, e))) + (2, 2),
+                   dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = diag
+    out[..., 0, 1] = upper / e
+    out[..., 1, 0] = lower * e
+    return out
+
+
+def _transition_data(theta, phi, scales: ScaleFields):
+    """(theta, phi, (xi, zeta, xi~, zeta~), gp, gm, sin t, cos t, e^{ip}) of
+    the transition function, with gp, gm = (xi~/xi +- zeta~/zeta)/2."""
+    theta, phi = _grid(theta, phi)
+    values = tuple(f(theta, phi) for f in scales.pair(PLUS) + scales.pair(MINUS))
+    xi, zeta, xi_t, zeta_t = values
+    gp = 0.5 * (xi_t / xi + zeta_t / zeta)
+    gm = 0.5 * (xi_t / xi - zeta_t / zeta)
+    return theta, phi, values, gp, gm, np.sin(theta), np.cos(theta), np.exp(1j * phi)
+
+
+def transition_g(theta, phi, scales: ScaleFields) -> np.ndarray:
     """Closed-form transition function from the plus to the minus chart:
 
         g = [[ gp sin t,  e^{-ip} (gm + gp cos t) ],
              [ e^{ip} (gm - gp cos t),  gp sin t ]],
 
     with gp, gm = (xi~/xi +- zeta~/zeta)/2."""
-    xi = scales.xi(theta, phi)
-    zeta = scales.zeta(theta, phi)
-    xi_t = scales.xi_tilde(theta, phi)
-    zeta_t = scales.zeta_tilde(theta, phi)
-    gp = 0.5 * (xi_t / xi + zeta_t / zeta)
-    gm = 0.5 * (xi_t / xi - zeta_t / zeta)
-    st, ct = math.sin(theta), math.cos(theta)
-    e = np.exp(1j * phi)
-    return np.array(
-        [[gp * st, (gm + gp * ct) / e],
-         [(gm - gp * ct) * e, gp * st]],
-        dtype=complex,
-    )
+    *_, gp, gm, st, ct, e = _transition_data(theta, phi, scales)
+    return _glue_matrix(gp * st, gm + gp * ct, gm - gp * ct, e)
 
 
-def transition_g_partials(theta: float, phi: float, scales: ScaleFields) -> list[np.ndarray]:
-    """Analytic (d_theta g, d_phi g) via the scale fields' partials."""
-    xi = scales.xi(theta, phi)
-    zeta = scales.zeta(theta, phi)
-    xi_t = scales.xi_tilde(theta, phi)
-    zeta_t = scales.zeta_tilde(theta, phi)
-    d_xi = scales.xi.partials(theta, phi)
-    d_zeta = scales.zeta.partials(theta, phi)
-    d_xi_t = scales.xi_tilde.partials(theta, phi)
-    d_zeta_t = scales.zeta_tilde.partials(theta, phi)
-    gp = 0.5 * (xi_t / xi + zeta_t / zeta)
-    gm = 0.5 * (xi_t / xi - zeta_t / zeta)
-    st, ct = math.sin(theta), math.cos(theta)
-    e = np.exp(1j * phi)
-    out = []
-    for i in range(2):
-        d_ratio_xi = (d_xi_t[i] * xi - xi_t * d_xi[i]) / (xi * xi)
-        d_ratio_zeta = (d_zeta_t[i] * zeta - zeta_t * d_zeta[i]) / (zeta * zeta)
-        dgp = 0.5 * (d_ratio_xi + d_ratio_zeta)
-        dgm = 0.5 * (d_ratio_xi - d_ratio_zeta)
-        if i == 0:  # theta derivative
-            m = np.array(
-                [[dgp * st + gp * ct, (dgm + dgp * ct - gp * st) / e],
-                 [(dgm - dgp * ct + gp * st) * e, dgp * st + gp * ct]],
-                dtype=complex,
-            )
-        else:  # phi derivative
-            m = np.array(
-                [[dgp * st,
-                  ((dgm + dgp * ct) - 1j * (gm + gp * ct)) / e],
-                 [((dgm - dgp * ct) + 1j * (gm - gp * ct)) * e,
-                  dgp * st]],
-                dtype=complex,
-            )
-        out.append(m)
-    return out
+def transition_g_partials(theta, phi, scales: ScaleFields) -> np.ndarray:
+    """Analytic (d_theta g, d_phi g) via the scale fields' partials, stacked
+    on axis -3."""
+    theta, phi, values, gp, gm, st, ct, e = _transition_data(theta, phi, scales)
+    xi, zeta, xi_t, zeta_t = (x[..., None] for x in values)
+    d_xi, d_zeta, d_xi_t, d_zeta_t = (np.stack(f.partials(theta, phi), axis=-1)
+                                      for f in scales.pair(PLUS) + scales.pair(MINUS))
+    d_ratio_xi = (d_xi_t * xi - xi_t * d_xi) / (xi * xi)
+    d_ratio_zeta = (d_zeta_t * zeta - zeta_t * d_zeta) / (zeta * zeta)
+    dgp = 0.5 * (d_ratio_xi + d_ratio_zeta)
+    dgm = 0.5 * (d_ratio_xi - d_ratio_zeta)
+    # (theta, phi) partials of sin t, cos t and of the phase angle p
+    zero = np.zeros_like(st)
+    d_st, d_ct = np.stack([ct, zero], axis=-1), np.stack([-st, zero], axis=-1)
+    d_p = np.array([0.0, 1.0])
+    gp, gm, st, ct = (x[..., None] for x in (gp, gm, st, ct))
+    return _glue_matrix(dgp * st + gp * d_st,
+                        dgm + dgp * ct + gp * d_ct - 1j * d_p * (gm + gp * ct),
+                        dgm - dgp * ct - gp * d_ct + 1j * d_p * (gm - gp * ct),
+                        e[..., None])
 
 
-def big_g_s2(theta: float, phi: float) -> np.ndarray:
+def big_g_s2(theta, phi) -> np.ndarray:
     """The scale-independent unitary intertwiner between the charts:
 
         G = sigma3 (xhat' . sigma)
           = [[ sin t, e^{-ip} cos t ], [ -e^{ip} cos t, sin t ]]."""
-    st, ct = math.sin(theta), math.cos(theta)
-    e = np.exp(1j * phi)
-    return np.array([[st, ct / e], [-ct * e, st]], dtype=complex)
+    theta, phi = _grid(theta, phi)
+    ct = np.cos(theta)
+    return _glue_matrix(np.sin(theta), ct, -ct, np.exp(1j * phi))
 
 
 def _sigma_tilde_basis(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -476,9 +466,9 @@ def transition_field(scales: ScaleFields,
     return TransitionFunctionField(
         PLUS,
         MINUS,
-        lambda r: transition_g(r[0], r[1], scales),
-        partials_fn=lambda r: transition_g_partials(r[0], r[1], scales),
-        overlap=lambda r: theta_minus < r[0] < theta_plus,
+        linalg.stacked(lambda r: transition_g(r[:, 0], r[:, 1], scales)),
+        partials_fn=linalg.stacked(lambda r: transition_g_partials(r[:, 0], r[:, 1], scales)),
+        overlap=linalg.stacked(lambda r: (theta_minus < r[:, 0]) & (r[:, 0] < theta_plus)),
         dim=2,
     )
 
@@ -565,19 +555,14 @@ def gamma_total(theta, phi, scales: ScaleFields) -> np.ndarray:
             + _lift_form(x_tilde) * gamma_minus(theta, phi) + gamma_zero(theta, phi))
 
 
-def gamma_total_from_definition(theta: float, phi: float, scales: ScaleFields
-                                ) -> tuple[np.ndarray, np.ndarray]:
+def gamma_total_from_definition(theta, phi, scales: ScaleFields) -> np.ndarray:
     """Gamma from its definition  -(i/2) [ X - X^dag ],
     X = rho (d_a g) g^{-1} rho^{-1},  as an independent cross-check."""
-    rho = rho_matrix(theta, phi, scales, PLUS)
-    rho_inv = rho_inverse_matrix(theta, phi, scales, PLUS)
-    g_inv = np.linalg.inv(transition_g(theta, phi, scales))
-    parts = transition_g_partials(theta, phi, scales)
-    out = []
-    for i in range(2):
-        x = rho @ parts[i] @ g_inv @ rho_inv
-        out.append(-0.5j * (x - x.conj().T))
-    return tuple(out)
+    rho = rho_matrix(theta, phi, scales, PLUS)[..., None, :, :]
+    rho_inv = rho_inverse_matrix(theta, phi, scales, PLUS)[..., None, :, :]
+    g_inv = np.linalg.inv(transition_g(theta, phi, scales))[..., None, :, :]
+    x = rho @ transition_g_partials(theta, phi, scales) @ g_inv @ rho_inv
+    return -0.5j * (x - linalg.dagger(x))
 
 
 def _alpha_matrices(theta, phi, alpha: AlphaField, patch: str) -> np.ndarray:

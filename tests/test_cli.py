@@ -15,6 +15,7 @@ import pytest
 import qbundle
 from qbundle.cli import _run_one, _write_trajectory_csv, build_from_config, main, run_checks
 from qbundle.dynamics import evolve
+from qbundle.errors import ConfigError
 from qbundle.stepping import StepperConfig
 
 THETA_FROM = math.pi / 6.0
@@ -263,6 +264,19 @@ def test_custom_model_rejects_indefinite_metric(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "indefinite.json", cfg_dict)
     assert main(["run", cfg]) == 2
     assert "positive-definite" in capsys.readouterr().err
+
+
+def test_custom_energy_hermiticity_gate_scales_with_the_entries():
+    def build_with(energy):
+        cfg = custom_config()
+        cfg["energy_hermitian"] = energy
+        return build_from_config(cfg)
+
+    # a last-digit asymmetry of large entries passes, a real one does not
+    build_with([[2e6, 3e5 + 1e-5], [3e5, -1e6]])
+    for energy in ([[2e6, 3e5 + 1e-2], [3e5, -1e6]], [[1, 1e-9], [0, -1]]):
+        with pytest.raises(ConfigError, match="Hermitian"):
+            build_with(energy)
 
 
 def test_check_tolerance_override(tmp_path, monkeypatch):

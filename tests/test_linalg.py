@@ -136,6 +136,38 @@ def test_hermitian_sqrt_rejects_indefinite():
         hermitian_sqrt(np.zeros((2, 2)))
 
 
+def large_product(rng):
+    """g^dag eta g with entries near 1e6, built as tilde_eta builds it:
+    Hermitian positive definite up to rounding."""
+    eta = random_positive(rng, 2, floor=1.0)
+    g = 1e3 * random_complex(rng, 2)
+    return g.conj().T @ eta @ g
+
+
+def test_hermiticity_gate_scales_with_the_entries():
+    rng = np.random.default_rng(SEED)
+    products = np.array([large_product(rng) for _ in range(20)])
+    assert max_abs(products - products.conj().swapaxes(-1, -2)) > 1e-10  # rounding
+    root = hermitian_sqrt(products)
+    assert is_positive_definite(products)
+    for r, m in zip(root, products):
+        np.testing.assert_allclose(r @ r, m, atol=1e-12 * max_abs(m))
+
+
+def test_hermiticity_gate_rejects_non_hermitian_matrices():
+    rng = np.random.default_rng(SEED)
+    large = large_product(rng)
+    large[0, 1] += 1e-8 * max_abs(large)
+    small = np.array([[2.0, 1e-9], [0.0, 2.0]], dtype=complex)
+    for m in (large, small):
+        with pytest.raises(NotPositiveDefinite, match="not Hermitian"):
+            hermitian_sqrt(m)
+        assert not is_positive_definite(m)
+        assert not is_hermitian(m, tol=None)
+    with pytest.raises(NotPositiveDefinite, match=r"stack index \(1,\)"):
+        hermitian_sqrt(np.array([2.0 * np.eye(2), small]))
+
+
 # ---------------------------------------------------------------- expm
 
 

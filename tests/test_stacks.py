@@ -10,12 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbundle import cli, stepping
+from qbundle import cli, linalg, stepping
 from qbundle import twolevel as tl
-from qbundle.bundle import SystemSpec, evolve_across_patches
+from qbundle.bundle import (
+    SystemSpec,
+    TransitionFunctionField,
+    big_g,
+    check_section_compatibility,
+    evolve_across_patches,
+    tilde_eta,
+    transform_observable,
+    transform_state,
+    unitarity_defect,
+)
+from qbundle.connection import gauge_transform_connection
 from qbundle.dynamics import hermitian_representation
-from qbundle.errors import DimensionMismatch, NotPositiveDefinite, OutOfPatch
+from qbundle.errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NotUnitary,
+    OutOfOverlap,
+    OutOfPatch,
+)
 from qbundle.linalg import (
+    SIGMA3,
     contract,
     hermitian_sqrt,
     max_abs,
@@ -55,6 +73,13 @@ def chart_points(patch):
         theta = st.floats(0.05, tl.THETA_PLUS_DEFAULT - 0.05)
     else:
         theta = st.floats(tl.THETA_MINUS_DEFAULT + 0.05, np.pi - 0.05)
+    point = st.tuples(theta, st.floats(-np.pi, 3.0 * np.pi))
+    return st.lists(point, min_size=1, max_size=6).map(lambda p: np.array(p, dtype=float))
+
+
+def overlap_points():
+    """Stacks (n, 2) of points inside the chart overlap, away from its edges."""
+    theta = st.floats(tl.THETA_MINUS_DEFAULT + 0.05, tl.THETA_PLUS_DEFAULT - 0.05)
     point = st.tuples(theta, st.floats(-np.pi, 3.0 * np.pi))
     return st.lists(point, min_size=1, max_size=6).map(lambda p: np.array(p, dtype=float))
 
@@ -171,6 +196,135 @@ def test_generators_stack_row_by_row(us, scales, defect):
         h = system.generator(pid)(ts)
         assert_rows(hermitian_representation(h, cm, ts),
                     [hermitian_representation(x, cm, t) for x, t in zip(h, ts)])
+
+
+# ------------------------------------------------------------- gluing
+
+
+def gluing_system(scales):
+    return tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6),
+                           scales=SCALES[scales], alpha=ALPHA, energy=ENERGY)
+
+
+def pointwise_transition(scales):
+    """The closed-form transition with pointwise callables and finite-difference
+    partials, so the stacks go through the per-point calling rule."""
+    s = SCALES[scales]
+    return TransitionFunctionField(
+        tl.PLUS, tl.MINUS, lambda r: tl.transition_g(r[0], r[1], s),
+        overlap=lambda r: tl.THETA_MINUS_DEFAULT < r[0] < tl.THETA_PLUS_DEFAULT)
+
+
+@EXAMPLES
+@given(data=st.data(), scales=st.sampled_from(sorted(SCALES)))
+def test_gluing_stacks_row_by_row(data, scales):
+    pts = data.draw(overlap_points())
+    n = len(pts)
+    vel = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n,
+                                        max_size=2 * n)), (-1, 2))
+    psi = np.reshape(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n,
+                                        max_size=4 * n)), (n, 2, 2)) @ [1.0, 1j]
+    s = SCALES[scales]
+    th, ph = pts[:, 0], pts[:, 1]
+    for fn in (tl.transition_g, tl.transition_g_partials, tl.gamma_total_from_definition):
+        assert_stacks_rows(lambda t, p: fn(t, p, s), th, ph)
+    assert_stacks_rows(tl.big_g_s2, th, ph)
+
+    system = gluing_system(scales)
+    plus, minus = system.patch(tl.PLUS), system.patch(tl.MINUS)
+    for tf in (system.transition, system.transition.inverse(), pointwise_transition(scales)):
+        for fn in (tf.g, tf.g_inv, tf.partial_g):
+            assert_stacks_rows(fn, pts)
+        assert_stacks_rows(tf.g_dot, pts, vel)
+        assert_stacks_rows(lambda r, v: transform_state(tf, r, v), pts, psi)
+        assert list(tf.in_overlap(pts)) == [tf.in_overlap(r) for r in pts]
+    tf = system.transition
+    assert_stacks_rows(lambda r: tilde_eta(tf, plus.metric, r), pts)
+    assert_stacks_rows(lambda r: big_g(plus.metric, minus.metric, tf, r), pts)
+    assert_stacks_rows(lambda r: gauge_transform_connection(plus.connection, tf, r), pts)
+    gg = big_g(plus.metric, minus.metric, tf, pts)
+    obs = system.energy.matrix(tl.PLUS, pts)
+    assert_stacks_rows(transform_observable, obs, gg)
+    assert_stacks_rows(unitarity_defect, gg)
+    pushed = system.energy.with_pushforward(tl.MINUS, plus.metric, minus.metric, tf)
+    assert_stacks_rows(lambda r: pushed.matrix(tl.MINUS, r), pts)
+    worst = check_section_compatibility(system.energy, tl.PLUS, tl.MINUS, plus.metric,
+                                        minus.metric, tf, pts)
+    assert isinstance(worst, float)
+    assert_rows(worst, max(check_section_compatibility(
+        system.energy, tl.PLUS, tl.MINUS, plus.metric, minus.metric, tf, r) for r in pts))
+
+
+@EXAMPLES
+@given(data=st.data(), scales=st.sampled_from(sorted(SCALES)))
+def test_gluing_stack_with_one_point_outside_the_overlap_raises(data, scales):
+    pts = data.draw(overlap_points())
+    bad = (data.draw(st.sampled_from([0.5, 2.5])), 0.3)  # inside one chart only
+    k = data.draw(st.integers(0, len(pts)))
+    pts = np.insert(pts, k, bad, axis=0)
+    psi = np.ones((len(pts), 2), dtype=complex)
+    system = gluing_system(scales)
+    plus, minus = system.patch(tl.PLUS), system.patch(tl.MINUS)
+    calls = [system.transition.g, system.transition.g_inv, system.transition.partial_g,
+             lambda r: system.transition.g_dot(r, np.ones_like(r)),
+             system.transition.inverse().g, pointwise_transition(scales).partial_g,
+             lambda r: transform_state(system.transition, r, psi),
+             lambda r: tilde_eta(system.transition, plus.metric, r),
+             lambda r: big_g(plus.metric, minus.metric, system.transition, r),
+             lambda r: gauge_transform_connection(plus.connection, system.transition, r),
+             lambda r: check_section_compatibility(system.energy, tl.PLUS, tl.MINUS,
+                                                   plus.metric, minus.metric,
+                                                   system.transition, r)]
+    for fn in calls:
+        with pytest.raises(OutOfOverlap, match=r"point \[" + str(bad[0])):
+            fn(pts)
+    assert list(system.transition.in_overlap(pts)) == [i != k for i in range(len(pts))]
+
+
+@EXAMPLES
+@given(data=st.data(), scales=st.sampled_from(sorted(SCALES)))
+def test_big_g_names_the_first_inconsistent_point(data, scales):
+    """A minus-chart metric scaled by 4 at one point makes G = rho g rho~^{-1}
+    half a unitary there; the check names that point's stack index."""
+    pts = data.draw(overlap_points())
+    k = data.draw(st.integers(0, len(pts)))
+    pts = np.insert(pts, k, (1.5, 100.0), axis=0)  # phi outside the drawn range
+    s = SCALES[scales]
+    wrong = MetricField(
+        tl.MINUS,
+        lambda r: (4.0 if r[1] == 100.0 else 1.0) * tl.eta_matrix(r[0], r[1], s, tl.MINUS))
+    system = gluing_system(scales)
+    plus = system.patch(tl.PLUS).metric
+    with pytest.raises(NotUnitary, match=rf"stack index \({k},\)"):
+        big_g(plus, wrong, system.transition, pts, check_tol=1e-8)
+    gg = big_g(plus, wrong, system.transition, pts, check_tol=None)
+    with pytest.raises(NotUnitary, match=rf"stack index \({k},\)"):
+        transform_observable(np.broadcast_to(SIGMA3, gg.shape), gg)
+
+
+def test_check_battery_factorises_a_few_stacks(monkeypatch):
+    """On the README two-chart meridian the battery makes at most 10
+    hermitian_sqrt calls (106 when the overlap rows went point by point) and
+    each overlap row still reports check_samples samples."""
+    cfg = {"curve": {"kind": "meridian", "phi0": 0.3,
+                     "theta_from": np.pi / 6, "theta_to": 5 * np.pi / 6},
+           "energy": {"epsilon": 0.8, "direction": [0.2, -0.3, 0.93]},
+           "stepper": {"method": "rk4-fixed", "dt": 0.001},
+           "initial_state": [[0.8, 0.0], [-0.2, 0.4]], "seed": 11}
+    system, result, _ = cli._run_one(cfg)
+    calls = []
+    sqrt = linalg.hermitian_sqrt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sqrt(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_sqrt", counted)
+    report = cli.run_checks(cfg, system, result)
+    assert report["all_passed"] and len(calls) <= 10
+    samples = {row["name"]: row["samples"] for row in report["checks"]}
+    for name in ("transition-consistency", "intertwiner-unitarity", "section-compatibility"):
+        assert samples[name] == 25
 
 
 # ------------------------------------------------------------- checks per row
