@@ -5,7 +5,8 @@ Subcommands
 
 run <config.json>
     Integrate the configured evolution and write the requested outputs
-    (trajectory CSV and/or a summary JSON with the resolved configuration).
+    (trajectory CSV and/or a summary JSON that records the resolved
+    configuration, every default filled in).
 
 check <config.json>
     Run the configured evolution, as ``run`` does, and the invariant
@@ -22,11 +23,14 @@ sweep <config.json> --param dotted.path --values v1,v2,...
     Re-run the configuration with a parameter swept over the given values
     and tabulate the endpoints.
 
-All outputs are deterministic: a given configuration (including its seed)
-produces byte-identical files.  Output files go to --output-dir, else
+Every configuration, and every sweep variant, is read through one schema
+table (resolve_config) that states each key's type and default.  All outputs
+are deterministic: a given configuration (including its seed) produces
+byte-identical files.  Output files go to --output-dir, else
 $QBUNDLE_OUTPUT_DIR, else the current directory.  Exit codes: 0 success,
-1 invariant/comparison failure, 2 configuration error, 3 unexpected
-internal error (reported as one line on stderr, never a traceback).
+1 invariant/comparison failure, 2 configuration error (a wrong type, a
+missing required key or an unknown key is named by its dotted path),
+3 unexpected internal error (one line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -60,8 +65,7 @@ from .linalg import dagger, is_hermitian, is_positive_definite, max_abs, stacked
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
-#: default tolerances for the ``check`` battery, overridable per config
-#: via a "check_tolerances" table
+#: default tolerances of the ``check`` battery, the keys of "check_tolerances"
 CHECK_TOLERANCES = {
     "metric-compatibility": 1e-8,
     "transition-consistency": 1e-8,
@@ -73,188 +77,245 @@ CHECK_TOLERANCES = {
 }
 
 
-# ------------------------------------------------------------ JSON helpers
-
-
-def _complex_from_json(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
-        return complex(entry[0], entry[1])
-    raise ConfigError(f"{where}: expected a number or an [re, im] pair, got {entry!r}")
-
-
-def matrix_from_json(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(f"{where}: expected a list of matrix rows")
-    data = [[_complex_from_json(e, where) for e in row] for row in rows]
-    m = np.array(data, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"{where}: matrix must be square, got shape {m.shape}")
-    return m
-
-
-def vector_from_json(entries, where: str) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{where}: expected a list of vector entries")
-    return np.array([_complex_from_json(e, where) for e in entries], dtype=complex)
+# ---------------------------------------------------------- configuration
+#
+# A config is read through one table of nodes, each mapping its keys to
+# (type, default); the default ``...`` marks a required key.  A type is a
+# function (value, dotted path) -> value that raises a ConfigError naming the
+# path; defaults go through it too.  A key feeding a library parameter of the
+# same name takes that parameter's default (_params); value ranges the
+# library constructors enforce are left to them.
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path!r} must hold a JSON object")
-    return cfg
 
 
-def _take(cfg: dict, key: str, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config is missing the required key {key!r}")
-        return default
-    return cfg[key]
+def _expected(path: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{path or 'config'}: expected {what}, got {value!r}")
+
+
+def _scalar(what: str, accepts, convert=None):
+    """A JSON value that ``accepts``, never a boolean, passed through ``convert``."""
+    def scalar(value, path: str):
+        if isinstance(value, bool) or not accepts(value):
+            raise _expected(path, what, value)
+        return value if convert is None else convert(value)
+    return scalar
+
+
+def _count(least: int):
+    """Integers from ``least`` on; integral floats count, as ``sweep`` writes 3.0."""
+    return _scalar(f"an integer >= {least}", lambda v: (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()) and v >= least, int)
+
+
+def _choice(*options: str):
+    return _scalar("one of " + ", ".join(options), lambda v: isinstance(v, str) and v in options)
+
+
+_number = _scalar("a finite number", lambda v: isinstance(v, (int, float))
+                  and abs(v) <= sys.float_info.max, float)
+_string = _scalar("a string", lambda v: isinstance(v, str))
+
+
+def _optional(kind):
+    return lambda value, path: None if value is None else kind(value, path)
+
+
+def _list_of(item, length: int | None = None):
+    def list_of(value, path: str) -> list:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise _expected(path, "a list" if length is None else f"a list of {length}", value)
+        return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
+    return list_of
+
+
+def _complex(value, path: str) -> complex:
+    """A number, or an [re, im] pair."""
+    if isinstance(value, list):
+        return complex(*_list_of(_number, 2)(value, path))
+    return complex(_number(value, path))
+
+
+def matrix_from_json(rows, where: str) -> np.ndarray:
+    if isinstance(rows, np.ndarray):  # already read
+        return rows
+    if not (isinstance(rows, list) and rows):
+        raise _expected(where, "the rows of a square matrix", rows)
+    return np.array(_list_of(_list_of(_complex, len(rows)), len(rows))(rows, where), dtype=complex)
+
+
+def vector_from_json(entries, where: str) -> np.ndarray:
+    if isinstance(entries, np.ndarray):  # already read
+        return entries
+    if not (isinstance(entries, list) and entries):
+        raise _expected(where, "a list of vector entries", entries)
+    return np.array(_list_of(_complex)(entries, where), dtype=complex)
+
+
+def _state(value, path: str):
+    return value if isinstance(value, str) and value == "random" else vector_from_json(value, path)
+
+
+def _key(node: dict, schema: dict, key: str, path: str):
+    kind, default = schema[key]
+    where = f"{path}.{key}" if path else key
+    if key not in node and default is ...:
+        raise ConfigError(f"{where}: missing required key")
+    return kind(node.get(key, default), where)
+
+
+def _object(schema: dict, tag: str | None = None, default=...):
+    """An object with the keys of ``schema``.  With a ``tag``, ``schema`` maps
+    each value of the tag key (``default`` if absent) to the other keys."""
+    head = {} if tag is None else {tag: (_choice(*schema), default)}
+
+    def walk(node, path: str) -> dict:
+        if not isinstance(node, dict):
+            raise _expected(path, "an object", node)
+        keys = {**head, **(schema if tag is None else schema[_key(node, head, tag, path)])}
+        for key in node:
+            if key not in keys:
+                raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+        return {key: _key(node, keys, key, path) for key in keys}
+    return walk
+
+
+def _params(fn, **types) -> dict:
+    """Keys named after parameters of ``fn``, each given as a type, taking
+    the parameter's default (required if it has none), or as a (type, default) pair."""
+    params = inspect.signature(fn).parameters
+    return {name: kind if isinstance(kind, tuple) else (
+                kind, ... if params[name].default is params[name].empty else params[name].default)
+            for name, kind in types.items()}
+
+
+_VECTOR3 = (_list_of(_number, 3), [0.0, 0.0, 0.0])
+
+#: the two-level model's curves by ``curve.kind``: the constructor and the
+#: types of its parameters, which are the curve's keys
+_S2_CURVES = {
+    "circle": (twolevel.circle_curve, dict(
+        theta0=_number, t_start=_number, t_end=_number, revolutions=_number, phi0=_number)),
+    "meridian": (twolevel.meridian_curve, dict(
+        phi0=(_number, 0.0), theta_from=_number, theta_to=_number, t_start=_number, t_end=_number)),
+    "great-circle": (twolevel.great_circle_curve, dict(
+        inclination=_number, t_start=_number, t_end=_number, revolutions=_number, offset=_number)),
+    "piecewise-waypoints": (twolevel.waypoint_curve, dict(
+        waypoints=_list_of(_list_of(_number, 3)))),
+}
+
+#: the energy keys epsilon and direction feed constant_energy's eps and y
+_ENERGY = inspect.signature(twolevel.constant_energy).parameters
+
+#: keys passed on to twolevel.build_system as they are
+_S2_CHARTS = _params(twolevel.build_system, theta_plus=_number, theta_minus=_number,
+                     pole_margin=_number, pole_phi=_optional(_number))
+
+_COMMON = {
+    "representation": (_choice("eta", "hermitian"), "eta"),
+    "seed": (_count(0), 0),
+    "initial_state": (_state, "random"),
+    "tau": (_optional(_number), None),
+    "stepper": (_object(_params(StepperConfig, method=_string, dt=_number,
+                                target_local_error=_number)), {}),
+    "defect": (_object({"omega_anti_hermitian": (_number, 0.0)}), {}),
+    "outputs": (_list_of(_choice("trajectory-csv", "summary", "invariant-report")),
+                ["trajectory-csv", "summary"]),
+    "check_tolerances": (_object({name: (_number, tol)
+                                  for name, tol in CHECK_TOLERANCES.items()}), {}),
+    "check_samples": (_count(1), 25),
+}
+
+_CONFIG = _object({
+    "s2-two-level": {
+        "curve": (_object({kind: _params(fn, **types) for kind, (fn, types) in _S2_CURVES.items()},
+                          tag="kind"), ...),
+        "scales": (_object({
+            "default": {},
+            "constant": _params(twolevel.constant_scales, xi=_number, zeta=_number,
+                                xi_tilde=_number, zeta_tilde=_number),
+        }, tag="kind", default="default"), {}),
+        "alpha": (_object({"theta": _VECTOR3, "phi": _VECTOR3}), {}),
+        "energy": (_optional(_object({
+            "epsilon": (_number, _ENERGY["eps"].default),
+            "direction": (_list_of(_number, 3), _ENERGY["y"].default),
+        })), None),
+        **_S2_CHARTS,
+        **_COMMON,
+    },
+    "custom-matrix-fields": {
+        "patch": (_string, "main"),
+        "eta": (matrix_from_json, ...),
+        "curve": (_object({"line": {
+            "from": (_list_of(_number), ...),
+            "to": (_list_of(_number), ...),
+            "t_start": (_number, 0.0),
+            "t_end": (_number, 1.0),
+        }}, tag="kind"), ...),
+        "connection": (_optional(_list_of(matrix_from_json)), None),
+        "energy_hermitian": (_optional(matrix_from_json), None),
+        **_COMMON,
+    },
+}, tag="model", default="s2-two-level")
+
+
+def resolve_config(cfg) -> dict:
+    """``cfg`` type-checked, with every default filled in and matrices and
+    states read into complex arrays; resolving it again changes nothing.
+    A wrong type, a missing required key or an unknown key is a ConfigError."""
+    return _CONFIG(cfg, "")
 
 
 # ---------------------------------------------------------- config -> model
 
 
-def _curve_from_config(node: dict, model: str) -> CurvePath:
-    if not isinstance(node, dict):
-        raise ConfigError("'curve' must be an object with a 'kind'")
-    kind = _take(node, "kind", required=True)
-    t0 = float(_take(node, "t_start", 0.0))
-    t1 = float(_take(node, "t_end", 1.0))
-    if not t1 > t0:
-        raise ConfigError(f"curve needs t_end > t_start, got [{t0}, {t1}]")
-    if model == "custom-matrix-fields":
-        if kind != "line":
-            raise ConfigError(
-                f"the custom model supports the 'line' curve, got {kind!r}")
-        r0 = np.asarray(_take(node, "from", required=True), dtype=float)
-        r1 = np.asarray(_take(node, "to", required=True), dtype=float)
-        if r0.shape != r1.shape or r0.ndim != 1:
-            raise ConfigError("'from' and 'to' must be coordinate vectors of equal length")
-        rate = (r1 - r0) / (t1 - t0)
-        return CurvePath(
-            t0, t1,
-            lambda t: r0 + rate * (t - t0),
-            lambda t: rate.copy(),
-            [],
-        )
-    if kind == "circle":
-        return twolevel.circle_curve(
-            float(_take(node, "theta0", required=True)),
-            t_start=t0, t_end=t1,
-            revolutions=float(_take(node, "revolutions", 1.0)),
-            phi0=float(_take(node, "phi0", 0.0)),
-        )
-    if kind == "meridian":
-        return twolevel.meridian_curve(
-            float(_take(node, "phi0", 0.0)),
-            float(_take(node, "theta_from", required=True)),
-            float(_take(node, "theta_to", required=True)),
-            t_start=t0, t_end=t1,
-        )
-    if kind == "great-circle":
-        return twolevel.great_circle_curve(
-            float(_take(node, "inclination", required=True)),
-            t_start=t0, t_end=t1,
-            revolutions=float(_take(node, "revolutions", 1.0)),
-            offset=float(_take(node, "offset", 0.0)),
-        )
-    if kind == "piecewise-waypoints":
-        return twolevel.waypoint_curve(_take(node, "waypoints", required=True))
-    raise ConfigError(f"unknown curve kind {kind!r}")
+def _args(node: dict) -> dict:
+    return {key: value for key, value in node.items() if key != "kind"}
 
 
-def _scales_from_config(node) -> twolevel.ScaleFields | None:
-    if node is None:
-        return None
-    kind = _take(node, "kind", "default")
-    if kind == "default":
-        return None
-    if kind == "constant":
-        return twolevel.constant_scales(
-            float(_take(node, "xi", 1.0)),
-            float(_take(node, "zeta", 1.0)),
-            float(_take(node, "xi_tilde", 1.0)),
-            float(_take(node, "zeta_tilde", 1.0)),
-        )
-    raise ConfigError(f"unknown scales kind {kind!r}")
-
-
-def _alpha_from_config(node) -> twolevel.AlphaField | None:
-    if node is None:
-        return None
-    theta_vec = _take(node, "theta", [0.0, 0.0, 0.0])
-    phi_vec = _take(node, "phi", [0.0, 0.0, 0.0])
-    if len(theta_vec) != 3 or len(phi_vec) != 3:
-        raise ConfigError("'alpha' requires 3-component 'theta' and 'phi' vectors")
-    return twolevel.constant_alpha(theta_vec, phi_vec)
-
-
-def _energy_from_config(node) -> twolevel.EnergyFieldS2 | None:
-    if node is None:
-        return None
-    return twolevel.constant_energy(
-        float(_take(node, "epsilon", 1.0)),
-        _take(node, "direction", (0.0, 0.0, 1.0)),
-    )
-
-
-def _stepper_from_config(node) -> StepperConfig:
-    node = node or {}
-    try:
-        return StepperConfig(
-            method=_take(node, "method", "rk4-fixed"),
-            dt=float(_take(node, "dt", 1e-3)),
-            target_local_error=float(_take(node, "target_local_error", 1e-10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad stepper settings: {exc}") from exc
+def _curve_from_config(node: dict) -> CurvePath:
+    args = _args(node)
+    if "t_start" in args and not args["t_end"] > args["t_start"]:
+        raise ConfigError(f"curve needs t_end > t_start, got [{args['t_start']}, {args['t_end']}]")
+    if node["kind"] != "line":
+        return _S2_CURVES[node["kind"]][0](**args)
+    r0, r1 = np.asarray(args["from"]), np.asarray(args["to"])
+    if r0.shape != r1.shape or not r0.size:
+        raise ConfigError("curve.from and curve.to must be coordinate vectors of equal length")
+    t0, t1 = args["t_start"], args["t_end"]
+    rate = (r1 - r0) / (t1 - t0)
+    return CurvePath(t0, t1, lambda t: r0 + rate * (t - t0), lambda t: rate.copy(), [])
 
 
 def _custom_system(cfg: dict) -> SystemSpec:
-    patch = str(_take(cfg, "patch", "main"))
-    eta = matrix_from_json(_take(cfg, "eta", required=True), "eta")
+    patch, eta, e_mat = cfg["patch"], cfg["eta"], cfg["energy_hermitian"]
     if not is_positive_definite(eta):
         raise ConfigError("'eta' must be a positive-definite Hermitian matrix")
-    curve = _curve_from_config(_take(cfg, "curve", required=True), "custom-matrix-fields")
+    if e_mat is not None and not is_hermitian(e_mat, tol=None):
+        raise ConfigError("'energy_hermitian' must be a Hermitian matrix")
+    curve = _curve_from_config(cfg["curve"])
+    curve.patch_schedule = [((curve.t_start, curve.t_end), patch)]
     dim = curve.points(curve.t_start).shape[0]
-    metric = constant_metric_field(patch, eta, dim=dim)
-
-    conn_cfg = _take(cfg, "connection")
-    if conn_cfg is None:
-        comps = [np.zeros_like(eta) for _ in range(dim)]
-    else:
-        if not isinstance(conn_cfg, list) or len(conn_cfg) != dim:
-            raise ConfigError(
-                f"'connection' must list one matrix per coordinate ({dim})")
-        comps = [matrix_from_json(c, f"connection[{a}]") for a, c in enumerate(conn_cfg)]
-    comps = np.array(comps)
+    comps = cfg["connection"]
+    if comps is not None and len(comps) != dim:
+        raise ConfigError(f"'connection' must list one matrix per coordinate ({dim})")
+    if any(m.shape != eta.shape for m in [*(comps or []), *([] if e_mat is None else [e_mat])]):
+        raise ConfigError("'connection' and 'energy_hermitian' matrices must have the size of 'eta'")
+    comps = np.array([np.zeros_like(eta)] * dim if comps is None else comps)
     form = ConnectionForm(
         patch, stacked(lambda r: np.broadcast_to(comps, (len(r),) + comps.shape)), dim=dim)
-
-    energy = None
-    if "energy_hermitian" in cfg:
-        e_mat = matrix_from_json(cfg["energy_hermitian"], "energy_hermitian")
-        if not is_hermitian(e_mat, tol=None):
-            raise ConfigError("'energy_hermitian' must be a Hermitian matrix")
-        energy = ObservableSection({patch: lambda r: e_mat.copy()}, patch)
-
-    curve = CurvePath(curve.t_start, curve.t_end, curve.position, curve.velocity,
-                      [((curve.t_start, curve.t_end), patch)])
     return SystemSpec(
-        patches={patch: PatchData(metric, form)},
+        patches={patch: PatchData(constant_metric_field(patch, eta, dim=dim), form)},
         curve=curve,
-        energy=energy,
+        energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}, patch),
         metadata={"model": "custom-matrix-fields"},
     )
 
@@ -280,72 +341,43 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
 
 def build_from_config(cfg: dict) -> SystemSpec:
     """Resolve a configuration dictionary into a ready SystemSpec."""
-    model = _take(cfg, "model", "s2-two-level")
-    if model == "s2-two-level":
-        curve = _curve_from_config(_take(cfg, "curve", required=True), model)
-        system = twolevel.build_system(
-            curve,
-            scales=_scales_from_config(_take(cfg, "scales")),
-            alpha=_alpha_from_config(_take(cfg, "alpha")),
-            energy=_energy_from_config(_take(cfg, "energy")),
-            theta_plus=float(_take(cfg, "theta_plus", twolevel.THETA_PLUS_DEFAULT)),
-            theta_minus=float(_take(cfg, "theta_minus", twolevel.THETA_MINUS_DEFAULT)),
-            pole_margin=float(_take(cfg, "pole_margin", twolevel.POLE_MARGIN)),
-            pole_phi=_take(cfg, "pole_phi", 0.0),
-        )
-    elif model == "custom-matrix-fields":
+    cfg = resolve_config(cfg)
+    if cfg["model"] == "custom-matrix-fields":
         system = _custom_system(cfg)
     else:
-        raise ConfigError(f"unknown model {model!r}")
-
-    defect = _take(cfg, "defect")
-    if defect:
-        mag = float(_take(defect, "omega_anti_hermitian", 0.0))
-        if mag != 0.0:
-            system = _apply_connection_defect(system, mag)
+        scales, alpha, energy = cfg["scales"], cfg["alpha"], cfg["energy"]
+        system = twolevel.build_system(
+            _curve_from_config(cfg["curve"]),
+            scales=(None if scales["kind"] == "default"
+                    else twolevel.constant_scales(**_args(scales))),
+            alpha=twolevel.constant_alpha(alpha["theta"], alpha["phi"]),
+            energy=(None if energy is None
+                    else twolevel.constant_energy(energy["epsilon"], energy["direction"])),
+            **{key: cfg[key] for key in _S2_CHARTS},
+        )
+    magnitude = cfg["defect"]["omega_anti_hermitian"]
+    if magnitude != 0.0:
+        system = _apply_connection_defect(system, magnitude)
     return system
 
 
 def _initial_state(cfg: dict, system: SystemSpec, rng: np.random.Generator) -> np.ndarray:
-    node = _take(cfg, "initial_state", "random")
     pid = system.curve.patch_schedule[0][1]
     dim = system.patch(pid).metric.eta(system.curve.points(system.curve.t_start)).shape[0]
-    if node == "random":
+    psi = cfg["initial_state"]
+    if isinstance(psi, str):  # "random"
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return psi / np.linalg.norm(psi)
-    psi = vector_from_json(node, "initial_state")
     if psi.shape != (dim,):
         raise ConfigError(f"initial_state must have {dim} components, got {psi.shape[0]}")
     return psi
 
 
-def _resolved_config(cfg: dict) -> dict:
-    out = copy.deepcopy(cfg)
-    out.setdefault("model", "s2-two-level")
-    out.setdefault("representation", "eta")
-    out.setdefault("seed", 0)
-    out.setdefault("outputs", ["trajectory-csv", "summary"])
-    stepper = out.setdefault("stepper", {})
-    stepper.setdefault("method", "rk4-fixed")
-    stepper.setdefault("dt", 1e-3)
-    out["package_version"] = __version__
-    return out
-
-
 # ---------------------------------------------------------------- outputs
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _output_dir(args) -> Path:
-    if getattr(args, "output_dir", None):
-        base = Path(args.output_dir)
-    elif os.environ.get("QBUNDLE_OUTPUT_DIR"):
-        base = Path(os.environ["QBUNDLE_OUTPUT_DIR"])
-    else:
-        base = Path.cwd()
+    base = Path(args.output_dir or os.environ.get("QBUNDLE_OUTPUT_DIR") or Path.cwd())
     base.mkdir(parents=True, exist_ok=True)
     return base
 
@@ -386,60 +418,52 @@ def _write_trajectory_csv(path: Path, result, dim: int) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """``payload`` as JSON, with complex arrays as nested [re, im] pairs."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=lambda a: np.stack([a.real, a.imag], axis=-1).tolist())
         fh.write("\n")
 
 
 def _run_one(cfg: dict):
     """Build, evolve and summarize one configuration."""
+    cfg = resolve_config(cfg)
     system = build_from_config(cfg)
-    stepper = _stepper_from_config(_take(cfg, "stepper"))
-    rng = np.random.default_rng(int(_take(cfg, "seed", 0)))
-    psi0 = _initial_state(cfg, system, rng)
-    representation = _take(cfg, "representation", "eta")
-    if representation not in ("eta", "hermitian"):
-        raise ConfigError(f"unknown representation {representation!r}")
-    tau = _take(cfg, "tau")
-    tau = None if tau is None else float(tau)
+    try:
+        stepper = StepperConfig(**cfg["stepper"])
+    except ValueError as exc:
+        raise ConfigError(f"bad stepper settings: {exc}") from exc
+    psi0 = _initial_state(cfg, system, np.random.default_rng(cfg["seed"]))
+    tau = cfg["tau"]
     result = evolve_across_patches(system, psi0, tau=tau, stepper=stepper,
-                                   representation=representation)
+                                   representation=cfg["representation"])
     summary = {
-        "config": _resolved_config(cfg),
+        "config": {**cfg, "package_version": __version__},
         "final_time": float(result.times[-1]),
         "final_state": [[float(c.real), float(c.imag)] for c in result.final_state],
         "norm_drift": (float(np.max(np.abs(result.eta_norm - result.eta_norm[0])))
                        if result.eta_norm is not None else None),
         "samples": int(len(result.times)),
-        "schedule": [[list(map(float, iv)), pid]
-                     for iv, pid in system.curve.patch_schedule],
-        "tau": (tau if tau is not None
-                else (system.default_tau() if system.overlap_window else None)),
+        "schedule": [[list(map(float, iv)), pid] for iv, pid in system.curve.patch_schedule],
+        "tau": tau if tau is not None else (system.default_tau() if system.overlap_window else None),
     }
     return system, result, summary
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = resolve_config(_load_config(args.config))
     system, result, summary = _run_one(cfg)
-    outputs = _take(cfg, "outputs", ["trajectory-csv", "summary"])
-    stem = Path(args.config).stem
-    out_dir = _output_dir(args)
-    dim = result.states.shape[1]
+    stem, out_dir = Path(args.config).stem, _output_dir(args)
     written = []
-    if "trajectory-csv" in outputs:
-        path = out_dir / f"{stem}_trajectory.csv"
-        _write_trajectory_csv(path, result, dim)
-        written.append(path)
-    if "summary" in outputs:
-        path = out_dir / f"{stem}_summary.json"
-        _write_json(path, summary)
-        written.append(path)
-    if "invariant-report" in outputs:
-        report = run_checks(cfg, system, result)
-        path = out_dir / f"{stem}_invariants.json"
-        _write_json(path, report)
-        written.append(path)
+    if "trajectory-csv" in cfg["outputs"]:
+        written.append(out_dir / f"{stem}_trajectory.csv")
+        _write_trajectory_csv(written[-1], result, result.states.shape[1])
+    if "summary" in cfg["outputs"]:
+        written.append(out_dir / f"{stem}_summary.json")
+        _write_json(written[-1], summary)
+    if "invariant-report" in cfg["outputs"]:
+        written.append(out_dir / f"{stem}_invariants.json")
+        _write_json(written[-1], run_checks(cfg, system, result))
     drift = summary["norm_drift"]
     print(f"run: {len(result.times)} samples, final t = {summary['final_time']:g}, "
           f"norm drift = {drift:.3e}" if drift is not None else "run: done")
@@ -478,30 +502,20 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     overlap rows (transition consistency, intertwiner unitarity, section
     compatibility) evaluate the stack of ``check_samples`` overlap points in
     one call per chart pair."""
+    cfg = resolve_config(cfg)
     if system is None or result is None:
         system, result, _ = _run_one(cfg)
-    tolerances = dict(CHECK_TOLERANCES)
-    for key, val in (_take(cfg, "check_tolerances") or {}).items():
-        if key not in tolerances:
-            raise ConfigError(f"unknown check name {key!r} in check_tolerances")
-        tolerances[key] = float(val)
-    rng = np.random.default_rng(int(_take(cfg, "seed", 0)))
-    n = int(_take(cfg, "check_samples", 25))
+    rng = np.random.default_rng(cfg["seed"])
+    n = cfg["check_samples"]
     curve = system.curve
     samples = _schedule_samples(system, rng, n)
     rows = []
 
     def add(name, values, samples=None):  # samples: one per value unless given
         values = np.ravel(values)
-        worst = float(np.max(values)) if values.size else 0.0
-        tol = tolerances[name]
-        rows.append({
-            "name": name,
-            "samples": values.size if samples is None else samples,
-            "max_residual": worst,
-            "tolerance": tol,
-            "passed": bool(worst <= tol),
-        })
+        worst, tol = float(np.max(values)), cfg["check_tolerances"][name]
+        rows.append({"name": name, "samples": values.size if samples is None else samples,
+                     "max_residual": worst, "tolerance": tol, "passed": bool(worst <= tol)})
 
     # metric compatibility of each chart's connection along the curve; the
     # pointwise residuals below are evaluated on each chart's stack of samples
@@ -570,8 +584,7 @@ def _cmd_check(args) -> int:
     system, result, _ = _run_one(cfg)
     report = run_checks(cfg, system, result)
     _print_report(report)
-    out_dir = _output_dir(args)
-    path = out_dir / f"{Path(args.config).stem}_invariants.json"
+    path = _output_dir(args) / f"{Path(args.config).stem}_invariants.json"
     _write_json(path, report)
     print(f"wrote {path}")
     return 0 if report["all_passed"] else 1
@@ -581,10 +594,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = _load_config(args.config_a)
-    cfg_b = _load_config(args.config_b)
-    _, res_a, sum_a = _run_one(cfg_a)
-    _, res_b, sum_b = _run_one(cfg_b)
+    (_, res_a, sum_a), (_, res_b, sum_b) = (
+        _run_one(_load_config(path)) for path in (args.config_a, args.config_b))
     if res_a.states.shape[1] != res_b.states.shape[1]:
         raise ConfigError("cannot compare runs with different state dimensions")
     delta = float(max_abs(res_a.final_state - res_b.final_state))
@@ -603,20 +614,14 @@ def _cmd_compare(args) -> int:
 
 
 def _set_by_path(cfg: dict, dotted: str, value) -> None:
-    node = cfg
-    keys = dotted.split(".")
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(key)]
-        else:
-            node = node.setdefault(key, {})
-        if not isinstance(node, (dict, list)):
-            raise ConfigError(f"cannot descend into {key!r} of sweep path {dotted!r}")
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    """Set the key or list index at ``dotted``, adding missing objects."""
+    node, (*parents, last) = cfg, dotted.split(".")
+    try:
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+        node[int(last) if isinstance(node, list) else last] = value
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot set sweep path {dotted!r}: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -627,34 +632,23 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values produced an empty list")
-    out_dir = _output_dir(args)
-    path = out_dir / f"{Path(args.config).stem}_sweep.csv"
+    path = _output_dir(args) / f"{Path(args.config).stem}_sweep.csv"
     first_final = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header_written = False
         for v in values:
             variant = copy.deepcopy(cfg)
             _set_by_path(variant, args.param, v)
             _, result, summary = _run_one(variant)
-            dim = result.states.shape[1]
-            if not header_written:
-                header = [args.param]
-                for k in range(dim):
-                    header += [f"re_psi_{k}", f"im_psi_{k}"]
-                header += ["norm_drift", "delta_vs_first"]
-                writer.writerow(header)
-                header_written = True
             if first_final is None:
                 first_final = result.final_state
+                writer.writerow([args.param] + [f"{p}_psi_{k}" for k in range(len(first_final))
+                                                for p in ("re", "im")]
+                                + ["norm_drift", "delta_vs_first"])
             delta = float(max_abs(result.final_state - first_final))
-            row = [_fmt(v)]
-            for c in result.final_state:
-                row += [_fmt(float(c.real)), _fmt(float(c.imag))]
-            drift = summary["norm_drift"]
-            row.append(_fmt(drift) if drift is not None else "")
-            row.append(_fmt(delta))
-            writer.writerow(row)
+            cells = [v, *(x for pair in summary["final_state"] for x in pair),
+                     summary["norm_drift"], delta]
+            writer.writerow(["" if x is None else f"{x:.17g}" for x in cells])
             print(f"{args.param} = {v:g}: endpoint delta vs first = {delta:.3e}")
     print(f"wrote {path}")
     return 0

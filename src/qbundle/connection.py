@@ -52,6 +52,9 @@ CURVATURE_FD_STEP = 1e-4
 #: time step for finite-difference curve velocities
 VELOCITY_FD_STEP = 1e-6
 
+#: number of interior samples of CurvePath.velocity_consistency
+VELOCITY_CHECK_SAMPLES = 50
+
 
 class ConnectionForm:
     """Matrix-valued connection coefficients on one chart.
@@ -131,10 +134,10 @@ class CurvePath:
                 out.add(pid)
         return out
 
-    def velocity_consistency(self, n_samples: int = 50) -> float:
+    def velocity_consistency(self) -> float:
         """Max deviation between declared velocity and a central difference
         of the position over interior samples (a sanity diagnostic)."""
-        ts = np.linspace(self.t_start, self.t_end, n_samples + 2)[1:-1]
+        ts = np.linspace(self.t_start, self.t_end, VELOCITY_CHECK_SAMPLES + 2)[1:-1]
         h = VELOCITY_FD_STEP
         return linalg.max_abs((self.points(ts + h) - self.points(ts - h)) / (2.0 * h)
                               - self.velocities(ts))

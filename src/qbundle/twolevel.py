@@ -57,6 +57,9 @@ THETA_MINUS_DEFAULT = np.pi / 3.0
 #: curves may not come closer than this to either coordinate pole
 POLE_MARGIN = 1e-3
 
+#: the chart itinerary samples a curve at this many evenly spaced times
+ITINERARY_SAMPLES = 2001
+
 #: |theta - pi| below this counts as "at the south pole" for conventions
 _POLE_EPS = 1e-12
 
@@ -828,14 +831,13 @@ def waypoint_curve(waypoints: Sequence[Sequence[float]]) -> CurvePath:
 # ------------------------------------------------------------- assembly
 
 
-def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float,
-               pole_margin: float, n_samples: int = 2001):
+def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_margin: float):
     """Sample the curve and work out the chart itinerary.
 
     Returns (schedule, overlap_window).  Raises CurveTouchesPoleMargin or
     OutOfPatch/ConfigError when no admissible single-switch itinerary
     exists."""
-    ts = np.linspace(curve.t_start, curve.t_end, n_samples)
+    ts = np.linspace(curve.t_start, curve.t_end, ITINERARY_SAMPLES)
     thetas = curve.points(ts)[:, 0]
     if np.any(thetas < pole_margin) or np.any(thetas > np.pi - pole_margin):
         worst = ts[int(np.argmin(np.minimum(thetas, np.pi - thetas)))]

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 import qbundle
-from qbundle.cli import _run_one, _write_trajectory_csv, build_from_config, main, run_checks
+from qbundle.cli import (
+    CHECK_TOLERANCES,
+    _run_one,
+    _write_trajectory_csv,
+    build_from_config,
+    main,
+    resolve_config,
+    run_checks,
+)
 from qbundle.dynamics import evolve
 from qbundle.errors import ConfigError
 from qbundle.stepping import StepperConfig
@@ -445,14 +454,131 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("overrides", [{"seed": "x"}, {"scales": 5}])
-def test_unexpected_errors_exit_3_without_traceback(tmp_path, monkeypatch, capsys, overrides):
+def test_unexpected_errors_exit_3_without_traceback(tmp_path, monkeypatch, capsys):
+    """A failure inside the program, not in the config, exits 3 with one line."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
     monkeypatch.chdir(tmp_path)
-    cfg_dict = base_config()
-    cfg_dict.update(overrides)
-    cfg = write_config(tmp_path / "odd.json", cfg_dict)
+    monkeypatch.setattr(qbundle.cli, "evolve_across_patches", boom)
+    cfg = write_config(tmp_path / "odd.json", base_config())
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- schema
+
+
+def readme_config():
+    """The README's minimal configuration, read from README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"minimal configuration:\s*```json\n(.*?)```", text, re.S)[1])
+
+
+def test_readme_minimal_configuration_runs(tmp_path):
+    cfg = write_config(tmp_path / "readme.json", readme_config())
+    assert main(["run", cfg, "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "readme_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, sweep, named", [
+    ({"seed": "x"}, None, "seed"),
+    ({"seed": -1}, None, "seed"),
+    ({"seed": True}, None, "seed"),
+    ({"tau": "x"}, None, "tau"),
+    ({"theta_plus": "x"}, None, "theta_plus"),
+    ({"curve.phi0": "x"}, None, "curve.phi0"),
+    ({"curve.phi_0": 0.3}, None, "curve.phi_0"),
+    ({"energy.direction": "ab"}, None, "energy.direction"),
+    ({"energy.epsilon": math.nan}, None, "energy.epsilon"),
+    ({"curve": {"kind": "piecewise-waypoints", "waypoints": "x"}}, None, "curve.waypoints"),
+    ({"curve": {"kind": "piecewise-waypoints", "waypoints": [[0, 0.5, 0], [1, 1.0, 0]],
+                "t_end": 1.0}}, None, "curve.t_end"),
+    ({"check_samples": "x"}, None, "check_samples"),
+    ({"check_samples": -1}, None, "check_samples"),
+    ({"check_samples": 0}, None, "check_samples"),
+    ({"scales": 5}, None, "scales"),
+    ({"stepper": 5}, None, "stepper"),
+    ({"stepper.methd": "rk4-fixed"}, None, "stepper.methd"),
+    ({"energy": 5}, None, "energy"),
+    ({"defect": 5}, None, "defect"),
+    ({"outputs": 5}, None, "outputs"),
+    ({"outputs": ["summry"]}, None, "outputs[0]"),
+    ({"check_tolerances": 5}, None, "check_tolerances"),
+    ({"alpha.theta": 5}, None, "alpha.theta"),
+    ({"reprsentation": "eta"}, None, "reprsentation"),
+    ({"eta": [[1, 0], [0, 1]]}, None, "eta"),
+    ({}, "stepper.tdt", "stepper.tdt"),
+])
+def test_malformed_configs_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                 overrides, sweep, named):
+    """Each value changed on the README configuration is a configuration
+    error that names its dotted key, for ``run`` and for ``sweep`` variants."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = readme_config()
+    for dotted, value in overrides.items():
+        *parents, last = dotted.split(".")
+        node = cfg_dict
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = value
+    cfg = write_config(tmp_path / "bad.json", cfg_dict)
+    argv = ["run", cfg] if sweep is None else ["sweep", cfg, "--param", sweep,
+                                               "--values", "0.01,0.02"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: {named}")
+
+
+def _readme_with(**overrides):
+    cfg = readme_config()
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg_dict", [
+    _readme_with(),
+    _readme_with(representation="hermitian"),
+    _readme_with(initial_state="random", seed=7),
+    custom_config(connection=[[[[0, 0], [2, 0]], [[0.5, 0], [0, 0]]]]),
+], ids=["readme-eta", "readme-hermitian", "random-state", "custom-model"])
+def test_summary_config_reproduces_the_run(tmp_path, cfg_dict):
+    """The summary's config lists every value the run used: fed back to
+    ``run``, it gives the same trajectory and summary, byte for byte."""
+    (tmp_path / "again").mkdir()
+    first = write_config(tmp_path / "job.json", cfg_dict)
+    assert main(["run", first, "--output-dir", str(tmp_path / "a")]) == 0
+    config = json.loads((tmp_path / "a" / "job_summary.json").read_text())["config"]
+    assert config.pop("package_version") == qbundle.__version__
+    again = write_config(tmp_path / "again" / "job.json", config)
+    assert main(["run", again, "--output-dir", str(tmp_path / "b")]) == 0
+    for name in ("job_trajectory.csv", "job_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cfg_dict", [
+    base_config(),
+    _readme_with(scales={"kind": "constant", "xi": 2}, curve={"kind": "circle", "theta0": 1}),
+    custom_config(connection=[[[[0, 0], [2, 0]], [[0.5, 0], [0, 0]]]]),
+])
+def test_resolving_a_resolved_config_changes_nothing(cfg_dict):
+    resolved = resolve_config(cfg_dict)
+    assert resolve_config(resolved) == resolved
+    assert resolved["stepper"]["target_local_error"] == StepperConfig().target_local_error
+    assert set(resolved["check_tolerances"]) == set(CHECK_TOLERANCES)
+
+
+def test_sweep_over_an_integer_key(tmp_path, monkeypatch):
+    """``sweep`` writes its values as floats; an integer key takes 3.0 as 3."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict.update(initial_state="random", outputs=["summary"])
+    cfg = write_config(tmp_path / "job.json", cfg_dict)
+    assert main(["sweep", cfg, "--param", "seed", "--values", "3,4"]) == 0
+    rows = (tmp_path / "job_sweep.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["3", "4"]
+    assert float(rows[2].split(",")[-1]) > 1e-3
