@@ -454,14 +454,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_unexpected_errors_exit_3_without_traceback(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"stepper": {"method": "rk4-adaptive", "target_local_error": 1e-8}},
+])
+def test_unexpected_errors_exit_3_without_traceback(tmp_path, monkeypatch, capsys, overrides):
     """A failure inside the program, not in the config, exits 3 with one line."""
     def boom(*args, **kwargs):
         raise RuntimeError("boom\nsecond line")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(qbundle.cli, "evolve_across_patches", boom)
-    cfg = write_config(tmp_path / "odd.json", base_config())
+    cfg_dict = base_config()
+    cfg_dict.update(overrides)
+    cfg = write_config(tmp_path / "odd.json", cfg_dict)
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
