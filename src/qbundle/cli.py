@@ -632,24 +632,25 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values produced an empty list")
+    rows, first_final = [], None
+    for v in values:
+        variant = copy.deepcopy(cfg)
+        _set_by_path(variant, args.param, v)
+        _, result, summary = _run_one(variant)
+        if first_final is None:
+            first_final = result.final_state
+            rows.append([args.param] + [f"{p}_psi_{k}" for k in range(len(first_final))
+                                        for p in ("re", "im")]
+                        + ["norm_drift", "delta_vs_first"])
+        delta = float(max_abs(result.final_state - first_final))
+        cells = [v, *(x for pair in summary["final_state"] for x in pair),
+                 summary["norm_drift"], delta]
+        rows.append(["" if x is None else f"{x:.17g}" for x in cells])
+        print(f"{args.param} = {v:g}: endpoint delta vs first = {delta:.3e}")
+    # written after every variant has run, so a failed sweep keeps the old file
     path = _output_dir(args) / f"{Path(args.config).stem}_sweep.csv"
-    first_final = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for v in values:
-            variant = copy.deepcopy(cfg)
-            _set_by_path(variant, args.param, v)
-            _, result, summary = _run_one(variant)
-            if first_final is None:
-                first_final = result.final_state
-                writer.writerow([args.param] + [f"{p}_psi_{k}" for k in range(len(first_final))
-                                                for p in ("re", "im")]
-                                + ["norm_drift", "delta_vs_first"])
-            delta = float(max_abs(result.final_state - first_final))
-            cells = [v, *(x for pair in summary["final_state"] for x in pair),
-                     summary["norm_drift"], delta]
-            writer.writerow(["" if x is None else f"{x:.17g}" for x in cells])
-            print(f"{args.param} = {v:g}: endpoint delta vs first = {delta:.3e}")
+        csv.writer(fh).writerows(rows)
     print(f"wrote {path}")
     return 0
 

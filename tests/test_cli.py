@@ -352,6 +352,17 @@ def test_sweep_nested_parameter(tmp_path, monkeypatch):
     assert float(rows[2].split(",")[-1]) < 1e-8
 
 
+def test_failed_sweep_leaves_the_earlier_csv(tmp_path, monkeypatch, capsys):
+    """The sweep CSV is written only after every variant has run."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "job.json", base_config())
+    assert main(["sweep", cfg, "--param", "tau", "--values", "0.4,0.6"]) == 0
+    good = (tmp_path / "job_sweep.csv").read_bytes()
+    assert main(["sweep", cfg, "--param", "stepper.tdt", "--values", "0.01"]) == 2
+    capsys.readouterr()
+    assert (tmp_path / "job_sweep.csv").read_bytes() == good
+
+
 def test_sweep_rejects_bad_values(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "job.json", base_config())

@@ -288,26 +288,3 @@ def test_fixed_steps_evaluate_each_node_once():
         per_stage.append(y + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     assert np.array_equal(res.states, np.array(stepped))
     assert max_abs(res.states - np.array(per_stage)) <= 1e-14 * np.linalg.norm(psi0)
-
-
-def test_adaptive_attempts_evaluate_at_most_four_new_nodes(monkeypatch):
-    """An adaptive attempt (three RK4 steps) has five distinct nodes; the
-    first is shared with the previous attempt.  The nodes of an attempt are
-    evaluated before its first RK4 step."""
-    calls, evaluated = [], []
-    rk4_step = stepping.rk4_step
-
-    def counted_step(*args):
-        if counted_step.n % 3 == 0:
-            evaluated.append(len(calls))
-        counted_step.n += 1
-        return rk4_step(*args)
-
-    counted_step.n = 0
-    monkeypatch.setattr(stepping, "rk4_step", counted_step)
-    res = evolve(counting_generator(calls), np.array([1.0, 0.5j]), 0.0, 3.0,
-                 StepperConfig(method="rk4-adaptive", dt=0.5, target_local_error=1e-12))
-    new = np.diff([0] + evaluated)
-    assert counted_step.n % 3 == 0 and len(new) == counted_step.n // 3
-    assert len(new) > len(res.times) - 1  # some attempts were rejected
-    assert new[0] == 5 and np.all(new[1:] <= 4)

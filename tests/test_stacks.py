@@ -409,24 +409,6 @@ def test_fixed_steps_call_the_generator_once_per_chart_segment(monkeypatch):
     assert sum(stacks) == 2 * (len(res.times) - 2) + 2  # 2n+1 nodes per segment
 
 
-def test_adaptive_attempts_call_the_generator_at_most_once(monkeypatch):
-    stacks = counting_generators(monkeypatch)
-    steps = []
-    rk4_step = stepping.rk4_step
-
-    def counted_step(*args):
-        steps.append(1)
-        return rk4_step(*args)
-
-    monkeypatch.setattr(stepping, "rk4_step", counted_step)
-    evolve_across_patches(readme_system(), np.array([0.8, -0.2 + 0.4j]),
-                          stepper=StepperConfig(method="rk4-adaptive", dt=0.05,
-                                                target_local_error=1e-12))
-    attempts = len(steps) // 3
-    assert len(steps) % 3 == 0 and 0 < len(stacks) <= attempts
-    assert max(stacks) == 5 and sorted(stacks)[:-2] == [4] * (len(stacks) - 2)
-
-
 def test_fixed_chunks_share_their_boundary_node(monkeypatch):
     """Chunked fixed steps give the same states; each chunk is one call and
     no node is evaluated twice."""

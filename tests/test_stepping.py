@@ -42,12 +42,14 @@ def test_fixed_step_order_four():
     assert 10.0 < e1 / e2 < 22.0
 
 
-def test_backwards_integration_inverts_forwards():
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk4-adaptive"])
+def test_backwards_integration_inverts_forwards(method):
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    _, fwd = integrate(lambda t: h, y0, 0.0, 1.0, StepperConfig(dt=1e-3))
-    _, back = integrate(lambda t: h, fwd[-1], 1.0, 0.0, StepperConfig(dt=1e-3))
+    config = StepperConfig(method=method, dt=1e-3)
+    _, fwd = integrate(lambda t: h, y0, 0.0, 1.0, config)
+    _, back = integrate(lambda t: h, fwd[-1], 1.0, 0.0, config)
     np.testing.assert_allclose(back[-1], y0, atol=1e-9)
 
 
@@ -63,17 +65,43 @@ def test_adaptive_meets_tolerance():
     assert np.all(np.diff(times) > 0)
 
 
+def test_adaptive_is_the_fixed_run_at_the_accepted_step_count():
+    """rk4-adaptive doubles the step count that dt gives and returns the
+    fixed run at the count it accepts, bit for bit."""
+    gen = lambda t: np.array([[1j * np.cos(5 * t), 0.3], [0.3, -1j * np.sin(2 * t)]])
+    y0 = np.array([1.0, 0.5j])
+    times, ys = integrate(gen, y0, 0.0, 3.0,
+                          StepperConfig(method="rk4-adaptive", dt=0.1, target_local_error=1e-10))
+    n = len(times) - 1
+    assert n > 60 and n % 30 == 0 and (n // 30) & (n // 30 - 1) == 0  # 30 * 2^k, k >= 2
+    fixed_times, fixed_ys = integrate(gen, y0, 0.0, 3.0, StepperConfig(dt=3.0 / n))
+    assert np.array_equal(times, fixed_times)
+    assert np.array_equal(ys, fixed_ys)
+
+
+def test_adaptive_raises_past_the_step_budget(monkeypatch):
+    """An unreachable target stops at ADAPTIVE_MAX_STEPS, naming the last
+    error estimate and its step count."""
+    monkeypatch.setattr(stepping, "ADAPTIVE_MAX_STEPS", 100)
+    gen = lambda t: np.array([[np.cos(5 * t)]])
+    with pytest.raises(StepperDiverged, match=r"error estimate \d\.\d+e-\d+ at 60 steps"):
+        integrate(gen, np.array([1.0 + 0j]), 0.0, 3.0,
+                  StepperConfig(method="rk4-adaptive", dt=0.1, target_local_error=1e-30))
+
+
 def test_divergence_detected():
     """dy/dt = 10 y overflows at t = ln(max float) / 10 = 70.978 under both
-    steppers, and the error names the sample time.  An RK4 stage sum, about
-    60 y, may overflow up to ln(60) / 10 = 0.41 earlier."""
+    steppers, and the error names the sample time.  The adaptive mode first
+    runs the fixed steps that dt gives, so it names the same time."""
     t_overflow = math.log(np.finfo(float).max) / 10.0
+    named = []
     for config in (StepperConfig(dt=0.01),
                    StepperConfig(method="rk4-adaptive", dt=0.01, target_local_error=1e-6)):
         with pytest.raises(StepperDiverged) as err:
             integrate(lambda t: 10j * np.eye(1), np.array([1.0 + 0j]), 0.0, 200.0, config)
-        t_bad = float(str(err.value).rsplit("=", 1)[1])
-        assert t_overflow - math.log(60.0) / 10.0 < t_bad < t_overflow + 0.02
+        named.append(float(str(err.value).rsplit("=", 1)[1]))
+    assert named[0] == named[1]
+    assert abs(named[0] - t_overflow) < 0.02
 
 
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk4-adaptive"])
