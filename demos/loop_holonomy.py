@@ -14,7 +14,7 @@ north pole) and a -1-like loop near the chart boundary.
 
 import numpy as np
 
-from qbundle import twolevel as tl
+from qbundle import linalg, twolevel as tl
 from qbundle.connection import assemble_connection, transport_operator
 from qbundle.stepping import StepperConfig
 
@@ -24,8 +24,8 @@ def holonomy_eigenphases(theta0: float) -> np.ndarray:
     mf = tl.metric_field(scales, tl.PLUS)
     form = assemble_connection(
         mf,
-        omega_fn=lambda r: tl.omega_lower(r[0], r[1], scales, None, tl.PLUS),
-        a0_fn=lambda r: tl.a_zero_closed(r[0], r[1], scales, tl.PLUS),
+        omega_fn=linalg.stacked(lambda r: tl.omega_lower(r[:, 0], r[:, 1], scales, None, tl.PLUS)),
+        a0_fn=linalg.stacked(lambda r: tl.a_zero_closed(r[:, 0], r[:, 1], scales, tl.PLUS)),
     )
     curve = tl.circle_curve(theta0)
     curve.patch_schedule.append(((0.0, 1.0), tl.PLUS))

@@ -13,12 +13,13 @@ H~ = g^{-1} H g - i g^{-1} gdot.  The combination
 is *unitary* and glues the Hermitian representations of the two charts;
 observables in Hermitian form transform as  o~ = G^{-1} o G.
 
-:func:`evolve_across_patches` walks the curve's chart itinerary segment by
-segment: integrate on one chart up to a switch time inside the overlap
-dwell, convert the state with g^{-1}, continue on the next chart.  Physical
-endpoints do not depend on the switch time.  In the Hermitian representation
-the conversion uses G^{-1}, and the state Phi jumps at the switch (G is not
-the identity) while all eta-norms stay continuous.
+:meth:`SystemSpec.segments` decides a run's chart itinerary once: the
+((t_a, t_b), patch) segments for a switch time tau inside the overlap dwell.
+:func:`evolve_across_patches` walks them, converting the state with g^{-1}
+at the switch, and the CLI's summary and check battery read the same list.
+Physical endpoints do not depend on the switch time.  In the Hermitian
+representation the conversion uses G^{-1}, and the state Phi jumps at the
+switch (G is not the identity) while all eta-norms stay continuous.
 
 The generators of :class:`SystemSpec` are marked
 :func:`qbundle.linalg.stacked`: called on a stack of times they evaluate the
@@ -299,8 +300,8 @@ class SystemSpec:
     patches : chart label -> PatchData
     transition : transition function between the two charts (None for a
         single-chart system)
-    curve : the parametrized curve, with its patch_schedule naming which
-        chart is used on which parameter interval
+    curve : the parametrized curve, with its patch_schedule naming the chart
+        order; :meth:`segments` makes it a run's segments for a switch time
     energy : optional observable section holding the physical Hamiltonian in
         Hermitian form per chart
     overlap_window : parameter interval during which the curve lies in the
@@ -408,6 +409,29 @@ class SystemSpec:
             raise TauNotInOverlap("system has no overlap window")
         return 0.5 * (self.overlap_window[0] + self.overlap_window[1])
 
+    def segments(self, tau: float | None = None) -> list[tuple[tuple[float, float], str]]:
+        """The run's chart itinerary, ((t_a, t_b), patch) per segment.  One
+        chart gives one segment, whatever ``tau`` is.  Two charts switch at
+        ``tau`` (default :meth:`default_tau`), which must lie in the overlap
+        dwell with its curve point in the overlap, else TauNotInOverlap."""
+        pids = [pid for _, pid in self.curve.patch_schedule]
+        span = (self.curve.t_start, self.curve.t_end)
+        if len(pids) == 1:
+            return [(span, pids[0])]
+        if len(pids) != 2:
+            raise TauNotInOverlap(
+                f"expected a one- or two-chart schedule, got {len(pids)} entries")
+        if tau is None:
+            tau = self.default_tau()
+        if self.overlap_window is not None:
+            lo, hi = self.overlap_window
+            if not (lo <= tau <= hi):
+                raise TauNotInOverlap(f"tau = {tau} outside the overlap dwell [{lo}, {hi}]")
+        r_tau = self.curve.points(tau)
+        if not self.transition_into(pids[1]).in_overlap(r_tau):
+            raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
+        return [((span[0], tau), pids[0]), ((tau, span[1]), pids[1])]
+
 
 # ------------------------------------------------------ chart-switched evolution
 
@@ -419,57 +443,37 @@ def evolve_across_patches(
     stepper: StepperConfig = StepperConfig(),
     representation: str = "eta",
 ) -> EvolutionResult:
-    """Evolve along the curve's chart itinerary, switching charts at tau.
+    """Evolve along the chart segments of ``system.segments(tau)``.
 
-    The curve's patch_schedule names one chart, or two consecutive charts
-    with the switch at tau.  In the default ("eta") representation the state
-    converts at the switch by psi~ = g^{-1} psi; in the "hermitian"
-    representation the input/output states are Phi = rho psi and the
-    conversion is Phi~ = G^{-1} Phi.  The returned trajectory contains two
-    samples at each switch, one per chart, so the frame switch is visible in
-    the record.
+    In the default ("eta") representation the state converts at a switch by
+    psi~ = g^{-1} psi; in the "hermitian" representation the input/output
+    states are Phi = rho psi and the conversion is Phi~ = G^{-1} Phi.  The
+    returned trajectory contains two samples at each switch, one per chart,
+    so the frame switch is visible in the record.
 
-    Raises :class:`TauNotInOverlap` when the curve point at tau is outside
-    the chart overlap.
+    Raises :class:`TauNotInOverlap` when tau is not an admissible switch
+    time (see :meth:`SystemSpec.segments`).
     """
     if representation not in ("eta", "hermitian"):
         raise ValueError(f"unknown representation {representation!r}")
     hermitian = representation == "hermitian"
-    pids = [pid for _, pid in system.curve.patch_schedule]
-    bounds = [system.curve.t_start, system.curve.t_end]
-    if len(pids) == 2:
-        if tau is None:
-            tau = system.default_tau()
-        if system.overlap_window is not None:
-            lo, hi = system.overlap_window
-            if not (lo <= tau <= hi):
-                raise TauNotInOverlap(
-                    f"tau = {tau} outside the overlap dwell [{lo}, {hi}]"
-                )
-        r_tau = system.curve.points(tau)
-        if not system.transition_into(pids[1]).in_overlap(r_tau):
-            raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
-        bounds.insert(1, tau)
-    elif len(pids) != 1:
-        raise TauNotInOverlap(
-            f"expected a one- or two-chart schedule, got {len(pids)} entries"
-        )
+    segments = system.segments(tau)
 
     psi = psi0
     pieces: list[EvolutionResult] = []
-    for k, pid in enumerate(pids):
+    for k, ((ta, tb), pid) in enumerate(segments):
         if k:
-            r = system.curve.points(bounds[k])
+            r = system.curve.points(ta)
             transition = system.transition_into(pid)
             if hermitian:
-                gg = big_g(system.patch(pids[k - 1]).metric, system.patch(pid).metric,
+                gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
                            transition, r, check_tol=None)
                 psi = np.linalg.inv(gg) @ psi
             else:
                 psi = transform_state(transition, r, psi)
         pieces.append(evolve(
             system.hermitian_generator(pid) if hermitian else system.generator(pid),
-            psi, bounds[k], bounds[k + 1], stepper,
+            psi, ta, tb, stepper,
             curve_metric=None if hermitian else system.curve_metric(pid),
             energy=None if hermitian else system.energy_generator(pid),
             patch_id=pid,

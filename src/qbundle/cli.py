@@ -53,7 +53,6 @@ from .bundle import (
     PatchData,
     SystemSpec,
     big_g,
-    check_section_compatibility,
     evolve_across_patches,
     tilde_eta,
     unitarity_defect,
@@ -361,8 +360,9 @@ def build_from_config(cfg: dict) -> SystemSpec:
     return system
 
 
-def _initial_state(cfg: dict, system: SystemSpec, rng: np.random.Generator) -> np.ndarray:
-    pid = system.curve.patch_schedule[0][1]
+def _initial_state(cfg: dict, system: SystemSpec, pid: str,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The configured or seeded initial state on the first chart ``pid``."""
     dim = system.patch(pid).metric.eta(system.curve.points(system.curve.t_start)).shape[0]
     psi = cfg["initial_state"]
     if isinstance(psi, str):  # "random"
@@ -433,9 +433,9 @@ def _run_one(cfg: dict):
         stepper = StepperConfig(**cfg["stepper"])
     except ValueError as exc:
         raise ConfigError(f"bad stepper settings: {exc}") from exc
-    psi0 = _initial_state(cfg, system, np.random.default_rng(cfg["seed"]))
-    tau = cfg["tau"]
-    result = evolve_across_patches(system, psi0, tau=tau, stepper=stepper,
+    segments = system.segments(cfg["tau"])
+    psi0 = _initial_state(cfg, system, segments[0][1], np.random.default_rng(cfg["seed"]))
+    result = evolve_across_patches(system, psi0, tau=cfg["tau"], stepper=stepper,
                                    representation=cfg["representation"])
     summary = {
         "config": {**cfg, "package_version": __version__},
@@ -444,8 +444,8 @@ def _run_one(cfg: dict):
         "norm_drift": (float(np.max(np.abs(result.eta_norm - result.eta_norm[0])))
                        if result.eta_norm is not None else None),
         "samples": int(len(result.times)),
-        "schedule": [[list(map(float, iv)), pid] for iv, pid in system.curve.patch_schedule],
-        "tau": tau if tau is not None else (system.default_tau() if system.overlap_window else None),
+        "schedule": [[list(map(float, iv)), pid] for iv, pid in segments],
+        "tau": segments[1][0][0] if len(segments) > 1 else None,
     }
     return system, result, summary
 
@@ -475,17 +475,6 @@ def _cmd_run(args) -> int:
 # ----------------------------------------------------------------- checks
 
 
-def _schedule_samples(system: SystemSpec, rng, n: int):
-    """(patch, times) for each scheduled interval: n times drawn uniformly
-    from it."""
-    out = []
-    for (ta, tb), pid in system.curve.patch_schedule:
-        lo, hi = min(ta, tb), max(ta, tb)
-        pad = 1e-9 * (hi - lo)
-        out.append((pid, rng.uniform(lo + pad, hi - pad, n)))
-    return out
-
-
 def _worst_entries(m: np.ndarray) -> np.ndarray:
     """Max-entry norm of each matrix of a stack."""
     return np.max(np.abs(m), axis=(-2, -1))
@@ -501,20 +490,26 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     rows evaluate each chart's stack of curve samples in one call; the three
     overlap rows (transition consistency, intertwiner unitarity, section
     compatibility) evaluate the stack of ``check_samples`` overlap points in
-    one call per chart pair."""
+    one call per chart pair.  The charts and their intervals are the run's
+    segments for the config's ``tau``."""
     cfg = resolve_config(cfg)
     if system is None or result is None:
         system, result, _ = _run_one(cfg)
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["check_samples"]
     curve = system.curve
-    samples = _schedule_samples(system, rng, n)
+    segments = system.segments(cfg["tau"])
+    samples = []  # (patch, n times drawn uniformly from its segment's interior)
+    for (ta, tb), pid in segments:
+        lo, hi = min(ta, tb), max(ta, tb)
+        pad = 1e-9 * (hi - lo)
+        samples.append((pid, rng.uniform(lo + pad, hi - pad, n)))
     rows = []
 
-    def add(name, values, samples=None):  # samples: one per value unless given
+    def add(name, values):  # one value per sample point
         values = np.ravel(values)
         worst, tol = float(np.max(values)), cfg["check_tolerances"][name]
-        rows.append({"name": name, "samples": values.size if samples is None else samples,
+        rows.append({"name": name, "samples": values.size,
                      "max_residual": worst, "tolerance": tol, "passed": bool(worst <= tol)})
 
     # metric compatibility of each chart's connection along the curve; the
@@ -526,24 +521,20 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         for pid, ts in samples
     ]))
 
-    two_chart = system.transition is not None and system.overlap_window is not None
-    if two_chart:
-        lo, hi = system.overlap_window
-        overlap_ts = rng.uniform(lo, hi, n)
-        (_, pid_a), (_, pid_b) = curve.patch_schedule[0], curve.patch_schedule[1]
+    if len(segments) == 2 and system.overlap_window is not None:
+        (_, pid_a), (_, pid_b) = segments
         metric_a = system.patch(pid_a).metric
         metric_b = system.patch(pid_b).metric
         transition = system.transition_into(pid_b)
-        pts = curve.points(overlap_ts)
+        pts = curve.points(rng.uniform(*system.overlap_window, n))
         add("transition-consistency",
             _worst_entries(tilde_eta(transition, metric_a, pts) - metric_b.eta(pts)))
-        add("intertwiner-unitarity",
-            unitarity_defect(big_g(metric_a, metric_b, transition, pts, check_tol=None)))
+        # one G per overlap point serves both the unitarity and the section row
+        gg = big_g(metric_a, metric_b, transition, pts, check_tol=None)
+        add("intertwiner-unitarity", unitarity_defect(gg))
         if system.energy is not None:
-            add("section-compatibility",
-                check_section_compatibility(system.energy, pid_a, pid_b,
-                                            metric_a, metric_b, transition, pts),
-                samples=len(pts))
+            o_a, o_b = (system.energy.matrix(pid, pts) for pid in (pid_a, pid_b))
+            add("section-compatibility", _worst_entries(o_b - dagger(gg) @ o_a @ gg))
 
     # Hermitian-representation generator must be Hermitian
     def hermiticity(pid, ts):
@@ -556,9 +547,9 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     def no_go(pid, ts):
         cm = system.curve_metric(pid)
         h = system.generator(pid)(ts)
-        op = cm.operator(ts)
-        return _worst_entries(dagger(h) - op.eta @ h @ op.eta_inv
-                              - 1j * cm.eta_dot(ts) @ op.eta_inv)
+        eta = cm.eta(ts)
+        eta_inv = np.linalg.inv(eta)
+        return _worst_entries(dagger(h) - eta @ h @ eta_inv - 1j * cm.eta_dot(ts) @ eta_inv)
 
     add("no-go-defect", np.concatenate([no_go(pid, ts) for pid, ts in samples]))
 

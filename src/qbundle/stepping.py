@@ -8,7 +8,8 @@ loop with n and 2n steps, estimates the 2n run's error as
 max|y_2n(t1) - y_n(t1)| / 15 and returns that run once the estimate is at most
 ``target_local_error`` per step; otherwise it doubles n again.  An adaptive
 result is thus the fixed run at its accepted step count, and the same inputs
-always give the same steps.
+always give the same steps.  No run takes more than ``MAX_STEPS`` steps: a
+``dt`` that asks for more, or doubling past it, raises StepperDiverged.
 
 Nodes.  An RK4 step samples H at its start, midpoint and end, and each step
 ends on the float the next one starts at, so H is evaluated once per node
@@ -58,9 +59,9 @@ class StepperConfig:
 #: at once, so a segment's generator and matrix stacks stay bounded
 FIXED_CHUNK_STEPS = 1024
 
-#: the adaptive mode raises StepperDiverged rather than double the step count
-#: past this, which bounds the memory a run's stored states take
-ADAPTIVE_MAX_STEPS = 2**20
+#: a run raises StepperDiverged rather than take more steps than this (from
+#: dt, or by adaptive doubling), which bounds the memory its stored states take
+MAX_STEPS = 2**20
 
 
 def rk4_step(nodes, y: np.ndarray, h: float) -> np.ndarray:
@@ -101,12 +102,18 @@ def integrate(
     starting at t0 and ending exactly at t1, states stacks y at each
     recorded time along axis 0.  Integrating backwards (t1 < t0) is
     supported.  A state that stops being finite raises
-    :class:`qbundle.errors.StepperDiverged` naming its sample time.
+    :class:`qbundle.errors.StepperDiverged` naming its sample time, and so
+    does a ``dt`` that would take more than ``MAX_STEPS`` steps.
     """
     y = np.asarray(y0, dtype=complex)
     if t1 == t0:
         return np.array([t0]), y[np.newaxis].copy()
-    n = max(1, int(round(abs(t1 - t0) / config.dt)))
+    # Python floats overflow to inf here without a numpy warning
+    steps = abs(float(t1) - float(t0)) / config.dt
+    if not steps <= MAX_STEPS:
+        raise StepperDiverged(f"dt = {config.dt:g} takes {steps:.3g} steps over "
+                              f"[{t0}, {t1}], above the budget MAX_STEPS = {MAX_STEPS}")
+    n = max(1, int(round(steps)))
     if config.method == RK4_FIXED:
         return _integrate_fixed(generator, y, t0, t1, n)
     return _integrate_adaptive(generator, y, t0, t1, n, config.target_local_error)
@@ -143,7 +150,7 @@ def _integrate_adaptive(generator, y, t0, t1, n, tol):
     scale = max(1.0, float(np.max(np.abs(y))))
     coarse = _integrate_fixed(generator, y, t0, t1, n)[1][-1]
     err = np.inf
-    while 2 * n <= ADAPTIVE_MAX_STEPS:
+    while 2 * n <= MAX_STEPS:
         n *= 2
         times, states = _integrate_fixed(generator, y, t0, t1, n)
         # RK4 is order 4, so the doubling estimate carries a 1/(2^4 - 1) factor
@@ -152,4 +159,4 @@ def _integrate_adaptive(generator, y, t0, t1, n, tol):
             return times, states
         coarse = states[-1]
     raise StepperDiverged(f"rk4-adaptive error estimate {err:.3e} at {n} steps is above the "
-                          f"target; ADAPTIVE_MAX_STEPS = {ADAPTIVE_MAX_STEPS} stops the doubling")
+                          f"target; MAX_STEPS = {MAX_STEPS} stops the doubling")

@@ -42,7 +42,6 @@ from .connection import CurvePath, assemble_connection
 from .errors import (
     ConfigError,
     CurveTouchesPoleMargin,
-    OutOfPatch,
     PoleAmbiguity,
 )
 from .linalg import ID2, SIGMA1, SIGMA2, SIGMA3, pauli_dot
@@ -65,25 +64,6 @@ _POLE_EPS = 1e-12
 
 #: finite-difference step for scale-field partials without a closed form
 SCALAR_FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class S2Point:
-    """A point of the sphere together with the chart it is referred to."""
-
-    theta: float
-    phi: float
-    patch: str = PLUS
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.theta <= np.pi + 1e-12):
-            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.patch not in (PLUS, MINUS):
-            raise ConfigError(f"patch must be '{PLUS}' or '{MINUS}', got {self.patch!r}")
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.theta, self.phi], dtype=float)
 
 
 # ---------------------------------------------------------------- fields
@@ -835,8 +815,7 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_mar
     """Sample the curve and work out the chart itinerary.
 
     Returns (schedule, overlap_window).  Raises CurveTouchesPoleMargin or
-    OutOfPatch/ConfigError when no admissible single-switch itinerary
-    exists."""
+    ConfigError when no admissible single-switch itinerary exists."""
     ts = np.linspace(curve.t_start, curve.t_end, ITINERARY_SAMPLES)
     thetas = curve.points(ts)[:, 0]
     if np.any(thetas < pole_margin) or np.any(thetas > np.pi - pole_margin):
@@ -895,7 +874,8 @@ def build_system(
     chart when possible, otherwise a plus/minus switch with the default
     switch time at the midpoint of the overlap dwell.  Curves entering the
     pole margin are rejected, as are curves that would require more than
-    one switch.
+    one switch.  Every generator evaluation checks that its points lie in
+    their chart (OutOfPatch).
     """
     if not (0.0 < theta_minus < theta_plus < np.pi):
         raise ConfigError(
@@ -918,18 +898,6 @@ def build_system(
             a0_fn=linalg.stacked(lambda r, p=pid: a_zero_closed(r[:, 0], r[:, 1], scales, p)),
         )
         patches[pid] = PatchData(metric=mf, connection=conn)
-
-    # verify the declared itinerary stays inside the chart domains
-    for (ta, tb), pid in schedule:
-        ts = np.linspace(ta, tb, 101)
-        rs = curve.points(ts)
-        inside = patches[pid].metric.contains(rs)
-        if not inside.all():
-            k = int(np.argmin(inside))
-            raise OutOfPatch(
-                f"curve point {rs[k]} at t = {ts[k]:.6g} lies "
-                f"outside its scheduled chart '{pid}'"
-            )
 
     section = None
     if energy is not None:

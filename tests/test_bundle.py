@@ -12,6 +12,8 @@ constant on the left chart and g^{-1} psi0 on the right chart, so every
 endpoint has a closed form.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -377,3 +379,33 @@ def test_single_chart_passthrough():
     res_h = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2),
                                   representation="hermitian")
     np.testing.assert_allclose(res_h.eta_norm, np.linalg.norm(PSI0), atol=1e-12)
+
+
+def test_segments_switch_at_the_default_tau():
+    system = make_system()
+    assert system.segments() == [((0.0, 0.5), "left"), ((0.5, 1.0), "right")]
+    assert system.segments()[1][0][0] == system.default_tau()
+
+
+def test_segments_switch_at_an_explicit_tau():
+    assert make_system().segments(0.3) == [((0.0, 0.3), "left"), ((0.3, 1.0), "right")]
+
+
+def test_segments_reject_a_tau_outside_the_dwell():
+    system = make_system()
+    for tau in (0.1, 0.8):
+        with pytest.raises(TauNotInOverlap, match="dwell"):
+            system.segments(tau)
+    # a hand-built window wider than the overlap: the curve point is checked too
+    wide = dataclasses.replace(system, overlap_window=(0.0, 1.0))
+    with pytest.raises(TauNotInOverlap, match="not in the overlap"):
+        wide.segments(0.1)
+
+
+def test_segments_on_one_chart_ignore_tau():
+    metric = constant_metric_field("only", np.eye(2), dim=1)
+    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
+                      [((0.0, 1.0), "only")])
+    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve)
+    for tau in (None, 0.3, 5.0):
+        assert system.segments(tau) == [((0.0, 1.0), "only")]

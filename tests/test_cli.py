@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,75 @@ def test_check_samples_the_overlap_inside_both_charts(tmp_path, monkeypatch):
     assert main(["check", cfg]) == 0
     report = json.loads((tmp_path / "edge_invariants.json").read_text())
     assert report["all_passed"]
+
+
+def test_explicit_tau_is_the_switch_the_summary_records(tmp_path, monkeypatch):
+    """With tau set, the summary's schedule and tau describe the switch the
+    run made: the trajectory's last plus row and first minus row sit at tau."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict["tau"] = 0.3
+    cfg = write_config(tmp_path / "early.json", cfg_dict)
+    assert main(["run", cfg]) == 0
+    summary = json.loads((tmp_path / "early_summary.json").read_text())
+    with open(tmp_path / "early_trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    plus = [float(r["t"]) for r in rows if r["patch"] == "plus"]
+    minus = [float(r["t"]) for r in rows if r["patch"] == "minus"]
+    assert summary["tau"] == plus[-1] == minus[0] == 0.3
+    assert summary["schedule"] == [[[0.0, 0.3], "plus"], [[0.3, 1.0], "minus"]]
+
+
+def test_check_chart_rows_sample_the_run_segments():
+    """With tau set, the battery samples each chart on the run's segment,
+    not on the default switch at the middle of the overlap dwell."""
+    cfg = base_config()
+    cfg["tau"] = 0.3
+    system, result, _ = _run_one(cfg)
+    seen, hermitian_generator = [], system.hermitian_generator
+
+    def spy(pid):
+        gen = hermitian_generator(pid)
+
+        def h(ts):
+            seen.append((pid, np.asarray(ts)))
+            return gen(ts)
+        return h
+
+    system.hermitian_generator = spy
+    assert run_checks(cfg, system, result)["all_passed"]
+    (pid_a, plus), (pid_b, minus) = seen
+    assert (pid_a, pid_b) == ("plus", "minus") and plus.size == minus.size == 25
+    assert 0.0 < plus.min() and plus.max() < 0.3 < minus.min() and minus.max() < 1.0
+
+
+def test_single_chart_run_reports_no_switch(tmp_path, monkeypatch):
+    """A curve inside one chart never switches, so a configured tau is
+    ignored and the summary's tau is null."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "circle.json", {
+        "curve": {"kind": "circle", "theta0": 1.0}, "tau": 0.3, "outputs": ["summary"]})
+    assert main(["run", cfg]) == 0
+    summary = json.loads((tmp_path / "circle_summary.json").read_text())
+    assert summary["tau"] is None
+    assert summary["schedule"] == [[[0.0, 1.0], "plus"]]
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk4-adaptive"])
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_a_dt_past_the_step_budget_exits_2(tmp_path, monkeypatch, capsys, dt, method):
+    """A dt that asks for more than stepping.MAX_STEPS steps is refused before
+    anything is allocated: exit 2, one line on stderr, no numpy warning."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict["stepper"] = {"method": method, "dt": dt}
+    cfg = write_config(tmp_path / "tiny.json", cfg_dict)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "MAX_STEPS" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,0 +1,18 @@
+"""Smoke test: every script in demos/ runs to the end and prints its table."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+def test_the_demos_are_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

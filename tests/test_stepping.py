@@ -80,9 +80,9 @@ def test_adaptive_is_the_fixed_run_at_the_accepted_step_count():
 
 
 def test_adaptive_raises_past_the_step_budget(monkeypatch):
-    """An unreachable target stops at ADAPTIVE_MAX_STEPS, naming the last
+    """An unreachable target stops at MAX_STEPS, naming the last
     error estimate and its step count."""
-    monkeypatch.setattr(stepping, "ADAPTIVE_MAX_STEPS", 100)
+    monkeypatch.setattr(stepping, "MAX_STEPS", 100)
     gen = lambda t: np.array([[np.cos(5 * t)]])
     with pytest.raises(StepperDiverged, match=r"error estimate \d\.\d+e-\d+ at 60 steps"):
         integrate(gen, np.array([1.0 + 0j]), 0.0, 3.0,

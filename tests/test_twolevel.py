@@ -77,17 +77,6 @@ def overlap_points(rng, n):
 # ---------------------------------------------------------------- inputs
 
 
-def test_s2point_validation():
-    p = tl.S2Point(0.3, 1.5, tl.MINUS)
-    np.testing.assert_allclose(p.coords, [0.3, 1.5])
-    with pytest.raises(ConfigError):
-        tl.S2Point(-0.2, 0.0)
-    with pytest.raises(ConfigError):
-        tl.S2Point(4.0, 0.0)
-    with pytest.raises(ConfigError):
-        tl.S2Point(0.3, 0.0, "equichart")
-
-
 def test_scalar_field_fd_partials():
     f = tl.ScalarField(lambda th, ph: math.sin(2.0 * th) * math.cos(ph))
     dt, dp = f.partials(0.7, 1.1)
