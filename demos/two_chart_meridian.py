@@ -22,17 +22,25 @@ PSI0 = np.array([0.8, -0.2 + 0.4j])
 STEP = StepperConfig(dt=1e-3)
 
 
+def itinerary(system, tau):
+    """The run's chart segments for switch time ``tau``, as plain text."""
+    return ", ".join(f"[{ta:.4f}, {tb:.4f}] on {pid}" for (ta, tb), pid in system.segments(tau))
+
+
 def main():
     curve = tl.meridian_curve(0.3, np.pi / 6.0, 5.0 * np.pi / 6.0)
     system = tl.build_system(curve, energy=ENERGY)
     lo, hi = system.overlap_window
-    print(f"itinerary : {[(tuple(np.round(iv, 4)), p) for iv, p in system.curve.patch_schedule]}")
+    taus = (0.30, 0.40, 0.50, 0.60, 0.70)
     print(f"overlap dwell: t in ({lo:.4f}, {hi:.4f})")
+    print("itinerary per switch time, system.segments(tau):")
+    for tau in taus + (0.35,):
+        print(f"  tau = {tau:.2f}: {itinerary(system, tau)}")
 
     # ---- switch-time independence ---------------------------------------
     print(f"\n{'tau':>6} {'final state (minus chart)':>42} {'delta vs first':>15}")
     reference = None
-    for tau in (0.30, 0.40, 0.50, 0.60, 0.70):
+    for tau in taus:
         res = evolve_across_patches(system, PSI0, tau=tau, stepper=STEP)
         if reference is None:
             reference = res.final_state

@@ -114,7 +114,7 @@ class TransitionFunctionField:
         return self._values(self._g_fn, point, "g")
 
     def g_inv(self, point) -> np.ndarray:
-        return np.linalg.inv(self.g(point))
+        return linalg.inv(self.g(point))
 
     def partial_g(self, point) -> np.ndarray:
         """d g / d R^a for each coordinate a, analytic when available:
@@ -197,7 +197,7 @@ def transform_hamiltonian(
     ``gdot`` uses the supplied derivative or a central difference in t.
     """
     g = linalg.as_square(g_of_t(t), "g")
-    g_inv = np.linalg.inv(g)
+    g_inv = linalg.inv(g)
     if g_dot_of_t is not None:
         gd = g_dot_of_t(t)
     else:
@@ -349,7 +349,8 @@ class SystemSpec:
 
         def h_e(r, op: MetricOperator | None = None) -> np.ndarray:
             op = metric.operator(r) if op is None else op
-            return op.rho_inv @ self.energy.matrix(patch_id, r) @ op.rho
+            return linalg.matmul(linalg.matmul(op.rho_inv, self.energy.matrix(patch_id, r)),
+                                 op.rho)
 
         return h_e
 
@@ -468,7 +469,7 @@ def evolve_across_patches(
             if hermitian:
                 gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
                            transition, r, check_tol=None)
-                psi = np.linalg.inv(gg) @ psi
+                psi = linalg.inv(gg) @ psi
             else:
                 psi = transform_state(transition, r, psi)
         pieces.append(evolve(

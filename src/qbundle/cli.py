@@ -60,7 +60,7 @@ from .bundle import (
 from .connection import ConnectionForm, CurvePath, check_metric_compatibility
 from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
-from .linalg import dagger, is_hermitian, is_positive_definite, max_abs, stacked
+from .linalg import dagger, inv, is_hermitian, is_positive_definite, max_abs, stacked
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
@@ -548,7 +548,7 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         cm = system.curve_metric(pid)
         h = system.generator(pid)(ts)
         eta = cm.eta(ts)
-        eta_inv = np.linalg.inv(eta)
+        eta_inv = inv(eta)
         return _worst_entries(dagger(h) - eta @ h @ eta_inv - 1j * cm.eta_dot(ts) @ eta_inv)
 
     add("no-go-defect", np.concatenate([no_go(pid, ts) for pid, ts in samples]))

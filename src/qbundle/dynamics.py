@@ -21,14 +21,14 @@ both forms being implemented and cross-checked.  rhodot is obtained either
 from the metric's coordinate partials by solving the Sylvester equation
 rho X + X rho = etadot, or by a central time difference as a fallback.
 
-The Sylvester equation is solved in the eigenbasis that the square root of
-eta already computed: with eta = V diag(w) V^dag,
+The Sylvester equation is solved by :meth:`MetricOperator.root_derivative`:
+in closed form for 2x2, else in the eigenbasis of eta = V diag(w) V^dag,
 
     rhodot = V [ (V^dag etadot V)_ij / (sqrt w_i + sqrt w_j) ] V^dag,
 
-so one Hermitian evaluation factorises eta once (``eigh`` plus the inverse
-of rho).  Callers that hold the :class:`MetricOperator` at t pass it as
-``op`` to :meth:`CurveMetric.rho_dot` and :func:`hermitian_representation`.
+so one Hermitian evaluation factorises eta once.  Callers that hold the
+:class:`MetricOperator` at t pass it as ``op`` to :meth:`CurveMetric.rho_dot`
+and :func:`hermitian_representation`.
 
 :class:`CurveMetric` and :func:`hermitian_representation` take one time or a
 stack of times (n,), with matching stacks of generators and operators.
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .connection import ConnectionForm, CurvePath
-from .errors import InvalidState, OutOfPatch
+from .errors import InvalidState
 from .metric import MetricField, MetricOperator, split_pseudo
 from .stepping import StepperConfig, integrate
 
@@ -130,10 +130,9 @@ class CurveMetric:
         """d(rho)/dt along the curve.
 
         method "sylvester" differentiates the defining relation rho rho = eta:
-        rhodot solves  rho X + X rho = etadot  (unique for positive rho),
-        in the eigenbasis of ``op``, the metric at t (factorised here when
-        not given).  method "fd" uses a central difference of rho(t); it is
-        the independent oracle for the Sylvester route.
+        rhodot solves  rho X + X rho = etadot  (unique for positive rho) through
+        ``op``, the metric at t (factorised here when not given).  method "fd",
+        a central difference of rho(t), is the Sylvester route's independent oracle.
         """
         if method == "sylvester":
             op = self.operator(t) if op is None else op
@@ -149,12 +148,8 @@ class CurveMetric:
 
 
 def geometric_hamiltonian(a_form: ConnectionForm, path: CurvePath, t: float) -> np.ndarray:
-    """H_A(t) = sum_a Rdot^a(t) A_a(R(t)) on the chart of the connection."""
-    pid = path.patch_at(t)
-    if pid is not None and a_form.patch_id is not None and pid != a_form.patch_id:
-        raise OutOfPatch(
-            f"path is on chart '{pid}' at t={t} but connection is on '{a_form.patch_id}'"
-        )
+    """H_A(t) = sum_a Rdot^a(t) A_a(R(t)) on the chart of the connection;
+    OutOfPatch when R(t) lies outside that chart."""
     return a_form.contracted(path.points(t), path.velocities(t))
 
 
@@ -228,7 +223,8 @@ def hermitian_representation(
     has already computed them."""
     op = curve_metric.operator(t) if op is None else op
     rho_dot = curve_metric.rho_dot(t, op=op) if rho_dot is None else rho_dot
-    return op.rho @ np.asarray(h_full, dtype=complex) @ op.rho_inv + 1j * rho_dot @ op.rho_inv
+    rho_h = linalg.matmul(op.rho, np.asarray(h_full, dtype=complex))
+    return linalg.matmul(rho_h + 1j * rho_dot, op.rho_inv)
 
 
 def hermitian_representation_via_physical(

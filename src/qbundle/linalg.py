@@ -16,6 +16,11 @@ stack by :func:`over_points`, the only code that knows the calling rule: a
 callable marked with :func:`stacked` receives the whole stack and returns
 one result per point, any other callable is called once per point.
 
+2x2 kernels.  On (n, 2, 2) stacks, the two-level hot path, numpy's per-matrix
+dispatch costs more than the arithmetic, so :func:`matmul`, :func:`inv` and
+:func:`hermitian_sqrt` use closed forms entry by entry; other sizes take ``@``,
+``numpy.linalg.inv`` and ``eigh``, the oracle the kernels are tested against.
+
 Conventions: hbar = 1 everywhere; matrix norms used for tolerance checks are
 max-absolute-entry norms unless stated otherwise.
 """
@@ -215,18 +220,19 @@ def is_positive_definite(m, tol: float | None = None) -> bool:
     return not np.any(_not_positive(w, tol))
 
 
-def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
+def hermitian_sqrt(m, tol: float | None = None):
     """Unique positive-definite square root of a positive-definite matrix.
 
     Computed spectrally: m = V diag(w) V'  ->  sqrt(m) = V diag(sqrt(w)) V'.
-    ``numpy.linalg.eigh`` returns eigenvalues in ascending order, which fixes
-    the decomposition deterministically; the resulting square root does not
-    depend on the basis chosen inside degenerate eigenspaces.
+    ``numpy.linalg.eigh`` returns eigenvalues in ascending order, which fixes the
+    decomposition deterministically; the resulting square root does not depend
+    on the basis chosen inside degenerate eigenspaces.  A 2x2 matrix takes closed
+    forms: its ascending eigenvalues, and the root (m + sqrt(det) I) / sqrt(tr + 2 sqrt(det)),
+    with det computed after an exact scaling by :func:`_scale`, so it stays in range.
 
-    With ``eigenpairs`` the result is (sqrt(m), sqrt(w), V), so a caller can
-    reuse the factorisation.  A stack (..., N, N) is factorised in one call
-    and each matrix checked on its own.  Raises NotPositiveDefinite when a
-    matrix fails the Hermiticity or the positivity check, naming the first.
+    A stack (..., N, N) is factorised in one call and each matrix checked on its
+    own.  Raises NotPositiveDefinite, naming the first matrix that fails the
+    Hermiticity or the positivity check.
     The Hermiticity gate is 1e-10 relative to each matrix's largest entry,
     floored at 1, so products such as g^dag eta g with large entries pass
     with their rounding-level residual.
@@ -236,15 +242,56 @@ def hermitian_sqrt(m, tol: float | None = None, eigenpairs: bool = False):
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(f"matrix is not Hermitian (residual {res[k]:.3e}){where}")
-    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    h = 0.5 * (m + dagger(m))
+    if h.shape[-1] == 2:
+        a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])
+        r = np.hypot(0.5 * (a - d), b)
+        w = np.stack((0.5 * (a + d) - r, 0.5 * (a + d) + r), axis=-1)
+    else:
+        w, v = np.linalg.eigh(h)
     bad = _not_positive(w, tol)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(
             f"matrix is not positive definite (min eigenvalue {w[k][0]:.3e}){where}")
-    root_w = np.sqrt(w)
-    root = (v * root_w[..., None, :]) @ dagger(v)
-    return (root, root_w, v) if eigenpairs else root
+    if h.shape[-1] == 2:
+        k = _scale(np.maximum(a, d))
+        s = np.sqrt((a * k) * (d * k) - (b * k) * (b * k)) / k
+        return (h + s[..., None, None] * ID2) / np.sqrt(a + d + 2.0 * s)[..., None, None]
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+
+
+def _scale(x: np.ndarray) -> np.ndarray:
+    """Per entry of x >= 0, the power of 2 k with 1/2 <= k x < 1, at most 2**1022."""
+    return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1022))
+
+
+def inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack, without validation: for 2x2, the adjugate
+    over the determinant, after an exact scaling by :func:`_scale`, else
+    ``numpy.linalg.inv``.  Either raises LinAlgError on an exactly singular matrix."""
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.inv(m)
+    p, q, r, s = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    k = _scale(np.maximum(np.maximum(abs(p), abs(q)), np.maximum(abs(r), abs(s))))
+    p, q, r, s = p * k, q * k, r * k, s * k
+    det = p * s - q * r
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.stack((s, -q, -r, p), axis=-1).reshape(m.shape) * (k / det)[..., None, None]
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, without validation.  Two stacks of 2x2 matrices (..., 2, 2)
+    multiply entry by entry, broadcasting their leading axes; any other
+    shapes use ``@``."""
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
 
 
 def matrix_exp(m) -> np.ndarray:

@@ -15,19 +15,20 @@ pseudo-Hermitian.
 inverse; :class:`MetricField` is a metric-valued field over a coordinate patch
 of the base manifold, with analytic or finite-difference partial derivatives.
 
-Stacks.  Every :class:`MetricField` method takes one point (d,) or a stack
-of points (n, d) and returns one result or a stack of n.  The field's
-callables are evaluated through :func:`qbundle.linalg.over_points`, so a
-pointwise ``eta_fn`` works unchanged and one marked
-:func:`qbundle.linalg.stacked` is called once per stack.  A
-:class:`MetricOperator` built from a stack (n, N, N) factorises all n metrics
-in one batched ``eigh`` and holds stacks of rho, rho^{-1} and eta^{-1}.  The
-chart domain, shape, finiteness, Hermiticity and positivity checks apply to
-every point of a stack, and their errors name the first failing point.
+Stacks.  Every :class:`MetricField` method takes one point (d,) or a stack of
+points (n, d) and returns one result or a stack of n.  The field's callables are
+evaluated through :func:`qbundle.linalg.over_points`, so a pointwise ``eta_fn``
+works unchanged and one marked :func:`qbundle.linalg.stacked` is called once per
+stack.  A :class:`MetricOperator` built from a stack (n, N, N) factorises all n
+metrics in one :func:`qbundle.linalg.hermitian_sqrt` call and holds stacks of
+rho, rho^{-1} and eta^{-1}.  The chart domain, shape, finiteness, Hermiticity
+and positivity checks apply to every point of a stack, and their errors name the
+first failing point.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,16 +58,23 @@ class MetricOperator:
     rho_inv, eta_inv : ndarray
         Cached inverses.
     root_eigvals, eigvecs : ndarray
-        Spectral factorisation eta = V diag(root_eigvals**2) V^dag, kept
-        from the square root for :meth:`root_derivative`.
+        Spectral factorisation eta = V diag(root_eigvals**2) V^dag, computed
+        by ``eigh`` on first use, for :meth:`root_derivative` when N != 2.
     """
 
     def __init__(self, eta):
         self.eta = linalg.as_square(eta, "eta")
-        self.rho, self.root_eigvals, self.eigvecs = linalg.hermitian_sqrt(
-            self.eta, eigenpairs=True)
-        self.rho_inv = np.linalg.inv(self.rho)
-        self.eta_inv = self.rho_inv @ self.rho_inv
+        self.rho = linalg.hermitian_sqrt(self.eta)
+        self.rho_inv = linalg.inv(self.rho)
+        self.eta_inv = linalg.inv(self.eta)
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = np.linalg.eigh(0.5 * (self.eta + linalg.dagger(self.eta)))
+        return np.sqrt(w), v
+
+    root_eigvals = property(lambda self: self._spectrum[0])
+    eigvecs = property(lambda self: self._spectrum[1])
 
     @property
     def dim(self) -> int:
@@ -78,10 +86,17 @@ class MetricOperator:
     def root_derivative(self, eta_dot) -> np.ndarray:
         """rhodot for a given etadot: the solution X of  rho X + X rho = etadot.
 
-        In the eigenbasis of eta the equation is diagonal,
-        X = V [(V^dag etadot V)_ij / (sqrt w_i + sqrt w_j)] V^dag,
-        and the denominators are positive, so X is unique.
+        For 2x2, Cayley-Hamilton (u^2 = u - e I for u = rho / tr rho, e = det u)
+        gives  X = [(1 + e) C - u C - C u + u C u] / (2 e tr rho)  with C = etadot.
+        Otherwise, in the eigenbasis of eta the equation is diagonal, X =
+        V [(V^dag etadot V)_ij / (sqrt w_i + sqrt w_j)] V^dag, and X is unique.
         """
+        if self.dim == 2:
+            t = (self.rho[..., 0, 0].real + self.rho[..., 1, 1].real)[..., None, None]
+            u = self.rho * (1.0 / t)
+            e = (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0])[..., None, None]
+            uc, cu = linalg.matmul(u, eta_dot), linalg.matmul(eta_dot, u)
+            return ((1.0 + e) * eta_dot - uc - cu + linalg.matmul(uc, u)) / (2.0 * e * t)
         v, s = self.eigvecs, self.root_eigvals
         vh = linalg.dagger(v)
         return v @ ((vh @ eta_dot @ v) / (s[..., :, None] + s[..., None, :])) @ vh
@@ -107,7 +122,7 @@ def _eta_of(metric) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(metric, MetricOperator):
         return metric.eta, metric.eta_inv
     eta = linalg.as_square(metric, "eta")
-    return eta, np.linalg.inv(eta)
+    return eta, linalg.inv(eta)
 
 
 def pseudo_hermiticity_residual(m, metric) -> float:

@@ -72,10 +72,10 @@ def rk4_step(nodes, y: np.ndarray, h: float) -> np.ndarray:
     which case ``y`` broadcasts against the stacks.
     """
     h_start, h_mid, h_end = nodes
-    k1 = -1j * (h_start @ y)
-    k2 = -1j * (h_mid @ (y + 0.5 * h * k1))
-    k3 = -1j * (h_mid @ (y + 0.5 * h * k2))
-    k4 = -1j * (h_end @ (y + h * k3))
+    k1 = -1j * linalg.matmul(h_start, y)
+    k2 = -1j * linalg.matmul(h_mid, y + 0.5 * h * k1)
+    k3 = -1j * linalg.matmul(h_mid, y + 0.5 * h * k2)
+    k4 = -1j * linalg.matmul(h_end, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

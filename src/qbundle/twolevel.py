@@ -584,7 +584,8 @@ def omega_lower(theta, phi, scales: ScaleFields,
     omega_a = rho^{-1} omega_H_a rho."""
     rho = rho_matrix(theta, phi, scales, patch)[..., None, :, :]
     rho_inv = rho_inverse_matrix(theta, phi, scales, patch)[..., None, :, :]
-    return rho_inv @ omega_hermitian(theta, phi, scales, alpha, patch) @ rho
+    return linalg.matmul(linalg.matmul(rho_inv, omega_hermitian(theta, phi, scales, alpha, patch)),
+                         rho)
 
 
 def _along(form: np.ndarray, theta_dot, phi_dot) -> np.ndarray:

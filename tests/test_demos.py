@@ -15,4 +15,6 @@ def test_the_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert "np.float64" not in out  # numbers print as plain floats, not numpy reprs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbundle import stepping
+from qbundle import twolevel as tl
 from qbundle.connection import ConnectionForm, CurvePath, a_zero_form
 from qbundle.dynamics import (
     CurveMetric,
@@ -64,9 +65,25 @@ def test_geometric_hamiltonian_contracts_velocity():
 
 
 def test_geometric_hamiltonian_checks_patch():
-    form = ConnectionForm("north", lambda r: [SIGMA1.astype(complex)], dim=1)
+    """The connection's chart domain decides, not the curve's schedule label."""
+    form = ConnectionForm("north", lambda r: [SIGMA1.astype(complex)], dim=1,
+                          domain=lambda r: r[0] < 0.4)
+    path = line_path(patch="south")
+    np.testing.assert_allclose(geometric_hamiltonian(form, path, 0.3), SIGMA1)
     with pytest.raises(OutOfPatch):
-        geometric_hamiltonian(form, line_path(patch="south"), 0.5)
+        geometric_hamiltonian(form, path, 0.5)
+
+
+def test_geometric_hamiltonian_on_a_run_switched_early():
+    """README meridian switched at tau = 0.3: at t = 0.4 the run is on the
+    minus chart, although the curve's default schedule still says plus."""
+    system = tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6))
+    assert system.segments(0.3)[1] == ((0.3, 1.0), tl.MINUS)
+    curve, conn = system.curve, system.patch(tl.MINUS).connection
+    np.testing.assert_array_equal(geometric_hamiltonian(conn, curve, 0.4),
+                                  conn.contracted(curve.points(0.4), curve.velocities(0.4)))
+    with pytest.raises(OutOfPatch):
+        geometric_hamiltonian(conn, curve, 0.05)
 
 
 def test_split_geometric_parts_and_sum():

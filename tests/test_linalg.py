@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbundle.errors import DimensionMismatch, NotPositiveDefinite
 from qbundle.linalg import (
@@ -13,13 +15,17 @@ from qbundle.linalg import (
     central_difference,
     commutator,
     contract,
+    dagger,
     hermitian_sqrt,
+    inv,
     is_hermitian,
     is_positive_definite,
+    matmul,
     matrix_exp,
     max_abs,
     pauli_dot,
 )
+from qbundle.metric import MetricOperator
 
 SEED = 2163
 
@@ -166,6 +172,93 @@ def test_hermiticity_gate_rejects_non_hermitian_matrices():
         assert not is_hermitian(m, tol=None)
     with pytest.raises(NotPositiveDefinite, match=r"stack index \(1,\)"):
         hermitian_sqrt(np.array([2.0 * np.eye(2), small]))
+
+
+# ---------------------------------------------------------------- 2x2 kernels
+
+
+def metric_stack(seed, n, cond, scale=1.0):
+    """(n, 2, 2) positive-definite metrics with eigenvalues scale/cond and
+    scale, each in its own random unitary frame."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))[0]
+    eta = (q * np.array([scale / cond, scale])) @ dagger(q)
+    return 0.5 * (eta + dagger(eta))
+
+
+def assert_close(got, want, tol):
+    """Each matrix of ``got`` equals that of ``want`` to ``tol`` relative to
+    its largest entry."""
+    err = np.max(np.abs(got - want), axis=(-2, -1))
+    assert np.all(err <= tol * np.max(np.abs(want), axis=(-2, -1)))
+
+
+def spectral_root_derivative(op, c):
+    """The eigenbasis solve of  rho X + X rho = c, the route for N != 2."""
+    v, s = op.eigvecs, op.root_eigvals
+    return v @ ((dagger(v) @ c @ v) / (s[..., :, None] + s[..., None, :])) @ dagger(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       log_cond=st.floats(0.0, 8.0), log_scale=st.floats(-3.0, 3.0))
+@example(seed=5, n=6, log_cond=8.0, log_scale=0.0)
+@example(seed=7, n=3, log_cond=2.0, log_scale=200.0)
+def test_2x2_kernels_agree_with_the_generic_route(seed, n, log_cond, log_scale):
+    """Both routes are backward stable, so they differ by up to the
+    condition number of each operation times rounding: 1e-13 relative for a
+    well-conditioned metric, scaled by sqrt(cond) for the root and by cond
+    for the inverse and the root derivative."""
+    cond = 10.0 ** log_cond
+    eta = metric_stack(seed, n, cond, 10.0 ** log_scale)
+    w, v = np.linalg.eigh(eta)
+    root = hermitian_sqrt(eta)
+    assert_close(root, (v * np.sqrt(w)[..., None, :]) @ dagger(v), 1e-13 * np.sqrt(cond))
+    assert_close(root @ root, eta, 1e-14)
+    assert_close(inv(eta), np.linalg.inv(eta), 1e-13 * cond)
+    assert_close(inv(root), np.linalg.inv(root), 1e-13 * np.sqrt(cond))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    assert_close(matmul(a, eta), a @ eta, 1e-13)
+    assert_close(matmul(a[:, None], eta[None]), a[:, None] @ eta[None], 1e-13)
+    op = MetricOperator(eta)
+    assert_close(op.eta_inv, np.linalg.inv(eta), 1e-13 * cond)
+    c = a + dagger(a)
+    assert_close(op.root_derivative(c), spectral_root_derivative(op, c), 1e-13 * cond)
+
+
+@pytest.mark.parametrize("eta, root", [
+    (2.5 * ID2, np.sqrt(2.5) * ID2),
+    (np.diag([4.0, 0.25]), np.diag([2.0, 0.5])),
+    (np.diag([1e-4, 9.0]), np.diag([1e-2, 3.0])),
+    (1e160 * ID2, 1e80 * ID2),
+], ids=["proportional-to-identity", "diagonal-descending", "diagonal-ascending",
+        "determinant-beyond-float-range"])
+def test_2x2_kernels_on_degenerate_and_diagonal_metrics(eta, root):
+    stack = np.array([eta, eta], dtype=complex)
+    got = hermitian_sqrt(stack)
+    assert np.all(got[:, 0, 1] == 0) and np.all(got[:, 1, 0] == 0)
+    assert_close(got, np.array([root, root]), 1e-15)
+    assert_close(inv(got), np.array([np.linalg.inv(root)] * 2), 1e-15)
+    op = MetricOperator(stack)
+    assert_close(op.eta_inv, np.array([np.linalg.inv(eta)] * 2), 1e-15)
+    c = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]])
+    assert_close(op.root_derivative(c), spectral_root_derivative(op, c), 1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bad_rows_are_named_the_same_on_both_routes(dim):
+    good = np.eye(dim, dtype=complex)
+    indefinite = np.diag([1.0, -1.0, 2.0][:dim]).astype(complex)
+    skew = good.copy()
+    skew[0, 1] = 1e-6
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"not positive definite \(min eigenvalue -1.000e\+00\) "
+                             r"\(stack index \(2,\)\)"):
+        hermitian_sqrt(np.array([good, good, indefinite, indefinite]))
+    with pytest.raises(NotPositiveDefinite, match=r"not Hermitian .* \(stack index \(1, 0\)\)"):
+        hermitian_sqrt(np.array([[good, good], [skew, indefinite]]))
+    assert not is_positive_definite(np.array([good, indefinite]))
 
 
 # ---------------------------------------------------------------- expm

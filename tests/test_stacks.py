@@ -3,6 +3,7 @@ returns exactly its row-by-row evaluation, applies the same checks to every
 row, and lets the integrators evaluate a chart segment in one call."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ from qbundle.linalg import (
     pauli_dot,
     stacked,
 )
-from qbundle.metric import MetricField
+from qbundle.metric import MetricField, MetricOperator
 from qbundle.stepping import StepperConfig
 
 ALPHA = tl.constant_alpha((0.1, -0.2, 0.3), (0.05, 0.4, -0.15))
@@ -134,10 +135,12 @@ def test_linalg_broadcasts_row_by_row(seed, n, dim):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     positive = m @ m.conj().swapaxes(-1, -2) + 0.1 * np.eye(dim)
-    root, root_w, v = hermitian_sqrt(positive, eigenpairs=True)
-    rows = [hermitian_sqrt(p, eigenpairs=True) for p in positive]
-    for got, k in ((root, 0), (root_w, 1), (v, 2)):
-        assert_rows(got, [r[k] for r in rows])
+    assert_stacks_rows(hermitian_sqrt, positive)
+    assert_stacks_rows(linalg.inv, positive)
+    assert_stacks_rows(linalg.matmul, m, positive)
+    op, rows = MetricOperator(positive), [MetricOperator(p) for p in positive]
+    for name in ("root_eigvals", "eigvecs"):
+        assert_rows(getattr(op, name), [getattr(r, name) for r in rows])
     coeffs = rng.standard_normal((n, 3))
     assert_rows(pauli_dot(coeffs), [pauli_dot(c) for c in coeffs])
     assert_rows(contract(coeffs, m[:, None].repeat(3, axis=1)),
@@ -302,16 +305,19 @@ def test_big_g_names_the_first_inconsistent_point(data, scales):
         transform_observable(np.broadcast_to(SIGMA3, gg.shape), gg)
 
 
+README_MERIDIAN = {"curve": {"kind": "meridian", "phi0": 0.3,
+                             "theta_from": np.pi / 6, "theta_to": 5 * np.pi / 6},
+                   "energy": {"epsilon": 0.8, "direction": [0.2, -0.3, 0.93]},
+                   "stepper": {"method": "rk4-fixed", "dt": 0.001},
+                   "initial_state": [[0.8, 0.0], [-0.2, 0.4]], "seed": 11}
+
+
 def test_check_battery_factorises_a_few_stacks(monkeypatch):
     """On the README two-chart meridian the battery makes at most 6
     hermitian_sqrt calls (106 when the overlap rows went point by point, 10
     when two rows factorised the same stacks again) and each overlap row
     still reports check_samples samples."""
-    cfg = {"curve": {"kind": "meridian", "phi0": 0.3,
-                     "theta_from": np.pi / 6, "theta_to": 5 * np.pi / 6},
-           "energy": {"epsilon": 0.8, "direction": [0.2, -0.3, 0.93]},
-           "stepper": {"method": "rk4-fixed", "dt": 0.001},
-           "initial_state": [[0.8, 0.0], [-0.2, 0.4]], "seed": 11}
+    cfg = README_MERIDIAN
     system, result, _ = cli._run_one(cfg)
     calls = []
     sqrt = linalg.hermitian_sqrt
@@ -326,6 +332,51 @@ def test_check_battery_factorises_a_few_stacks(monkeypatch):
     samples = {row["name"]: row["samples"] for row in report["checks"]}
     for name in ("transition-consistency", "intertwiner-unitarity", "section-compatibility"):
         assert samples[name] == 25
+
+
+def counting_numpy_factorisations(monkeypatch):
+    """Record (name, matrix shape) of every np.linalg.eigh and inv call."""
+    calls = []
+    for name in ("eigh", "inv"):
+        def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)[-2:]))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_readme_meridian_calls_no_numpy_factorisation_on_2x2(tmp_path, monkeypatch):
+    """A run in both pictures and a check take the 2x2 kernels throughout."""
+    monkeypatch.chdir(tmp_path)
+    calls = counting_numpy_factorisations(monkeypatch)
+    for rep in ("eta", "hermitian"):
+        path = tmp_path / f"{rep}.json"
+        path.write_text(json.dumps(dict(README_MERIDIAN, representation=rep)))
+        assert cli.main(["run", str(path)]) == 0
+        assert cli.main(["check", str(path)]) == 0
+    assert [c for c in calls if c[1] == (2, 2)] == []
+
+
+def test_three_level_custom_config_takes_the_eigh_route(monkeypatch):
+    """N = 3 keeps the generic route, and both pictures still follow the
+    exact solution of the constant generator rho^-1 e rho."""
+    eta = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2j], [0.0, -0.2j, 1.5]])
+    e = np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.1j], [0.0, -0.1j, 0.2]])
+    psi0 = np.array([1.0, 0.3 + 0.2j, -0.4j])
+    as_json = lambda m: [[[x.real, x.imag] for x in row] for row in m]
+    cfg = {"model": "custom-matrix-fields", "eta": as_json(eta), "energy_hermitian": as_json(e),
+           "curve": {"kind": "line", "from": [0.0], "to": [1.0]},
+           "initial_state": [[x.real, x.imag] for x in psi0], "stepper": {"dt": 1e-3}}
+    rho, u = hermitian_sqrt(eta), linalg.matrix_exp(-1j * e)
+    finals = {"eta": np.linalg.solve(rho, u @ rho @ psi0), "hermitian": u @ psi0}
+    calls = counting_numpy_factorisations(monkeypatch)
+    for rep, expected in finals.items():
+        system, result, _ = cli._run_one(dict(cfg, representation=rep))
+        assert max_abs(result.final_state - expected) <= 1e-10
+        assert cli.run_checks(dict(cfg, representation=rep), system, result)["all_passed"]
+    assert ("eigh", (3, 3)) in calls and ("inv", (3, 3)) in calls
+    assert [c for c in calls if c[1] == (2, 2)] == []
 
 
 # ------------------------------------------------------------- checks per row
