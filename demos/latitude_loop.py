@@ -24,7 +24,8 @@ PSI0 = np.array([0.8, -0.2 + 0.4j])
 def main():
     system = tl.build_system(tl.circle_curve(1.0),
                              alpha=ALPHA, energy=ENERGY)
-    print("chart itinerary:", system.curve.patch_schedule)
+    print("chart itinerary:", ", ".join(f"[{float(ta)}, {float(tb)}] on {pid}"
+                                        for (ta, tb), pid in system.segments()))
 
     # ---- norm conservation vs step size ---------------------------------
     print(f"\n{'dt':>10} {'eta-norm drift':>16} {'2-norm swing':>14}")

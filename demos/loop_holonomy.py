@@ -28,7 +28,6 @@ def holonomy_eigenphases(theta0: float) -> np.ndarray:
         a0_fn=linalg.stacked(lambda r: tl.a_zero_closed(r[:, 0], r[:, 1], scales, tl.PLUS)),
     )
     curve = tl.circle_curve(theta0)
-    curve.patch_schedule.append(((0.0, 1.0), tl.PLUS))
     res = transport_operator(form, curve, stepper=StepperConfig(dt=1e-3))
     g = res.final_operator
     r0 = curve.position(0.0)

@@ -19,7 +19,6 @@ from .errors import (
     OmegaNotPseudoHermitian,
     OutOfOverlap,
     OutOfPatch,
-    PatchBoundaryCrossed,
     PoleAmbiguity,
     QBundleError,
     StepperDiverged,

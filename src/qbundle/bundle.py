@@ -13,8 +13,9 @@ H~ = g^{-1} H g - i g^{-1} gdot.  The combination
 is *unitary* and glues the Hermitian representations of the two charts;
 observables in Hermitian form transform as  o~ = G^{-1} o G.
 
-:meth:`SystemSpec.segments` decides a run's chart itinerary once: the
-((t_a, t_b), patch) segments for a switch time tau inside the overlap dwell.
+:attr:`SystemSpec.charts` and :meth:`SystemSpec.segments` are the only chart
+itinerary: the chart order, made the run's ((t_a, t_b), patch) segments once
+for a switch time tau inside the overlap dwell.
 :func:`evolve_across_patches` walks them, converting the state with g^{-1}
 at the switch, and the CLI's summary and check battery read the same list.
 Physical endpoints do not depend on the switch time.  In the Hermitian
@@ -44,6 +45,7 @@ from . import linalg
 from .connection import ConnectionForm, CurvePath
 from .dynamics import CurveMetric, EvolutionResult, evolve, hermitian_representation
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     NotUnitary,
     OutOfOverlap,
@@ -298,10 +300,11 @@ class SystemSpec:
     """A complete two-chart (or single-chart) system ready to evolve.
 
     patches : chart label -> PatchData
+    curve : the parametrized curve
+    charts : the chart order along the curve, one or two keys of ``patches``;
+        :meth:`segments` makes it a run's segments for a switch time
     transition : transition function between the two charts (None for a
         single-chart system)
-    curve : the parametrized curve, with its patch_schedule naming the chart
-        order; :meth:`segments` makes it a run's segments for a switch time
     energy : optional observable section holding the physical Hamiltonian in
         Hermitian form per chart
     overlap_window : parameter interval during which the curve lies in the
@@ -310,10 +313,16 @@ class SystemSpec:
 
     patches: dict[str, PatchData]
     curve: CurvePath
+    charts: tuple[str, ...]
     transition: TransitionFunctionField | None = None
     energy: ObservableSection | None = None
     overlap_window: tuple[float, float] | None = None
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.charts) not in (1, 2) or not set(self.charts) <= self.patches.keys():
+            raise ConfigError(f"charts must be one or two of the patches {sorted(self.patches)}, "
+                              f"got {self.charts}")
 
     def patch(self, patch_id: str) -> PatchData:
         return self.patches[patch_id]
@@ -411,17 +420,14 @@ class SystemSpec:
         return 0.5 * (self.overlap_window[0] + self.overlap_window[1])
 
     def segments(self, tau: float | None = None) -> list[tuple[tuple[float, float], str]]:
-        """The run's chart itinerary, ((t_a, t_b), patch) per segment.  One
-        chart gives one segment, whatever ``tau`` is.  Two charts switch at
+        """The run's itinerary, :attr:`charts` as ((t_a, t_b), patch) segments.
+        One chart gives one segment, whatever ``tau`` is.  Two charts switch at
         ``tau`` (default :meth:`default_tau`), which must lie in the overlap
         dwell with its curve point in the overlap, else TauNotInOverlap."""
-        pids = [pid for _, pid in self.curve.patch_schedule]
         span = (self.curve.t_start, self.curve.t_end)
-        if len(pids) == 1:
-            return [(span, pids[0])]
-        if len(pids) != 2:
-            raise TauNotInOverlap(
-                f"expected a one- or two-chart schedule, got {len(pids)} entries")
+        if len(self.charts) == 1:
+            return [(span, self.charts[0])]
+        first, second = self.charts
         if tau is None:
             tau = self.default_tau()
         if self.overlap_window is not None:
@@ -429,9 +435,9 @@ class SystemSpec:
             if not (lo <= tau <= hi):
                 raise TauNotInOverlap(f"tau = {tau} outside the overlap dwell [{lo}, {hi}]")
         r_tau = self.curve.points(tau)
-        if not self.transition_into(pids[1]).in_overlap(r_tau):
+        if not self.transition_into(second).in_overlap(r_tau):
             raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
-        return [((span[0], tau), pids[0]), ((tau, span[1]), pids[1])]
+        return [((span[0], tau), first), ((tau, span[1]), second)]
 
 
 # ------------------------------------------------------ chart-switched evolution

@@ -291,7 +291,7 @@ def _curve_from_config(node: dict) -> CurvePath:
         raise ConfigError("curve.from and curve.to must be coordinate vectors of equal length")
     t0, t1 = args["t_start"], args["t_end"]
     rate = (r1 - r0) / (t1 - t0)
-    return CurvePath(t0, t1, lambda t: r0 + rate * (t - t0), lambda t: rate.copy(), [])
+    return CurvePath(t0, t1, lambda t: r0 + rate * (t - t0), lambda t: rate.copy())
 
 
 def _custom_system(cfg: dict) -> SystemSpec:
@@ -301,7 +301,6 @@ def _custom_system(cfg: dict) -> SystemSpec:
     if e_mat is not None and not is_hermitian(e_mat, tol=None):
         raise ConfigError("'energy_hermitian' must be a Hermitian matrix")
     curve = _curve_from_config(cfg["curve"])
-    curve.patch_schedule = [((curve.t_start, curve.t_end), patch)]
     dim = curve.points(curve.t_start).shape[0]
     comps = cfg["connection"]
     if comps is not None and len(comps) != dim:
@@ -314,6 +313,7 @@ def _custom_system(cfg: dict) -> SystemSpec:
     return SystemSpec(
         patches={patch: PatchData(constant_metric_field(patch, eta, dim=dim), form)},
         curve=curve,
+        charts=(patch,),
         energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}, patch),
         metadata={"model": "custom-matrix-fields"},
     )

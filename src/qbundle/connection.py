@@ -18,7 +18,9 @@ Parallel transport along a curve R(t) is the solution of
     i dG/dt = sum_a Rdot^a(t) A_a(R(t)) G,      G(t0) = 1,
 
 a path-ordered exponential that :func:`qbundle.stepping.integrate` computes by
-RK4 from the stacked generator sum_a Rdot^a A_a.
+RK4 from the stacked generator sum_a Rdot^a A_a.  A curve names no chart (the
+chart order is :attr:`qbundle.bundle.SystemSpec.charts`): transport stays on its
+connection's chart, whose domain check raises OutOfPatch at the first node outside.
 
 Like :class:`qbundle.metric.MetricField`, a :class:`ConnectionForm` takes one
 point or a stack of points, and :class:`CurvePath` evaluates its position and
@@ -28,18 +30,13 @@ velocity on one time or a stack of times (:meth:`CurvePath.points`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    OmegaNotPseudoHermitian,
-    OutOfPatch,
-    PatchBoundaryCrossed,
-)
+from .errors import DimensionMismatch, OmegaNotPseudoHermitian
 from .metric import MetricField, chart_points, pseudo_hermiticity_residual
 from .stepping import StepperConfig, integrate
 
@@ -95,18 +92,16 @@ class ConnectionForm:
 
 @dataclass
 class CurvePath:
-    """Parametrized curve on the base manifold with a chart itinerary.
+    """Parametrized curve R(t), t in [t_start, t_end], on the base manifold.
 
-    position(t) and velocity(t) return real coordinate d-vectors;
-    patch_schedule lists ((t_a, t_b), patch_id) entries covering [t_start,
-    t_end] in order, naming the chart used on each closed subinterval.
+    position(t) and velocity(t) return real coordinate d-vectors.  The chart
+    order along the curve belongs to the system, :attr:`SystemSpec.charts`.
     """
 
     t_start: float
     t_end: float
     position: Callable[[float], np.ndarray]
     velocity: Callable[[float], np.ndarray]
-    patch_schedule: list[tuple[tuple[float, float], str]] = field(default_factory=list)
 
     def points(self, t) -> np.ndarray:
         """R(t) as a (d,) array, or (n, d) for a stack of times (n,)."""
@@ -119,20 +114,6 @@ class CurvePath:
         ts, single = linalg.as_stack(t)
         out = linalg.over_points(self.velocity, ts)
         return out[0] if single else out
-
-    def patch_at(self, t: float) -> str | None:
-        for (ta, tb), pid in self.patch_schedule:
-            if min(ta, tb) - 1e-12 <= t <= max(ta, tb) + 1e-12:
-                return pid
-        return None
-
-    def patches_in_window(self, t0: float, t1: float) -> set[str]:
-        lo, hi = min(t0, t1), max(t0, t1)
-        out = set()
-        for (ta, tb), pid in self.patch_schedule:
-            if max(ta, tb) > lo + 1e-12 and min(ta, tb) < hi - 1e-12:
-                out.add(pid)
-        return out
 
     def velocity_consistency(self) -> float:
         """Max deviation between declared velocity and a central difference
@@ -147,15 +128,13 @@ def path_from_position(
     t_start: float,
     t_end: float,
     position: Callable[[float], np.ndarray],
-    patch_id: str | None = None,
 ) -> CurvePath:
     """Build a CurvePath with a finite-difference velocity."""
 
     def velocity(t: float) -> np.ndarray:
         return linalg.central_difference(position, t, VELOCITY_FD_STEP)
 
-    schedule = [((t_start, t_end), patch_id)] if patch_id is not None else []
-    return CurvePath(t_start, t_end, position, velocity, schedule)
+    return CurvePath(t_start, t_end, position, velocity)
 
 
 @dataclass
@@ -265,21 +244,6 @@ def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, poin
 # ---------------------------------------------------------------- transport
 
 
-def _check_single_patch(a_form: ConnectionForm, path: CurvePath, t0: float, t1: float):
-    patches = path.patches_in_window(t0, t1)
-    if len(patches) > 1:
-        raise PatchBoundaryCrossed(
-            f"window [{t0}, {t1}] spans charts {sorted(patches)}; "
-            "split the transport at the patch switch"
-        )
-    if patches and a_form.patch_id is not None:
-        (only,) = patches
-        if only is not None and only != a_form.patch_id:
-            raise OutOfPatch(
-                f"path is on chart '{only}' but connection is on '{a_form.patch_id}'"
-            )
-
-
 def _transport_generator(a_form: ConnectionForm, path: CurvePath):
     """The stacked transport generator t -> sum_a Rdot^a(t) A_a(R(t))."""
     return linalg.stacked(lambda ts: a_form.contracted(path.points(ts), path.velocities(ts)))
@@ -294,17 +258,14 @@ def transport_operator(
 ) -> TransportResult:
     """Solve  i dG/dt = (sum_a Rdot^a A_a) G,  G(t0) = identity.
 
-    The window [t0, t1] (defaulting to the whole parameter range of the
-    path) must stay on a single chart.
+    The window [t0, t1] (by default the whole path) must stay on the
+    connection's chart: a node outside its domain raises OutOfPatch.  A run
+    that switches charts takes one window per :meth:`SystemSpec.segments` entry.
     """
     t0 = path.t_start if t0 is None else t0
     t1 = path.t_end if t1 is None else t1
-    _check_single_patch(a_form, path, t0, t1)
-    probe = a_form.components(path.points(0.5 * (t0 + t1)))[0]
-    n = probe.shape[0]
-
-    times, ops = integrate(_transport_generator(a_form, path), np.eye(n, dtype=complex),
-                           t0, t1, stepper)
+    gen = _transport_generator(a_form, path)
+    times, ops = integrate(gen, np.eye(gen(t0).shape[-1], dtype=complex), t0, t1, stepper)
     return TransportResult(times=times, operators=ops)
 
 
@@ -319,7 +280,6 @@ def parallel_transport(
     """Transport a single state vector: i dpsi/dt = (sum_a Rdot^a A_a) psi."""
     t0 = path.t_start if t0 is None else t0
     t1 = path.t_end if t1 is None else t1
-    _check_single_patch(a_form, path, t0, t1)
     psi0 = linalg.as_vector(psi0, name="psi0")
 
     times, states = integrate(_transport_generator(a_form, path), psi0, t0, t1, stepper)

@@ -31,10 +31,6 @@ class OutOfOverlap(QBundleError):
     """A point lies outside the overlap region of two charts."""
 
 
-class PatchBoundaryCrossed(QBundleError):
-    """A single-patch integration window straddles a chart switch of the path."""
-
-
 class StepperDiverged(QBundleError):
     """The ODE stepper produced non-finite values or an underflowing step size."""
 

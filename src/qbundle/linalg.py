@@ -193,20 +193,19 @@ def hermiticity_residual(m) -> float:
 
 def _not_positive(eigvals: np.ndarray, tol: float | None) -> np.ndarray:
     """Per matrix: is the smallest of its ascending eigenvalues at or below
-    the tolerance?  By default 1e-12 relative to the largest eigenvalue
-    magnitude, floored at an absolute scale of 1 so near-zero matrices are
-    handled sanely."""
+    the tolerance?  By default 1e-12 times the largest eigenvalue magnitude,
+    with no absolute floor: the dynamics do not change under eta -> c eta, so
+    neither does the gate.  A zero matrix fails it."""
     if tol is None:
-        tol = 1e-12 * np.maximum(np.max(np.abs(eigvals), axis=-1), 1.0)
+        tol = 1e-12 * np.max(np.abs(eigvals), axis=-1)
     return eigvals[..., 0] <= tol
 
 
 def _not_hermitian(m: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(mask, residuals): per matrix of a stack, its Hermiticity residual and
-    whether it exceeds 1e-10 times its largest entry floored at 1 (or ``floor``)."""
+    whether it exceeds 1e-10 times its largest entry (or ``floor``)."""
     res = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
-    gate = 1e-10 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
-    return res > np.maximum(gate, floor), res
+    return res > np.maximum(1e-10 * np.max(np.abs(m), axis=(-2, -1)), floor), res
 
 
 def is_positive_definite(m, tol: float | None = None) -> bool:
@@ -220,29 +219,19 @@ def is_positive_definite(m, tol: float | None = None) -> bool:
     return not np.any(_not_positive(w, tol))
 
 
-def hermitian_sqrt(m, tol: float | None = None):
-    """Unique positive-definite square root of a positive-definite matrix.
-
-    Computed spectrally: m = V diag(w) V'  ->  sqrt(m) = V diag(sqrt(w)) V'.
-    ``numpy.linalg.eigh`` returns eigenvalues in ascending order, which fixes the
-    decomposition deterministically; the resulting square root does not depend
-    on the basis chosen inside degenerate eigenspaces.  A 2x2 matrix takes closed
-    forms: its ascending eigenvalues, and the root (m + sqrt(det) I) / sqrt(tr + 2 sqrt(det)),
-    with det computed after an exact scaling by :func:`_scale`, so it stays in range.
-
-    A stack (..., N, N) is factorised in one call and each matrix checked on its
-    own.  Raises NotPositiveDefinite, naming the first matrix that fails the
-    Hermiticity or the positivity check.
-    The Hermiticity gate is 1e-10 relative to each matrix's largest entry,
-    floored at 1, so products such as g^dag eta g with large entries pass
-    with their rounding-level residual.
-    """
+def positive_spectrum(m, tol: float | None = None):
+    """(h, w, v) per matrix of a stack m: its Hermitian part, ascending
+    eigenvalues and eigenvectors by ``eigh`` (a 2x2 takes closed-form
+    eigenvalues and v None).  Raises NotPositiveDefinite, naming the first
+    matrix whose Hermiticity residual exceeds 1e-10 of its largest entry or
+    whose smallest eigenvalue is at most 1e-12 of its largest (or ``tol``).
+    Both gates are relative, so c m passes or fails as m does for any c > 0."""
     m = as_square(m)
     bad, res = _not_hermitian(m)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(f"matrix is not Hermitian (residual {res[k]:.3e}){where}")
-    h = 0.5 * (m + dagger(m))
+    h, v = 0.5 * (m + dagger(m)), None
     if h.shape[-1] == 2:
         a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])
         r = np.hypot(0.5 * (a - d), b)
@@ -254,11 +243,22 @@ def hermitian_sqrt(m, tol: float | None = None):
         k, where = _first(bad)
         raise NotPositiveDefinite(
             f"matrix is not positive definite (min eigenvalue {w[k][0]:.3e}){where}")
-    if h.shape[-1] == 2:
-        k = _scale(np.maximum(a, d))
-        s = np.sqrt((a * k) * (d * k) - (b * k) * (b * k)) / k
-        return (h + s[..., None, None] * ID2) / np.sqrt(a + d + 2.0 * s)[..., None, None]
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return h, w, v
+
+
+def hermitian_sqrt(m, tol: float | None = None):
+    """Unique positive-definite square root of each matrix of m, after the
+    gates of :func:`positive_spectrum`: V diag(sqrt(w)) V^dag, which does not
+    depend on the basis inside degenerate eigenspaces.  A 2x2 matrix takes the
+    closed form (m + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), with det computed
+    after an exact scaling by :func:`_scale`, so it stays in range."""
+    h, w, v = positive_spectrum(m, tol)
+    if v is not None:
+        return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])
+    k = _scale(np.maximum(a, d))
+    s = np.sqrt((a * k) * (d * k) - (b * k) * (b * k)) / k
+    return (h + s[..., None, None] * ID2) / np.sqrt(a + d + 2.0 * s)[..., None, None]
 
 
 def _scale(x: np.ndarray) -> np.ndarray:

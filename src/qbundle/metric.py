@@ -58,13 +58,19 @@ class MetricOperator:
     rho_inv, eta_inv : ndarray
         Cached inverses.
     root_eigvals, eigvecs : ndarray
-        Spectral factorisation eta = V diag(root_eigvals**2) V^dag, computed
-        by ``eigh`` on first use, for :meth:`root_derivative` when N != 2.
+        Spectral factorisation eta = V diag(root_eigvals**2) V^dag.  For
+        N != 2 one ``eigh`` gives both it and rho; for 2x2 it is computed on
+        first use, as rho and root_derivative take closed forms.
     """
 
     def __init__(self, eta):
         self.eta = linalg.as_square(eta, "eta")
-        self.rho = linalg.hermitian_sqrt(self.eta)
+        if self.dim == 2:
+            self.rho = linalg.hermitian_sqrt(self.eta)
+        else:
+            _, w, v = linalg.positive_spectrum(self.eta)
+            self._spectrum = np.sqrt(w), v
+            self.rho = (v * self._spectrum[0][..., None, :]) @ linalg.dagger(v)
         self.rho_inv = linalg.inv(self.rho)
         self.eta_inv = linalg.inv(self.eta)
 

@@ -717,7 +717,7 @@ def circle_curve(theta0: float, t_start: float = 0.0, t_end: float = 1.0,
     def velocity(t) -> np.ndarray:
         return _theta_phi(np.zeros(np.shape(t)), rate)
 
-    return CurvePath(t_start, t_end, position, velocity, [])
+    return CurvePath(t_start, t_end, position, velocity)
 
 
 def meridian_curve(phi0: float, theta_from: float, theta_to: float,
@@ -733,7 +733,7 @@ def meridian_curve(phi0: float, theta_from: float, theta_to: float,
     def velocity(t) -> np.ndarray:
         return _theta_phi(np.full(np.shape(t), rate), 0.0)
 
-    return CurvePath(t_start, t_end, position, velocity, [])
+    return CurvePath(t_start, t_end, position, velocity)
 
 
 def great_circle_curve(inclination: float, t_start: float = 0.0, t_end: float = 1.0,
@@ -780,7 +780,7 @@ def great_circle_curve(inclination: float, t_start: float = 0.0, t_end: float = 
         s2 = np.maximum(x * x + y * y, 1e-300)
         return _theta_phi(-dz / np.sqrt(s2), (x * dy - y * dx) / s2)
 
-    return CurvePath(t_start, t_end, position, velocity, [])
+    return CurvePath(t_start, t_end, position, velocity)
 
 
 def waypoint_curve(waypoints: Sequence[Sequence[float]]) -> CurvePath:
@@ -806,7 +806,7 @@ def waypoint_curve(waypoints: Sequence[Sequence[float]]) -> CurvePath:
         k = segment(t)
         return (pts[k + 1, 1:] - pts[k, 1:]) / (ts[k + 1] - ts[k])[..., None]
 
-    return CurvePath(ts[0], ts[-1], position, velocity, [])
+    return CurvePath(ts[0], ts[-1], position, velocity)
 
 
 # ------------------------------------------------------------- assembly
@@ -815,8 +815,10 @@ def waypoint_curve(waypoints: Sequence[Sequence[float]]) -> CurvePath:
 def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_margin: float):
     """Sample the curve and work out the chart itinerary.
 
-    Returns (schedule, overlap_window).  Raises CurveTouchesPoleMargin or
-    ConfigError when no admissible single-switch itinerary exists."""
+    Returns (charts, overlap_window): the chart order along the curve and
+    the parameter interval of its overlap dwell, None for one chart.  Raises
+    CurveTouchesPoleMargin or ConfigError when no admissible single-switch
+    itinerary exists."""
     ts = np.linspace(curve.t_start, curve.t_end, ITINERARY_SAMPLES)
     thetas = curve.points(ts)[:, 0]
     if np.any(thetas < pole_margin) or np.any(thetas > np.pi - pole_margin):
@@ -826,21 +828,16 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_mar
         )
     bad_plus = thetas >= theta_plus   # cannot be on the plus chart there
     bad_minus = thetas <= theta_minus
-    span = (curve.t_start, curve.t_end)
     if not np.any(bad_plus):
-        return [(span, PLUS)], None
+        return (PLUS,), None
     if not np.any(bad_minus):
-        return [(span, MINUS)], None
-    last_bad_minus = float(ts[np.where(bad_minus)[0][-1]])
-    first_bad_plus = float(ts[np.where(bad_plus)[0][0]])
-    last_bad_plus = float(ts[np.where(bad_plus)[0][-1]])
-    first_bad_minus = float(ts[np.where(bad_minus)[0][0]])
-    if last_bad_minus < first_bad_plus:
-        window = (last_bad_minus, first_bad_plus)
-        order = (PLUS, MINUS)
-    elif last_bad_plus < first_bad_minus:
-        window = (last_bad_plus, first_bad_minus)
-        order = (MINUS, PLUS)
+        return (MINUS,), None
+    # window: from the last sample off the second chart to the first off the first
+    for charts, before, after in (((PLUS, MINUS), bad_minus, bad_plus),
+                                  ((MINUS, PLUS), bad_plus, bad_minus)):
+        window = (float(ts[np.flatnonzero(before)[-1]]), float(ts[np.flatnonzero(after)[0]]))
+        if window[0] < window[1]:
+            break
     else:
         raise ConfigError(
             "curve leaves both charts more than once; only a single chart "
@@ -852,11 +849,7 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_mar
     window = (window[0] + 2 * dt, window[1] - 2 * dt)
     if window[0] >= window[1]:
         raise ConfigError("overlap dwell of the curve is too short to switch charts")
-    tau = 0.5 * (window[0] + window[1])
-    return (
-        [((span[0], tau), order[0]), ((tau, span[1]), order[1])],
-        window,
-    )
+    return charts, window
 
 
 def build_system(
@@ -871,9 +864,10 @@ def build_system(
 ) -> SystemSpec:
     """Wire the closed-form model into a ready-to-evolve SystemSpec.
 
-    The curve's chart itinerary is derived from its theta range: single
-    chart when possible, otherwise a plus/minus switch with the default
-    switch time at the midpoint of the overlap dwell.  Curves entering the
+    The system's chart itinerary (``charts`` and ``overlap_window``) is
+    derived from the curve's theta range: single chart when possible,
+    otherwise a plus/minus switch with the default switch time at the
+    midpoint of the overlap dwell.  Curves entering the
     pole margin are rejected, as are curves that would require more than
     one switch.  Every generator evaluation checks that its points lie in
     their chart (OutOfPatch).
@@ -885,9 +879,7 @@ def build_system(
     scales = scales if scales is not None else default_scales(theta_plus)
     alpha = alpha if alpha is not None else zero_alpha()
 
-    schedule, window = _itinerary(curve, theta_plus, theta_minus, pole_margin)
-    curve = CurvePath(curve.t_start, curve.t_end, curve.position,
-                      curve.velocity, schedule)
+    charts, window = _itinerary(curve, theta_plus, theta_minus, pole_margin)
 
     patches: dict[str, PatchData] = {}
     for pid in (PLUS, MINUS):
@@ -914,6 +906,7 @@ def build_system(
     return SystemSpec(
         patches=patches,
         curve=curve,
+        charts=charts,
         transition=transition_field(scales, theta_plus, theta_minus),
         energy=section,
         overlap_window=window,

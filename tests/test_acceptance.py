@@ -222,7 +222,6 @@ def test_criterion_08_reparametrization_invariance():
         0.0, 1.0,
         lambda t: linear.position(t * t),
         lambda t: 2.0 * t * linear.velocity(t * t),
-        [],
     )
     finals = []
     for curve in (linear, quad):
@@ -261,8 +260,7 @@ def test_criterion_10_transport_against_exponential():
     exponential."""
     gen = 0.3 * SIGMA1 + 0.7 * SIGMA2 - 0.2 * SIGMA3 + 0.1 * np.eye(2)
     form = ConnectionForm("main", lambda r: [gen.astype(complex)], dim=1)
-    path = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-                     [((0.0, 1.0), "main")])
+    path = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
     res = transport_operator(form, path, stepper=DT)
     resid = max_abs(res.final_operator - matrix_exp(-1j * gen))
     _report(10, "transport-vs-exponential", resid, 1e-8)

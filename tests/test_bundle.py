@@ -33,6 +33,7 @@ from qbundle.bundle import (
 )
 from qbundle.connection import ConnectionForm, CurvePath, a_zero_form
 from qbundle.errors import (
+    ConfigError,
     DimensionMismatch,
     NotUnitary,
     OutOfOverlap,
@@ -98,10 +99,7 @@ def make_system(energy=False):
         "left": PatchData(left_metric, a_zero_form(left_metric)),
         "right": PatchData(right_metric, ConnectionForm("right", a_tilde, dim=1)),
     }
-    curve = CurvePath(
-        0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-        [((0.0, 0.5), "left"), ((0.5, 1.0), "right")],
-    )
+    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
     section = None
     if energy:
         section = ObservableSection(
@@ -114,6 +112,7 @@ def make_system(energy=False):
     return SystemSpec(
         patches,
         curve,
+        ("left", "right"),
         transition=make_transition(),
         energy=section,
         overlap_window=(0.25, 0.75),
@@ -291,7 +290,7 @@ def test_system_transition_orientation():
     assert system.transition_into("left").to_patch == "left"
     with pytest.raises(OutOfOverlap):
         system.transition_into("elsewhere")
-    single = SystemSpec({"left": system.patch("left")}, system.curve)
+    single = SystemSpec({"left": system.patch("left")}, system.curve, ("left",))
     with pytest.raises(OutOfOverlap):
         single.transition_into("left")
 
@@ -371,9 +370,8 @@ def test_tau_validation():
 
 def test_single_chart_passthrough():
     metric = constant_metric_field("only", np.eye(2), dim=1)
-    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-                      [((0.0, 1.0), "only")])
-    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve)
+    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
+    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve, ("only",))
     res = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2))
     np.testing.assert_allclose(res.final_state, PSI0, atol=1e-12)
     res_h = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2),
@@ -402,10 +400,17 @@ def test_segments_reject_a_tau_outside_the_dwell():
         wide.segments(0.1)
 
 
+def test_charts_are_checked_at_construction():
+    """The chart order names one or two of the system's patches."""
+    system = make_system()
+    for charts in ((), ("left", "right", "left"), ("left", "elsewhere")):
+        with pytest.raises(ConfigError, match="charts"):
+            dataclasses.replace(system, charts=charts)
+
+
 def test_segments_on_one_chart_ignore_tau():
     metric = constant_metric_field("only", np.eye(2), dim=1)
-    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-                      [((0.0, 1.0), "only")])
-    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve)
+    curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
+    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve, ("only",))
     for tau in (None, 0.3, 5.0):
         assert system.segments(tau) == [((0.0, 1.0), "only")]

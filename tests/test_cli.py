@@ -91,6 +91,22 @@ def test_run_writes_outputs(tmp_path, monkeypatch, capsys):
     assert 0.0 < payload["tau"] < 1.0
 
 
+def test_default_itinerary_is_pinned(tmp_path, monkeypatch):
+    """The README meridian switches charts at the middle of its overlap dwell
+    on the 2001-sample itinerary grid; a great circle on one chart records
+    no switch."""
+    monkeypatch.chdir(tmp_path)
+    readme = {key: base_config()[key] for key in ("curve", "energy", "initial_state", "seed")}
+    great = dict(readme, curve={"kind": "great-circle", "inclination": 0.43, "offset": 1.1})
+    for name, cfg in (("readme", readme), ("great", great)):
+        assert main(["run", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+    readme, great = (json.loads((tmp_path / f"{name}_summary.json").read_text())
+                     for name in ("readme", "great"))
+    assert readme["schedule"] == [[[0.0, 0.49975], "plus"], [[0.49975, 1.0], "minus"]]
+    assert readme["tau"] == 0.49975
+    assert great["schedule"] == [[[0.0, 1.0], "plus"]] and great["tau"] is None
+
+
 def test_run_is_byte_deterministic(tmp_path, monkeypatch):
     cfg_dict = base_config()
     cfg_dict["initial_state"] = "random"
@@ -378,7 +394,7 @@ def test_build_from_config_single_chart():
     cfg = {"model": "s2-two-level",
            "curve": {"kind": "circle", "theta0": 1.0}}
     system = build_from_config(cfg)
-    assert [pid for _, pid in system.curve.patch_schedule] == ["plus"]
+    assert system.charts == ("plus",)
 
 
 def test_run_checks_report_shape():

@@ -16,11 +16,7 @@ from qbundle.connection import (
     path_from_position,
     transport_operator,
 )
-from qbundle.errors import (
-    OmegaNotPseudoHermitian,
-    OutOfPatch,
-    PatchBoundaryCrossed,
-)
+from qbundle.errors import OmegaNotPseudoHermitian, OutOfPatch
 from qbundle.linalg import SIGMA1, SIGMA2, SIGMA3, matrix_exp, max_abs
 from qbundle.metric import MetricField, constant_metric_field, eta_inner
 from qbundle.stepping import StepperConfig
@@ -116,25 +112,11 @@ def test_path_velocity_consistency():
     assert path.velocity_consistency() <= 1e-6
 
 
-def test_patch_window_queries():
-    path = CurvePath(
-        0.0, 1.0,
-        lambda t: np.array([t]),
-        lambda t: np.array([1.0]),
-        [((0.0, 0.6), "left"), ((0.6, 1.0), "right")],
-    )
-    assert path.patch_at(0.3) == "left"
-    assert path.patch_at(0.9) == "right"
-    assert path.patches_in_window(0.1, 0.5) == {"left"}
-    assert path.patches_in_window(0.1, 0.9) == {"left", "right"}
-
-
 # ---------------------------------------------------------------- transport
 
 
-def line_path(t0=0.0, t1=1.0, patch="main"):
-    return CurvePath(t0, t1, lambda t: np.array([t]), lambda t: np.array([1.0]),
-                     [((t0, t1), patch)])
+def line_path(t0=0.0, t1=1.0):
+    return CurvePath(t0, t1, lambda t: np.array([t]), lambda t: np.array([1.0]))
 
 
 def test_transport_constant_generator_matches_exponential():
@@ -175,7 +157,7 @@ def test_transport_preserves_eta_inner_product():
     rng = np.random.default_rng(SEED)
     field = random_metric_field(rng, dim=1)
     form = a_zero_form(field)
-    path = line_path(0.0, 1.0, "rand")
+    path = line_path()
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ru = parallel_transport(form, path, u0, stepper=StepperConfig(dt=1e-3))
@@ -186,18 +168,18 @@ def test_transport_preserves_eta_inner_product():
 
 
 def test_transport_refuses_patch_crossing():
-    form = ConnectionForm("left", lambda r: [SIGMA1.astype(complex)], dim=1)
-    path = CurvePath(
-        0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-        [((0.0, 0.5), "left"), ((0.5, 1.0), "right")],
-    )
-    with pytest.raises(PatchBoundaryCrossed):
-        transport_operator(form, path)
-    # windows inside one chart are fine
+    """The connection's chart domain bounds transport: a window that leaves
+    the chart, or lies outside it, raises OutOfPatch."""
+    form = ConnectionForm("left", lambda r: [SIGMA1.astype(complex)], dim=1,
+                          domain=lambda r: r[0] <= 0.5)
+    path = line_path()
+    for t0, t1 in ((0.0, 1.0), (0.6, 0.9)):
+        with pytest.raises(OutOfPatch):
+            transport_operator(form, path, t0, t1)
+        with pytest.raises(OutOfPatch):
+            parallel_transport(form, path, [1.0, 0.0], t0, t1)
+    # a window inside the chart is fine
     transport_operator(form, path, 0.0, 0.4)
-    # but the chart must match the connection's
-    with pytest.raises(OutOfPatch):
-        transport_operator(form, path, 0.6, 0.9)
 
 
 def test_reparametrization_invariance_of_transport():
@@ -206,8 +188,7 @@ def test_reparametrization_invariance_of_transport():
         "main", lambda r: [np.sin(r[0]) * SIGMA1 + np.cos(r[0]) * SIGMA3], dim=1,
     )
     lin = line_path()
-    quad = CurvePath(0.0, 1.0, lambda t: np.array([t * t]),
-                     lambda t: np.array([2.0 * t]), [((0.0, 1.0), "main")])
+    quad = CurvePath(0.0, 1.0, lambda t: np.array([t * t]), lambda t: np.array([2.0 * t]))
     g_lin = transport_operator(form, lin, stepper=StepperConfig(dt=1e-3)).final_operator
     g_quad = transport_operator(form, quad, stepper=StepperConfig(dt=1e-3)).final_operator
     assert max_abs(g_lin - g_quad) <= 1e-8

@@ -38,9 +38,8 @@ def exp_metric_1d():
     )
 
 
-def line_path(patch="main"):
-    return CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]),
-                     [((0.0, 1.0), patch)])
+def line_path():
+    return CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
 
 
 def smooth_metric_field(rng, dim=1):
@@ -65,10 +64,10 @@ def test_geometric_hamiltonian_contracts_velocity():
 
 
 def test_geometric_hamiltonian_checks_patch():
-    """The connection's chart domain decides, not the curve's schedule label."""
+    """The connection's chart domain decides where it may be evaluated."""
     form = ConnectionForm("north", lambda r: [SIGMA1.astype(complex)], dim=1,
                           domain=lambda r: r[0] < 0.4)
-    path = line_path(patch="south")
+    path = line_path()
     np.testing.assert_allclose(geometric_hamiltonian(form, path, 0.3), SIGMA1)
     with pytest.raises(OutOfPatch):
         geometric_hamiltonian(form, path, 0.5)
@@ -76,7 +75,7 @@ def test_geometric_hamiltonian_checks_patch():
 
 def test_geometric_hamiltonian_on_a_run_switched_early():
     """README meridian switched at tau = 0.3: at t = 0.4 the run is on the
-    minus chart, although the curve's default schedule still says plus."""
+    minus chart, although the default switch (tau = 0.49975) is later."""
     system = tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6))
     assert system.segments(0.3)[1] == ((0.3, 1.0), tl.MINUS)
     curve, conn = system.curve, system.patch(tl.MINUS).connection

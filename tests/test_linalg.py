@@ -174,6 +174,32 @@ def test_hermiticity_gate_rejects_non_hermitian_matrices():
         hermitian_sqrt(np.array([2.0 * np.eye(2), small]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("c", [1e-200, 1e-13, 1e13])
+def test_gates_are_scale_free(dim, c):
+    """The dynamics do not change under eta -> c eta, and neither do the
+    gates: rho(c eta) = sqrt(c) rho(eta) at any scale."""
+    eta = random_positive(np.random.default_rng(SEED), dim)
+    op, scaled = MetricOperator(eta), MetricOperator(c * eta)
+    assert is_positive_definite(c * eta)
+    assert_close(scaled.rho, np.sqrt(c) * op.rho, 1e-13)
+    assert_close(scaled.rho_inv, op.rho_inv / np.sqrt(c), 1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_relative_gates_name_the_failure(dim):
+    """A tiny non-Hermitian matrix is named as such, not as indefinite, and
+    the zero matrix is still refused."""
+    tiny = 1e-12 * np.eye(dim, dtype=complex)
+    tiny[0, 1] = 0.5e-12
+    with pytest.raises(NotPositiveDefinite, match="not Hermitian"):
+        hermitian_sqrt(tiny)
+    assert not is_hermitian(tiny, tol=None)
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        hermitian_sqrt(np.zeros((dim, dim)))
+    assert not is_positive_definite(np.zeros((dim, dim)))
+
+
 # ---------------------------------------------------------------- 2x2 kernels
 
 

@@ -186,7 +186,7 @@ def test_generators_stack_row_by_row(us, scales, defect):
     system = tl.build_system(curve, scales=SCALES[scales], alpha=ALPHA, energy=ENERGY)
     if defect:
         system = cli._apply_connection_defect(system, 0.05)
-    for (ta, tb), pid in system.curve.patch_schedule:
+    for (ta, tb), pid in system.segments():
         ts = ta + np.array(us) * (tb - ta)
         for gen in (system.generator(pid), system.hermitian_generator(pid),
                     system.energy_generator(pid)):
@@ -356,6 +356,22 @@ def test_readme_meridian_calls_no_numpy_factorisation_on_2x2(tmp_path, monkeypat
         assert cli.main(["run", str(path)]) == 0
         assert cli.main(["check", str(path)]) == 0
     assert [c for c in calls if c[1] == (2, 2)] == []
+
+
+def test_one_eigh_per_factorisation_for_n_not_2(monkeypatch):
+    """A 3x3 MetricOperator takes rho and the spectrum of root_derivative
+    from one eigh of the stack; a 2x2 one makes one hermitian_sqrt call and
+    no eigh."""
+    eta = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2j], [0.0, -0.2j, 1.5]])
+    calls = counting_numpy_factorisations(monkeypatch)
+    op = MetricOperator(np.array([eta, 2.0 * eta]))
+    x = op.root_derivative(np.array([np.eye(3), eta]))
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (3, 3))]
+    assert max_abs(op.rho @ x + x @ op.rho - np.array([np.eye(3), eta])) <= 1e-13
+    sqrt, roots = linalg.hermitian_sqrt, []
+    monkeypatch.setattr(linalg, "hermitian_sqrt", lambda m: roots.append(1) or sqrt(m))
+    MetricOperator(eta[:2, :2]).root_derivative(np.eye(2))
+    assert roots == [1] and [c for c in calls if c[0] == "eigh"] == [("eigh", (3, 3))]
 
 
 def test_three_level_custom_config_takes_the_eigh_route(monkeypatch):

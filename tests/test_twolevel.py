@@ -584,18 +584,17 @@ def test_waypoint_curve():
 
 def test_build_system_single_chart_each_side():
     north = tl.build_system(tl.circle_curve(0.9))
-    assert north.curve.patch_schedule == [((0.0, 1.0), tl.PLUS)]
+    assert north.charts == (tl.PLUS,)
     assert north.overlap_window is None
     south = tl.build_system(tl.circle_curve(2.4))
-    assert south.curve.patch_schedule == [((0.0, 1.0), tl.MINUS)]
+    assert south.charts == (tl.MINUS,)
     assert north.metadata["model"] == "s2-two-level"
 
 
 def test_build_system_meridian_two_charts():
     curve = tl.meridian_curve(0.3, np.pi / 6.0, 5.0 * np.pi / 6.0)
     system = tl.build_system(curve, energy=sample_energy())
-    sched = system.curve.patch_schedule
-    assert [pid for _, pid in sched] == [tl.PLUS, tl.MINUS]
+    assert system.charts == (tl.PLUS, tl.MINUS)
     lo, hi = system.overlap_window
     assert 0.2 < lo < hi < 0.8
     tau = system.default_tau()
@@ -608,7 +607,7 @@ def test_build_system_meridian_two_charts():
 def test_build_system_reversed_meridian_swaps_order():
     curve = tl.meridian_curve(0.3, 5.0 * np.pi / 6.0, np.pi / 6.0)
     system = tl.build_system(curve)
-    assert [pid for _, pid in system.curve.patch_schedule] == [tl.MINUS, tl.PLUS]
+    assert system.charts == (tl.MINUS, tl.PLUS)
 
 
 def test_build_system_rejects_pole_touching_curves():
