@@ -22,10 +22,12 @@ Physical endpoints do not depend on the switch time.  In the Hermitian
 representation the conversion uses G^{-1}, and the state Phi jumps at the
 switch (G is not the identity) while all eta-norms stay continuous.
 
-The generators of :class:`SystemSpec` are marked
-:func:`qbundle.linalg.stacked`: called on a stack of times they evaluate the
-curve once, factorise the metric once and return the stack of generators, so
-a fixed-step chart segment costs one call (see :mod:`qbundle.stepping`).
+The generators of :class:`SystemSpec` add the geometric part H_A and the
+energy observable e (the section's Hermitian form): H = H_A + rho^{-1} e rho
+in the eta picture, h = rho H_A rho^{-1} + i rhodot rho^{-1} + e in the
+Hermitian one.  Marked :func:`qbundle.linalg.stacked`, on a stack of times
+they evaluate the curve once, factorise the metric at most once and return
+the stack, so a fixed-step chart segment costs one call.
 The gluing layer follows :class:`qbundle.metric.MetricField`:
 :class:`TransitionFunctionField` (partials on axis -3), the transforms
 (:func:`tilde_eta`, :func:`big_g`, :func:`transform_state`,
@@ -36,7 +38,7 @@ every point and name the first failing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,7 +319,6 @@ class SystemSpec:
     transition: TransitionFunctionField | None = None
     energy: ObservableSection | None = None
     overlap_window: tuple[float, float] | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.charts) not in (1, 2) or not set(self.charts) <= self.patches.keys():
@@ -343,36 +344,21 @@ class SystemSpec:
             return self.transition.inverse()
         raise OutOfOverlap(f"no transition involving patch '{target_patch}'")
 
-    # -- generators along the curve ------------------------------------
-    #
-    # Each closure takes one time t or a stack of times (n,) and returns one
-    # generator (N, N) or a stack (n, N, N).  It evaluates the curve once and
-    # shares R(t), Rdot(t) and the factorised metric between its terms.
+    # -- generators along the curve: one time t or a stack (n,) gives one
+    # generator (N, N) or a stack (n, N, N), from H_A = Rdot^a A_a(R) and e(R)
 
     def _energy_at(self, patch_id: str):
-        """(R, op=None) -> H_E = rho^{-1} e(R) rho, factorising the metric at
-        R unless ``op`` is given; None without an energy observable."""
+        """R -> H_E = rho^{-1} e(R) rho; None without an energy observable."""
         if self.energy is None or patch_id not in self.energy.fields:
             return None
         metric = self.patch(patch_id).metric
 
-        def h_e(r, op: MetricOperator | None = None) -> np.ndarray:
-            op = metric.operator(r) if op is None else op
+        def h_e(r) -> np.ndarray:
+            op = metric.operator(r)
             return linalg.matmul(linalg.matmul(op.rho_inv, self.energy.matrix(patch_id, r)),
                                  op.rho)
 
         return h_e
-
-    def _full_at(self, patch_id: str):
-        """(R, Rdot, op=None) -> H = Rdot^a A_a(R) + H_E(R)."""
-        conn = self.patch(patch_id).connection
-        h_e = self._energy_at(patch_id)
-
-        def full(r, v, op: MetricOperator | None = None) -> np.ndarray:
-            out = conn.contracted(r, v)
-            return out if h_e is None else out + h_e(r, op)
-
-        return full
 
     def energy_generator(self, patch_id: str) -> Callable[[float], np.ndarray] | None:
         """H_E(t) = rho^{-1} e(R(t)) rho on the chart, from the Hermitian-form
@@ -388,29 +374,34 @@ class SystemSpec:
         return energy
 
     def generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
-        """Full H(t) = H_A(t) + H_E(t) on one chart."""
-        full = self._full_at(patch_id)
+        """Full H(t) = H_A(t) + H_E(t) on one chart, the eta picture's generator."""
+        conn = self.patch(patch_id).connection
+        h_e = self._energy_at(patch_id)
 
         @linalg.stacked
         def h(t) -> np.ndarray:
-            return full(self.curve.points(t), self.curve.velocities(t))
+            r = self.curve.points(t)
+            h_a = conn.contracted(r, self.curve.velocities(t))
+            return h_a if h_e is None else h_a + h_e(r)
 
         return h
 
     def hermitian_generator(self, patch_id: str) -> Callable[..., np.ndarray]:
-        """h(t) = rho H rho^{-1} + i rhodot rho^{-1} on one chart, with the
-        metric factorised once per evaluation and shared by H_E, rho and
-        rhodot."""
+        """h(t) = rho H_A rho^{-1} + i rhodot rho^{-1} + e(R(t)) on one chart:
+        the geometric part mapped into the Hermitian picture, plus the energy
+        observable as the section gives it."""
         metric = self.patch(patch_id).metric
-        full = self._full_at(patch_id)
+        conn = self.patch(patch_id).connection
         cm = self.curve_metric(patch_id)
+        has_energy = self.energy is not None and patch_id in self.energy.fields
 
         @linalg.stacked
         def h_herm(t) -> np.ndarray:
             r, v = self.curve.points(t), self.curve.velocities(t)
             op = metric.operator(r)
             rho_dot = op.root_derivative(metric.eta_dot(r, v))
-            return hermitian_representation(full(r, v, op), cm, t, op, rho_dot)
+            out = hermitian_representation(conn.contracted(r, v), cm, t, op, rho_dot)
+            return out + self.energy.matrix(patch_id, r) if has_energy else out
 
         return h_herm
 

@@ -298,7 +298,7 @@ def _custom_system(cfg: dict) -> SystemSpec:
     patch, eta, e_mat = cfg["patch"], cfg["eta"], cfg["energy_hermitian"]
     if not is_positive_definite(eta):
         raise ConfigError("'eta' must be a positive-definite Hermitian matrix")
-    if e_mat is not None and not is_hermitian(e_mat, tol=None):
+    if e_mat is not None and not is_hermitian(e_mat):
         raise ConfigError("'energy_hermitian' must be a Hermitian matrix")
     curve = _curve_from_config(cfg["curve"])
     dim = curve.points(curve.t_start).shape[0]
@@ -315,7 +315,6 @@ def _custom_system(cfg: dict) -> SystemSpec:
         curve=curve,
         charts=(patch,),
         energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}, patch),
-        metadata={"model": "custom-matrix-fields"},
     )
 
 
@@ -335,7 +334,7 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
         pid: PatchData(pd.metric, defected(pd.connection))
         for pid, pd in system.patches.items()
     }
-    return dataclasses.replace(system, patches=patches, metadata=dict(system.metadata))
+    return dataclasses.replace(system, patches=patches)
 
 
 def build_from_config(cfg: dict) -> SystemSpec:

@@ -244,9 +244,16 @@ def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, poin
 # ---------------------------------------------------------------- transport
 
 
+def geometric_hamiltonian(a_form: ConnectionForm, path: CurvePath, t) -> np.ndarray:
+    """H_A(t) = sum_a Rdot^a(t) A_a(R(t)), the generator of parallel transport
+    and the geometric part of the full generator, for one time or a stack of
+    times (n,); OutOfPatch when R(t) lies outside the connection's chart."""
+    return a_form.contracted(path.points(t), path.velocities(t))
+
+
 def _transport_generator(a_form: ConnectionForm, path: CurvePath):
-    """The stacked transport generator t -> sum_a Rdot^a(t) A_a(R(t))."""
-    return linalg.stacked(lambda ts: a_form.contracted(path.points(ts), path.velocities(ts)))
+    """:func:`geometric_hamiltonian` along ``path``, marked stacked."""
+    return linalg.stacked(lambda ts: geometric_hamiltonian(a_form, path, ts))
 
 
 def transport_operator(

@@ -17,9 +17,10 @@ the Hermitian generator
     h = rho H rho^{-1} + i rhodot rho^{-1}
       = rho H_ph rho^{-1} + (i/2) [rhodot, rho^{-1}],     H_ph = H - H_A0,
 
-both forms being implemented and cross-checked.  rhodot is obtained either
-from the metric's coordinate partials by solving the Sylvester equation
-rho X + X rho = etadot, or by a central time difference as a fallback.
+both forms being implemented and cross-checked.  As H_E = rho^{-1} e rho for
+the energy observable e, h = rho H_A rho^{-1} + i rhodot rho^{-1} + e.  rhodot
+is obtained either from the metric's coordinate partials by solving the
+Sylvester equation rho X + X rho = etadot, or by a central time difference.
 
 The Sylvester equation is solved by :meth:`MetricOperator.root_derivative`:
 in closed form for 2x2, else in the eigenbasis of eta = V diag(w) V^dag,
@@ -42,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .connection import ConnectionForm, CurvePath
+from .connection import ConnectionForm, CurvePath, geometric_hamiltonian
 from .errors import InvalidState
 from .metric import MetricField, MetricOperator, split_pseudo
 from .stepping import StepperConfig, integrate
@@ -147,19 +148,13 @@ class CurveMetric:
 # ---------------------------------------------------------------- generators
 
 
-def geometric_hamiltonian(a_form: ConnectionForm, path: CurvePath, t: float) -> np.ndarray:
-    """H_A(t) = sum_a Rdot^a(t) A_a(R(t)) on the chart of the connection;
-    OutOfPatch when R(t) lies outside that chart."""
-    return a_form.contracted(path.points(t), path.velocities(t))
-
-
 def split_geometric(h_a: np.ndarray, curve_metric: CurveMetric, t: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Split H_A into (H_A0, H_omega).
 
     H_A0 = -(i/2) eta^{-1} etadot is fixed by the metric's motion along the
     curve; the remainder H_omega = H_A - H_A0 is pseudo-Hermitian exactly
-    when the connection is metric-compatible.
+    when the connection is metric-compatible (given H, the remainder is H_ph).
     """
     op = curve_metric.operator(t)
     h_a0 = -0.5j * op.eta_inv @ curve_metric.eta_dot(t)
@@ -234,9 +229,8 @@ def hermitian_representation_via_physical(
 ) -> np.ndarray:
     """Equivalent form  h = rho H_ph rho^{-1} + (i/2) [rhodot, rho^{-1}]
     with H_ph = H - H_A0 the pseudo-Hermitian part of the generator."""
+    _, h_ph = split_geometric(h_full, curve_metric, t)
     op = curve_metric.operator(t)
-    h_a0 = -0.5j * op.eta_inv @ curve_metric.eta_dot(t)
-    h_ph = np.asarray(h_full, dtype=complex) - h_a0
     rho_dot = curve_metric.rho_dot(t, op=op)
     return (op.rho @ h_ph @ op.rho_inv
             + 0.5j * (rho_dot @ op.rho_inv - op.rho_inv @ rho_dot))

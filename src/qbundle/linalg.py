@@ -21,6 +21,9 @@ dispatch costs more than the arithmetic, so :func:`matmul`, :func:`inv` and
 :func:`hermitian_sqrt` use closed forms entry by entry; other sizes take ``@``,
 ``numpy.linalg.inv`` and ``eigh``, the oracle the kernels are tested against.
 
+Gates.  The Hermiticity and positivity gates of :func:`positive_spectrum` are
+relative to the size of the operand, and no predicate takes a tolerance.
+
 Conventions: hbar = 1 everywhere; matrix norms used for tolerance checks are
 max-absolute-entry norms unless stated otherwise.
 """
@@ -38,9 +41,6 @@ SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 ID2 = np.eye(2, dtype=complex)
-
-#: default absolute tolerance for Hermiticity checks
-HERMITICITY_TOL = 1e-12
 
 # ---------------------------------------------------------------- helpers
 
@@ -178,54 +178,42 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def is_hermitian(m, tol: float | None = HERMITICITY_TOL) -> bool:
-    """Whether every matrix of m is Hermitian: within the absolute ``tol``,
-    or, with ``tol=None``, within the relative gate of :func:`hermitian_sqrt`."""
-    if tol is None:
-        return not np.any(_not_hermitian(as_square(m))[0])
-    return hermiticity_residual(m) <= tol
+def is_hermitian(m) -> bool:
+    """Whether every matrix of m passes the relative Hermiticity gate of
+    :func:`positive_spectrum`."""
+    return not np.any(_not_hermitian(as_square(m))[0])
 
 
-def hermiticity_residual(m) -> float:
-    m = as_square(m)
-    return max_abs(m - dagger(m))
+def _not_positive(eigvals: np.ndarray) -> np.ndarray:
+    """Per matrix: is its smallest ascending eigenvalue at most 1e-12 of the
+    largest magnitude?  A zero matrix fails; no absolute floor, as the
+    dynamics do not change under eta -> c eta."""
+    return eigvals[..., 0] <= 1e-12 * np.max(np.abs(eigvals), axis=-1)
 
 
-def _not_positive(eigvals: np.ndarray, tol: float | None) -> np.ndarray:
-    """Per matrix: is the smallest of its ascending eigenvalues at or below
-    the tolerance?  By default 1e-12 times the largest eigenvalue magnitude,
-    with no absolute floor: the dynamics do not change under eta -> c eta, so
-    neither does the gate.  A zero matrix fails it."""
-    if tol is None:
-        tol = 1e-12 * np.max(np.abs(eigvals), axis=-1)
-    return eigvals[..., 0] <= tol
-
-
-def _not_hermitian(m: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _not_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mask, residuals): per matrix of a stack, its Hermiticity residual and
-    whether it exceeds 1e-10 times its largest entry (or ``floor``)."""
+    whether it exceeds 1e-10 times its largest entry."""
     res = np.max(np.abs(m - dagger(m)), axis=(-2, -1))
-    return res > np.maximum(1e-10 * np.max(np.abs(m), axis=(-2, -1)), floor), res
+    return res > 1e-10 * np.max(np.abs(m), axis=(-2, -1)), res
 
 
-def is_positive_definite(m, tol: float | None = None) -> bool:
-    """True if every matrix of m is Hermitian (within the gate of
-    :func:`hermitian_sqrt`, or ``tol`` if larger) with strictly positive
-    spectrum."""
-    m = as_square(m)
-    if np.any(_not_hermitian(m, 0.0 if tol is None else tol)[0]):
+def is_positive_definite(m) -> bool:
+    """Whether every matrix of m passes both gates of :func:`positive_spectrum`."""
+    try:
+        positive_spectrum(m)
+    except NotPositiveDefinite:
         return False
-    w = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
-    return not np.any(_not_positive(w, tol))
+    return True
 
 
-def positive_spectrum(m, tol: float | None = None):
+def positive_spectrum(m):
     """(h, w, v) per matrix of a stack m: its Hermitian part, ascending
     eigenvalues and eigenvectors by ``eigh`` (a 2x2 takes closed-form
     eigenvalues and v None).  Raises NotPositiveDefinite, naming the first
     matrix whose Hermiticity residual exceeds 1e-10 of its largest entry or
-    whose smallest eigenvalue is at most 1e-12 of its largest (or ``tol``).
-    Both gates are relative, so c m passes or fails as m does for any c > 0."""
+    whose smallest eigenvalue is at most 1e-12 of its largest.  Both gates
+    are relative, so c m passes or fails as m does for any c > 0."""
     m = as_square(m)
     bad, res = _not_hermitian(m)
     if np.any(bad):
@@ -238,7 +226,7 @@ def positive_spectrum(m, tol: float | None = None):
         w = np.stack((0.5 * (a + d) - r, 0.5 * (a + d) + r), axis=-1)
     else:
         w, v = np.linalg.eigh(h)
-    bad = _not_positive(w, tol)
+    bad = _not_positive(w)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(
@@ -246,13 +234,13 @@ def positive_spectrum(m, tol: float | None = None):
     return h, w, v
 
 
-def hermitian_sqrt(m, tol: float | None = None):
+def hermitian_sqrt(m):
     """Unique positive-definite square root of each matrix of m, after the
     gates of :func:`positive_spectrum`: V diag(sqrt(w)) V^dag, which does not
     depend on the basis inside degenerate eigenspaces.  A 2x2 matrix takes the
     closed form (m + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), with det computed
     after an exact scaling by :func:`_scale`, so it stays in range."""
-    h, w, v = positive_spectrum(m, tol)
+    h, w, v = positive_spectrum(m)
     if v is not None:
         return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
     a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])

@@ -107,9 +107,6 @@ class MetricOperator:
         vh = linalg.dagger(v)
         return v @ ((vh @ eta_dot @ v) / (s[..., :, None] + s[..., None, :])) @ vh
 
-    def norm(self, psi) -> float:
-        return float(np.sqrt(self.inner(psi, psi).real))
-
 
 def eta_inner(eta, phi, psi) -> complex:
     """Metric-weighted inner product <phi, psi>_eta = phi^dag eta psi.

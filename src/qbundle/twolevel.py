@@ -910,11 +910,5 @@ def build_system(
         transition=transition_field(scales, theta_plus, theta_minus),
         energy=section,
         overlap_window=window,
-        metadata={
-            "model": "s2-two-level",
-            "theta_plus": theta_plus,
-            "theta_minus": theta_minus,
-            "pole_margin": pole_margin,
-        },
     )
 

@@ -111,7 +111,7 @@ def test_hermitian_sqrt_squares_back():
             r = hermitian_sqrt(m)
             np.testing.assert_allclose(r @ r, m, atol=1e-10 * max_abs(m))
             # the root is itself Hermitian positive definite
-            assert is_hermitian(r, tol=1e-10)
+            assert is_hermitian(r)
             assert is_positive_definite(r)
 
 
@@ -169,7 +169,7 @@ def test_hermiticity_gate_rejects_non_hermitian_matrices():
         with pytest.raises(NotPositiveDefinite, match="not Hermitian"):
             hermitian_sqrt(m)
         assert not is_positive_definite(m)
-        assert not is_hermitian(m, tol=None)
+        assert not is_hermitian(m)
     with pytest.raises(NotPositiveDefinite, match=r"stack index \(1,\)"):
         hermitian_sqrt(np.array([2.0 * np.eye(2), small]))
 
@@ -194,7 +194,7 @@ def test_relative_gates_name_the_failure(dim):
     tiny[0, 1] = 0.5e-12
     with pytest.raises(NotPositiveDefinite, match="not Hermitian"):
         hermitian_sqrt(tiny)
-    assert not is_hermitian(tiny, tol=None)
+    assert not is_hermitian(tiny)
     with pytest.raises(NotPositiveDefinite, match="not positive definite"):
         hermitian_sqrt(np.zeros((dim, dim)))
     assert not is_positive_definite(np.zeros((dim, dim)))

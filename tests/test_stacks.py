@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbundle import cli, linalg, stepping
+from qbundle import bundle, cli, linalg, stepping
 from qbundle import twolevel as tl
 from qbundle.bundle import (
     SystemSpec,
@@ -199,6 +199,54 @@ def test_generators_stack_row_by_row(us, scales, defect):
         h = system.generator(pid)(ts)
         assert_rows(hermitian_representation(h, cm, ts),
                     [hermitian_representation(x, cm, t) for x, t in zip(h, ts)])
+
+
+@pytest.mark.parametrize("scales", ["default", "constant", "wavy"])
+def test_hermitian_generator_matches_the_closed_form(scales):
+    """On each segment of the README meridian the system's Hermitian generator
+    equals the model's closed-form h, which holds no scale fields: default,
+    constant and pointwise scales (tilde partials by finite differences)."""
+    s = {"constant": tl.constant_scales(1.3, 0.7, 1.1, 0.9), **SCALES}[scales]
+    curve = tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6)
+    system = tl.build_system(curve, scales=s, alpha=ALPHA, energy=ENERGY)
+    for (ta, tb), pid in system.segments():
+        ts = np.linspace(ta, tb, 41)
+        (th, ph), (th_dot, ph_dot) = curve.points(ts).T, curve.velocities(ts).T
+        closed = tl.hermitian_hamiltonian(th, ph, th_dot, ph_dot, ALPHA, ENERGY, pid)
+        assert max_abs(system.hermitian_generator(pid)(ts) - closed) <= 1e-12
+
+
+def counting_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a function or a method)."""
+    calls, orig = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("energy", [None, ENERGY])
+def test_each_generator_factorises_the_metric_at_most_once(monkeypatch, energy):
+    """One stacked generator call factorises the metric once with an energy
+    section and never without one; one hermitian_generator call factorises
+    once and maps through bundle.hermitian_representation once, the module
+    attribute that perfbench's tracer wraps."""
+    system = tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6),
+                             alpha=ALPHA, energy=energy)
+    operators = counting_calls(monkeypatch, MetricField, "operator")
+    mapped = counting_calls(monkeypatch, bundle, "hermitian_representation")
+    for (ta, tb), pid in system.segments():
+        ts = np.linspace(ta, tb, 9)
+        system.generator(pid)(ts)
+        assert (len(operators), len(mapped)) == (0 if energy is None else 1, 0)
+        operators.clear()
+        system.hermitian_generator(pid)(ts)
+        assert (len(operators), len(mapped)) == (1, 1)
+        operators.clear()
+        mapped.clear()
 
 
 # ------------------------------------------------------------- gluing

@@ -588,7 +588,6 @@ def test_build_system_single_chart_each_side():
     assert north.overlap_window is None
     south = tl.build_system(tl.circle_curve(2.4))
     assert south.charts == (tl.MINUS,)
-    assert north.metadata["model"] == "s2-two-level"
 
 
 def test_build_system_meridian_two_charts():
