@@ -180,12 +180,15 @@ def big_g(
 
 
 def transform_state(transition: TransitionFunctionField, point, psi) -> np.ndarray:
-    """State components on the target chart:  psi~ = g^{-1} psi."""
+    """State components on the target chart:  psi~ = g^{-1} psi, for a state
+    or a stack of states (..., N) that broadcasts against the points."""
     g_inv = transition.g_inv(point)
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != g_inv.shape[:-1]:
-        raise DimensionMismatch(f"psi has shape {psi.shape}, expected {g_inv.shape[:-1]}")
-    return (g_inv @ psi[..., None])[..., 0]
+    try:
+        return (g_inv @ psi[..., None])[..., 0]
+    except ValueError as exc:  # another length, or stacks that do not broadcast
+        raise DimensionMismatch(
+            f"psi has shape {psi.shape}, expected {g_inv.shape[:-1]}") from exc
 
 
 def transform_hamiltonian(
@@ -443,6 +446,8 @@ def evolve_across_patches(
 ) -> EvolutionResult:
     """Evolve along the chart segments of ``system.segments(tau)``.
 
+    ``psi0`` is a state (N,) or column states (N, c) evolved at once, whose
+    columns give the trajectories :meth:`EvolutionResult.column` splits out.
     In the default ("eta") representation the state converts at a switch by
     psi~ = g^{-1} psi; in the "hermitian" representation the input/output
     states are Phi = rho psi and the conversion is Phi~ = G^{-1} Phi.  The
@@ -457,18 +462,19 @@ def evolve_across_patches(
     hermitian = representation == "hermitian"
     segments = system.segments(tau)
 
-    psi = psi0
+    psi = np.asarray(psi0, dtype=complex)
     pieces: list[EvolutionResult] = []
     for k, ((ta, tb), pid) in enumerate(segments):
         if k:
             r = system.curve.points(ta)
             transition = system.transition_into(pid)
+            # column states convert as a stack of vectors, each with the bits it has alone
             if hermitian:
                 gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
                            transition, r, check_tol=None)
-                psi = linalg.inv(gg) @ psi
+                psi = (linalg.inv(gg) @ psi.T[..., None])[..., 0].T
             else:
-                psi = transform_state(transition, r, psi)
+                psi = transform_state(transition, r, psi.T).T
         pieces.append(evolve(
             system.hermitian_generator(pid) if hermitian else system.generator(pid),
             psi, ta, tb, stepper,

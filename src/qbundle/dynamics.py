@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .connection import ConnectionForm, CurvePath, geometric_hamiltonian
-from .errors import InvalidState
+from .errors import DimensionMismatch, InvalidState
 from .metric import MetricField, MetricOperator, split_pseudo
 from .stepping import StepperConfig, integrate
 
@@ -82,10 +82,11 @@ class EvolutionResult:
     """Sampled trajectory of a state evolution.
 
     times : (n,) sample times
-    states : (n, N) state vectors
-    eta_norm : (n,) metric norms, when a metric was supplied
+    states : (n, N) state vectors, or (n, N, c) for c column states
+    eta_norm : (n,) metric norms, when a metric was supplied; (n, c) for
+        column states
     energy_expect : (n,) real energy expectations, when an energy part was
-        supplied
+        supplied; (n, c) for column states
     patch_trace : chart label per sample, when known
     """
 
@@ -102,6 +103,14 @@ class EvolutionResult:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
+
+    def column(self, j: int) -> "EvolutionResult":
+        """The trajectory of column state j of a run of column states."""
+        def pick(values):
+            return None if values is None else values[..., j]
+
+        return EvolutionResult(self.times, self.states[..., j], pick(self.eta_norm),
+                               pick(self.energy_expect), self.patch_trace)
 
 
 class CurveMetric:
@@ -176,28 +185,31 @@ def evolve(
 ) -> EvolutionResult:
     """Integrate  i dpsi/dt = H(t) psi  and record trajectory diagnostics.
 
+    ``psi0`` is a state (N,) or column states (N, c), evolved at once.
     ``hamiltonian(t)`` returns the full generator, which
-    :func:`qbundle.stepping.integrate` evaluates once per distinct RK4 node
-    time.  When ``curve_metric`` is given, the metric norm of the state is
+    :func:`qbundle.stepping.integrate` evaluates once per distinct node
+    time.  When ``curve_metric`` is given, the metric norm of each state is
     recorded at each sample; when ``energy(t)`` is also given, so is the
     normalized real energy expectation <psi, H_E psi>_eta / <psi, psi>_eta.
     Both generators are evaluated on the stack of node or sample times when
     marked :func:`qbundle.linalg.stacked`.
     """
-    psi0 = linalg.as_vector(psi0, name="psi0")
-    if float(np.max(np.abs(psi0))) == 0.0:
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim not in (1, 2):
+        raise DimensionMismatch(f"psi0 must be a state or column states, got shape {psi0.shape}")
+    if not np.all(np.max(np.abs(psi0.reshape(len(psi0), -1)), axis=0)):
         raise InvalidState("initial state is the zero vector")
 
     times, states = integrate(hamiltonian, psi0, t0, t1, stepper)
 
     eta_norm = energy_expect = None
     if curve_metric is not None:
-        bra_eta = np.einsum("ki,kij->kj", states.conj(), curve_metric.eta(times))
-        den = np.einsum("kj,kj->k", bra_eta, states).real
+        bra_eta = np.einsum("ki...,kij->kj...", states.conj(), curve_metric.eta(times))
+        den = np.einsum("kj...,kj...->k...", bra_eta, states).real
         eta_norm = np.sqrt(den)
         if energy is not None:
             h_e = linalg.over_points(energy, times)
-            energy_expect = np.einsum("kj,kjl,kl->k", bra_eta, h_e, states).real / den
+            energy_expect = np.einsum("kj...,kjl,kl...->k...", bra_eta, h_e, states).real / den
     trace = [patch_id] * times.shape[0] if patch_id is not None else None
     return EvolutionResult(times, states, eta_norm, energy_expect, trace)
 

@@ -17,9 +17,10 @@ callable marked with :func:`stacked` receives the whole stack and returns
 one result per point, any other callable is called once per point.
 
 2x2 kernels.  On (n, 2, 2) stacks, the two-level hot path, numpy's per-matrix
-dispatch costs more than the arithmetic, so :func:`matmul`, :func:`inv` and
-:func:`hermitian_sqrt` use closed forms entry by entry; other sizes take ``@``,
-``numpy.linalg.inv`` and ``eigh``, the oracle the kernels are tested against.
+dispatch costs more than the arithmetic, so :func:`matmul`, :func:`inv`,
+:func:`hermitian_sqrt` and :func:`exp_stack` use closed forms entry by entry;
+other sizes take ``@``, ``numpy.linalg.inv``, ``eigh`` and scipy's ``expm``,
+the oracle the kernels are tested against.
 
 Gates.  The Hermiticity and positivity gates of :func:`positive_spectrum` are
 relative to the size of the operand, and no predicate takes a tolerance.
@@ -270,25 +271,57 @@ def inv(m: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, without validation.  Two stacks of 2x2 matrices (..., 2, 2)
-    multiply entry by entry, broadcasting their leading axes; any other
-    shapes use ``@``."""
-    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+    """a @ b, without validation.  A stack of 2x2 matrices (..., 2, 2) times a
+    stack of two-row matrices (..., 2, c) multiplies entry by entry,
+    broadcasting their leading axes, so each column of the product has the
+    bits it has when that column of b is multiplied alone; any other shapes
+    use ``@``."""
+    if a.shape[-2:] != (2, 2) or b.ndim < 2 or b.shape[-2] != 2:
         return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = np.empty(np.broadcast_shapes(a.shape[:-1] + b.shape[-1:], b.shape),
+                   np.result_type(a, b))
     for i in (0, 1):
-        for j in (0, 1):
+        for j in range(b.shape[-1]):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
     return out
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential of each matrix of m (scaling-and-squaring Pade, via
+    scipy), after the checks of :func:`as_square`."""
+    return _scipy_expm(as_square(m))
+
+
+def _scipy_expm(m: np.ndarray) -> np.ndarray:
     # imported here: scipy is the package's only other dependency and costs
     # about 0.3 s to import, which every CLI invocation would otherwise pay
     import scipy.linalg
 
-    return scipy.linalg.expm(as_square(m))
+    return scipy.linalg.expm(m)
+
+
+def exp_stack(m: np.ndarray) -> np.ndarray:
+    """Exponential of each matrix of a stack (..., N, N), without validation,
+    so a matrix with a non-finite entry gives a non-finite result.  A 2x2
+    matrix M takes the closed form  e^mu (cosh q I + sinh(q)/q (M - mu I)),
+    mu = tr M / 2, q^2 = -det(M - mu I); other sizes take scipy's ``expm``,
+    as :func:`matrix_exp` does."""
+    if m.shape[-2:] != (2, 2):
+        return _scipy_expm(m)
+    mu = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    d, b, c = m[..., 0, 0] - mu, m[..., 0, 1], m[..., 1, 0]
+    q2 = d * d + b * c  # (M - mu I)^2 = q^2 I, free of the cancellation in mu^2 - det M
+    q = np.sqrt(q2)
+    small = np.abs(q2) < 1e-8  # sinh(q)/q by its series: the next term is below 1e-27
+    sinhc = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0,
+                     np.sinh(q) / np.where(small, 1.0, q))
+    e, cosh = np.exp(mu), np.cosh(q)
+    out = np.empty(m.shape, complex)
+    out[..., 0, 0] = e * (cosh + sinhc * d)
+    out[..., 0, 1] = e * (sinhc * b)
+    out[..., 1, 0] = e * (sinhc * c)
+    out[..., 1, 1] = e * (cosh - sinhc * d)
+    return out
 
 
 def pauli_dot(coeffs) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qbundle
 from qbundle.cli import (
     CHECK_TOLERANCES,
+    _run_many,
     _run_one,
+    _set_by_path,
     _write_trajectory_csv,
     build_from_config,
     main,
@@ -26,6 +30,7 @@ from qbundle.cli import (
 )
 from qbundle.dynamics import evolve
 from qbundle.errors import ConfigError
+from qbundle.linalg import max_abs
 from qbundle.stepping import StepperConfig
 
 THETA_FROM = math.pi / 6.0
@@ -685,3 +690,189 @@ def test_sweep_over_an_integer_key(tmp_path, monkeypatch):
     rows = (tmp_path / "job_sweep.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["3", "4"]
     assert float(rows[2].split(",")[-1]) > 1e-3
+
+
+# ----------------------------------------------- propagator-first sweeps
+
+
+def great_circle_config():
+    """The single-chart adaptive great circle of the benchmark's sweep jobs."""
+    return {
+        "model": "s2-two-level",
+        "curve": {"kind": "great-circle", "inclination": 0.43, "offset": 1.1},
+        "energy": {"epsilon": 0.8, "direction": [0.2, -0.3, 0.93]},
+        "stepper": {"method": "rk4-adaptive", "dt": 1e-3, "target_local_error": 1e-12},
+        "initial_state": [[0.6, 0.1], [0.3, -0.5]],
+        "outputs": ["summary"],
+        "seed": 5,
+    }
+
+
+def solo_sweep_csv(cfg_dict, param, values):
+    """The sweep CSV of ``values`` written from one solo run per value, the
+    way a sweep that rebuilds and re-runs each value writes it."""
+    rows, first = [], None
+    for v in values:
+        variant = json.loads(json.dumps(cfg_dict))
+        _set_by_path(variant, param, v)
+        _, result, summary = _run_one(variant)
+        if first is None:
+            first = result.final_state
+            rows.append([param] + [f"{p}_psi_{k}" for k in range(len(first)) for p in ("re", "im")]
+                        + ["norm_drift", "delta_vs_first"])
+        cells = [v, *(x for pair in summary["final_state"] for x in pair), summary["norm_drift"],
+                 float(max_abs(result.final_state - first))]
+        rows.append(["" if x is None else f"{x:.17g}" for x in cells])
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_initial_state_sweep_builds_the_system_once(tmp_path, monkeypatch, capsys):
+    """A sweep over initial_state.* builds and evolves one system for all its
+    values; a sweep over any other path rebuilds and re-runs each value."""
+    monkeypatch.chdir(tmp_path)
+    builds = counting(monkeypatch, qbundle.twolevel, "build_system")
+    evolves = counting(monkeypatch, qbundle.cli, "evolve_across_patches")
+    cfg = write_config(tmp_path / "job.json", great_circle_config())
+    assert main(["sweep", cfg, "--param", "initial_state.1.1", "--values=-0.4,0.1,0.5"]) == 0
+    assert (len(builds), len(evolves)) == (1, 1)
+    builds.clear()
+    evolves.clear()
+    assert main(["sweep", cfg, "--param", "curve.offset", "--values", "1.1,1.2,1.3"]) == 0
+    assert (len(builds), len(evolves)) == (3, 3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg_dict", [
+    great_circle_config(),
+    dict(great_circle_config(), representation="hermitian"),
+    dict(base_config(), outputs=["summary"]),
+    dict(base_config(), stepper={"method": "rk4-adaptive", "dt": 5e-3}),
+    dict(base_config(), representation="hermitian",
+         stepper={"method": "rk4-adaptive", "dt": 5e-3}),
+], ids=["circle-adaptive", "circle-adaptive-hermitian", "meridian-fixed",
+        "meridian-adaptive", "meridian-adaptive-hermitian"])
+def test_initial_state_sweep_rows_are_the_solo_runs(cfg_dict):
+    """Evolved as columns of one state, each value accepts its solo step
+    count here and gives its solo run bit for bit."""
+    variants = []
+    for v in (-0.5, 0.05, 0.45):
+        variants.append(json.loads(json.dumps(cfg_dict)))
+        _set_by_path(variants[-1], "initial_state.1.0", v)
+    for variant, (result, summary) in zip(variants, _run_many(variants)[1]):
+        _, solo, solo_summary = _run_one(variant)
+        assert np.array_equal(result.times, solo.times)
+        assert np.array_equal(result.states, solo.states)
+        assert np.array_equal(result.eta_norm, solo.eta_norm)
+        assert ({k: v for k, v in summary.items() if k != "config"}
+                == {k: v for k, v in solo_summary.items() if k != "config"})
+
+
+def test_a_batch_takes_the_step_count_of_its_worst_column():
+    """Every column must meet the adaptive target, so a small state that
+    alone is accepted at 100 steps runs at the 200 its batch needs, and stays
+    within its own target of its solo run."""
+    cfg_dict = great_circle_config()
+    cfg_dict["stepper"] = {"method": "rk4-adaptive", "dt": 1e-2, "target_local_error": 1e-12}
+    small = json.loads(json.dumps(cfg_dict))
+    small["initial_state"] = [[0.006, 0.001], [0.003, -0.005]]
+    [(big_row, _), (small_row, _)] = _run_many([cfg_dict, small])[1]
+    _, big_solo, _ = _run_one(cfg_dict)
+    _, small_solo, _ = _run_one(small)
+    assert [len(r.times) - 1 for r in (big_solo, small_solo, big_row, small_row)] == [
+        200, 100, 200, 200]
+    assert np.array_equal(big_row.states, big_solo.states)
+    assert max_abs(small_row.final_state - small_solo.final_state) <= 1e-12 * 100
+
+
+@pytest.mark.parametrize("cfg_dict, param, values", [
+    (base_config(), "tau", [0.3, 0.5, 0.7]),
+    (base_config(), "stepper.dt", [0.005, 0.0025]),
+    (great_circle_config(), "initial_state.1.1", [-0.4, 0.1, 0.5]),
+], ids=["tau", "stepper.dt", "initial_state"])
+def test_sweep_csv_is_the_rows_of_the_solo_runs(tmp_path, monkeypatch, capsys,
+                                                cfg_dict, param, values):
+    """Whether a sweep re-runs each value (tau, stepper.dt) or evolves them
+    as columns of one state (initial_state), its CSV is byte for byte the
+    one written from the solo runs."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "job.json", cfg_dict)
+    assert main(["sweep", cfg, "--param", param,
+                 "--values=" + ",".join(map(str, values))]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "job_sweep.csv").read_bytes() == solo_sweep_csv(cfg_dict, param, values)
+
+
+def test_successive_main_calls_parse_independently(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process, and each call parses its own
+    arguments: no option or default carries over from an earlier call."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "job.json", base_config())
+    other = base_config()
+    other["energy"] = {"epsilon": 0.81, "direction": [0.2, -0.3, 0.93]}
+    other = write_config(tmp_path / "other.json", other)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "elsewhere")]) == 0
+    assert (tmp_path / "elsewhere" / "job_summary.json").exists()
+    assert main(["sweep", cfg, "--param", "tau", "--values", "0.4,0.6"]) == 0
+    assert (tmp_path / "job_sweep.csv").exists()
+    assert not (tmp_path / "elsewhere" / "job_sweep.csv").exists()
+    assert main(["compare", cfg, other, "--tol", "1"]) == 0
+    assert main(["compare", cfg, other]) == 1  # the default tolerance, 1e-6, again
+    capsys.readouterr()
+    assert qbundle.cli._build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("representation", ["eta", "hermitian"])
+def test_seeded_defect_fails_the_check_under_rk4_adaptive(tmp_path, monkeypatch, capsys,
+                                                          representation):
+    """Magnus-6 never makes Omega anti-Hermitian, so the planted defect still
+    breaks norm conservation in either picture."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = base_config()
+    cfg_dict.update(defect={"omega_anti_hermitian": 0.05}, representation=representation,
+                    stepper={"method": "rk4-adaptive", "dt": 5e-3})
+    cfg = write_config(tmp_path / "broken.json", cfg_dict)
+    assert main(["check", cfg]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "broken_invariants.json").read_text())
+    by_name = {r["name"]: r for r in report["checks"]}
+    assert not by_name["metric-compatibility"]["passed"]
+    assert not by_name["norm-conservation"]["passed"]
+
+
+def test_three_level_adaptive_run_exponentiates_through_scipy_expm(tmp_path, monkeypatch):
+    """A 3x3 custom model under rk4-adaptive runs Magnus-6 with scipy's
+    expm, as linalg.matrix_exp does, and agrees with a fine rk4-fixed run."""
+    monkeypatch.chdir(tmp_path)
+    cfg_dict = custom_config(connection=[[[[0, 0], [1, 0], [0, 0]],
+                                          [[0.5, 0], [0, 0], [0, 0.25]],
+                                          [[0, 0], [0, -1 / 6], [0, 0]]]])
+    cfg_dict["eta"] = [[[1, 0], [0, 0], [0, 0]],
+                       [[0, 0], [2, 0], [0, 0]],
+                       [[0, 0], [0, 0], [3, 0]]]
+    cfg_dict["energy_hermitian"] = [[[1, 0], [0.2, 0], [0, 0]],
+                                    [[0.2, 0], [0, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [-1, 0]]]
+    cfg_dict["initial_state"] = [[1, 0], [0.3, 0.2], [0, -0.5]]
+    cfg_dict["stepper"] = {"method": "rk4-adaptive", "dt": 1e-2, "target_local_error": 1e-12}
+    exps = counting(monkeypatch, scipy.linalg, "expm")
+    _, result, summary = _run_one(cfg_dict)
+    assert summary["integrator"] == "magnus-6" and len(exps) >= 2
+    assert summary["norm_drift"] <= 1e-12
+    fine = dict(cfg_dict, stepper={"method": "rk4-fixed", "dt": 1e-4})
+    _, reference, reference_summary = _run_one(fine)
+    assert reference_summary["integrator"] == "rk4"
+    assert max_abs(result.final_state - reference.final_state) <= 1e-11

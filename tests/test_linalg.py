@@ -16,6 +16,7 @@ from qbundle.linalg import (
     commutator,
     contract,
     dagger,
+    exp_stack,
     hermitian_sqrt,
     inv,
     is_hermitian,
@@ -328,6 +329,63 @@ def test_matrix_exp_unitary_for_anti_hermitian():
     h = random_hermitian(rng, 4)
     u = matrix_exp(-1j * h)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+def _expm_each(m):
+    import scipy.linalg
+
+    return np.array([scipy.linalg.expm(x) for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
+
+
+def test_exp_stack_2x2_closed_form_against_scipy():
+    """The closed form on random complex stacks, near q = 0 (both sides of
+    the series guard and exactly nilpotent traceless parts), with q^2 < 0
+    (the -i h H of a Hermitian H) and with a large trace."""
+    rng = np.random.default_rng(SEED)
+    random = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    random *= rng.uniform(0.01, 5.0, (200, 1, 1))
+    mu = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    q2 = np.concatenate((10.0 ** rng.uniform(-20, -2, 38), [0.0, 1e-8]))
+    near_zero = np.zeros((40, 2, 2), complex)  # traceless part [[0, 1], [q^2, 0]] squares to q^2
+    near_zero[:, 0, 0] = near_zero[:, 1, 1] = mu
+    near_zero[:, 0, 1] = 1.0
+    near_zero[:, 1, 0] = q2 * np.exp(2j * np.pi * rng.uniform(size=40))
+    nilpotent = np.array([[[0.3, 2.0], [0.0, 0.3]], [[1j, 0.0], [-4.0, 1j]]], complex)
+    h = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    rotation = -1j * 0.7 * (h + dagger(h))  # q^2 = -(eigenvalue gap / 2)^2 < 0
+    large_trace = random[:50] + 40.0 * (1.0 + 0.5j) * ID2
+    for m in (random, near_zero, nilpotent, rotation, large_trace):
+        expected = _expm_each(m)
+        scale = np.max(np.abs(expected), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(exp_stack(m) - expected) <= 1e-13 * scale)
+    q2_rotation = 0.25 * (rotation[:, 0, 0] - rotation[:, 1, 1]) ** 2 + (
+        rotation[:, 0, 1] * rotation[:, 1, 0])
+    assert np.all(q2_rotation.real < 0.0)
+
+
+def test_exp_stack_other_sizes_go_through_scipy_expm():
+    """As matrix_exp, but a non-finite matrix gives a non-finite result
+    where matrix_exp refuses it."""
+    rng = np.random.default_rng(SEED)
+    m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    assert np.array_equal(exp_stack(m), matrix_exp(m))
+    m[2, 0, 1] = np.inf
+    out = exp_stack(m)
+    assert not np.isfinite(out[2]).all() and np.isfinite(np.delete(out, 2, axis=0)).all()
+    with pytest.raises(DimensionMismatch):
+        matrix_exp(m)
+
+
+def test_2x2_matmul_multiplies_each_column_alone():
+    """A 2x2 stack times two-row matrices gives each column the bits of that
+    column multiplied alone, which batched initial states rely on."""
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((30, 2, 2)) + 1j * rng.standard_normal((30, 2, 2))
+    b = rng.standard_normal((30, 2, 5)) + 1j * rng.standard_normal((30, 2, 5))
+    whole = matmul(a, b)
+    assert_close(whole, a @ b, 1e-13)
+    for j in range(5):
+        assert np.array_equal(whole[..., j:j + 1], matmul(a, b[..., j:j + 1].copy()))
 
 
 # ---------------------------------------------------------------- differences
