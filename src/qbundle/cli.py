@@ -22,7 +22,8 @@ compare <a.json> <b.json> [--tol X]
 sweep <config.json> --param dotted.path --values v1,v2,...
     Re-run the configuration with a parameter swept over the given values
     and tabulate the endpoints.  A sweep over ``initial_state.*`` builds the
-    system once and evolves every value as a column of one state.
+    system once and evolves every value as a column of one state; a ``run``
+    is the same evolution with one column.
 
 Every configuration, and every sweep variant, is read through one schema
 table (resolve_config) that states each key's type and default.  All outputs
@@ -427,10 +428,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run_many(cfgs: list) -> tuple[SystemSpec, list]:
-    """Build the system of ``cfgs[0]`` once and evolve the initial state of
-    every config in one run: one config's as a state, several as the columns
-    of one state, so they must differ in ``initial_state`` alone.  Returns
-    the system and one (result, summary) per config."""
+    """Build the system of ``cfgs[0]`` once and evolve the initial states of
+    all the configs as the columns of one state, so they must differ in
+    ``initial_state`` alone; a single run is a batch of one.  Returns the
+    system and one (result, summary) per config."""
     cfgs = [resolve_config(cfg) for cfg in cfgs]
     cfg = cfgs[0]
     system = build_from_config(cfg)
@@ -441,10 +442,9 @@ def _run_many(cfgs: list) -> tuple[SystemSpec, list]:
     segments = system.segments(cfg["tau"])
     psi0 = [_initial_state(c, system, segments[0][1], np.random.default_rng(c["seed"]))
             for c in cfgs]
-    batch = evolve_across_patches(system, psi0[0] if len(cfgs) == 1 else np.stack(psi0, axis=1),
-                                  tau=cfg["tau"], stepper=stepper,
-                                  representation=cfg["representation"])
-    results = [batch] if len(cfgs) == 1 else [batch.column(j) for j in range(len(cfgs))]
+    batch = evolve_across_patches(system, np.stack(psi0, axis=1), tau=cfg["tau"],
+                                  stepper=stepper, representation=cfg["representation"])
+    results = [batch.column(j) for j in range(len(cfgs))]
     return system, [(result, _summary(c, stepper, segments, result))
                     for c, result in zip(cfgs, results)]
 

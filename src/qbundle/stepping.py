@@ -16,16 +16,18 @@ A_i = -i H(t + c_i h), c = 1/2 - s, 1/2, 1/2 + s, s = sqrt(15)/10,
 
 and M = :func:`qbundle.linalg.exp_stack` (Omega), never made anti-Hermitian.
 
-Products.  ``rk4-fixed`` multiplies its steps in one at a time, so its
-states are the in-order product bit for bit.  A Magnus chunk takes its
-states from :func:`_scan`: Hillis-Steele passes give P_k = M_k ... M_a and
-the states are P_k y_a in one product (Blelloch, CMU-CS-90-190, 1990).
-With 2x2 steps each column gets the bits it gets alone, so a batch of
-initial states gives each one's solo run.  A chunk whose scan overflows is
-re-stepped one matrix at a time, so StepperDiverged names the first
-non-finite sample time either way.
+Products.  Every chunk takes its states from :func:`_scan`: Hillis-Steele
+passes give P_k = M_k ... M_a and the states are P_k y_a in one product
+(Blelloch, CMU-CS-90-190, 1990).  With 2x2 steps each column gets the bits
+it gets alone, so a batch of initial states gives each one's solo run.  The
+prefix products can overflow where the states do not (a state that decays
+and then grows again), so a chunk whose scan is not finite is re-stepped
+through :func:`_scan` one matrix at a time, and StepperDiverged names the
+first non-finite sample time either way.
 
-Methods.  ``rk4-fixed`` takes n = round(|t1 - t0| / dt) RK4 steps.
+Methods.  ``rk4-fixed`` takes n = round(|t1 - t0| / dt) RK4 steps, so
+its states are the scan of the RK4 step matrices: their in-order product to
+rounding, not bit for bit.
 ``rk4-adaptive`` keeps its name but runs Magnus-6 by whole-run step doubling
 from n // 4 steps: it runs m and 2m steps, estimates the 2m run's error as
 max|y_2m(t1) - y_m(t1)| / 63 (order 6) and returns that run once the
@@ -212,9 +214,9 @@ def integrate(
     return _integrate_adaptive(generator, y, t0, t1, max(1, n // 4), config.target_local_error)
 
 
-def _integrate_fixed(generator, y, t0, t1, n, builder, scan=False):
-    """n uniform steps of ``builder``'s step matrices from y at t0, multiplied
-    in one step at a time, or by :func:`_scan` when ``scan`` is set."""
+def _integrate_fixed(generator, y, t0, t1, n, builder):
+    """n uniform steps of ``builder``'s step matrices from y at t0, each chunk's
+    states from :func:`_scan`."""
     h = (t1 - t0) / n
     starts = t0 + np.arange(n + 1) * h  # step k runs from starts[k] to starts[k+1]
     states = np.empty((n + 1,) + y.shape, dtype=complex)
@@ -224,15 +226,11 @@ def _integrate_fixed(generator, y, t0, t1, n, builder, scan=False):
         b = min(a + FIXED_CHUNK_STEPS, n)
         steps = build(starts[a:b + 1], h)
         with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-            if scan:
-                states[a + 1:b + 1] = _scan(steps, states[a])
+            states[a + 1:b + 1] = _scan(steps, states[a])
             # the prefix products can overflow where the states would not
-            if not scan or not np.isfinite(states[a + 1:b + 1]).all():
-                # column states step as a stack of vectors, each with the bits it has alone
-                rows = list(states[a:b + 1] if y.ndim == 1
-                            else states[a:b + 1].swapaxes(1, 2)[..., None])
-                for k, m in enumerate(steps):
-                    np.matmul(m, rows[k], out=rows[k + 1])
+            if not np.isfinite(states[a + 1:b + 1]).all():
+                for k in range(a, b):
+                    states[k + 1] = _scan(steps[k - a:k - a + 1], states[k])[0]
         _check_finite(states[a + 1:b + 1], starts[a + 1:b + 1])
     starts[n] = t1
     return starts, states
@@ -242,11 +240,11 @@ def _integrate_adaptive(generator, y, t0, t1, n, tol):
     """Magnus-6 step doubling from n steps; every column of y must meet the
     target, so a column can be accepted at a larger count than alone."""
     scale = np.maximum(1.0, np.max(np.abs(y.reshape(y.shape[0], -1)), axis=0))
-    coarse = _integrate_fixed(generator, y, t0, t1, n, magnus6_steps, scan=True)[1][-1]
+    coarse = _integrate_fixed(generator, y, t0, t1, n, magnus6_steps)[1][-1]
     err = np.inf
     while 2 * n <= MAX_STEPS:
         n *= 2
-        times, states = _integrate_fixed(generator, y, t0, t1, n, magnus6_steps, scan=True)
+        times, states = _integrate_fixed(generator, y, t0, t1, n, magnus6_steps)
         # Magnus-6 is order 6, so the doubling estimate carries a 1/(2^6 - 1) factor
         err = np.max(np.abs(states[-1] - coarse).reshape(y.shape[0], -1), axis=0) / 63.0
         if np.all(err <= tol * n * scale):

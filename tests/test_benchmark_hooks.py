@@ -48,13 +48,18 @@ def perfbench_module(name):
     return module
 
 
-@pytest.mark.parametrize("index", [1, 7])
-def test_sweep_check_sweep_jobs_pass_the_reference_gate(tmp_path, capsys, index):
-    """The adaptive great-circle sweeps of the sweep-check workload agree
-    with the benchmark's independent reference."""
+JOBS = [("meridian-eta", 0, "run"), ("meridian-hermitian", 0, "run"), ("sweep-check", 0, "check"),
+        ("sweep-check", 4, "defect-check"), ("sweep-check", 1, "sweep"), ("sweep-check", 7, "sweep")]
+
+
+@pytest.mark.parametrize("workload, index, kind", JOBS, ids=[f"{w}-{i}" for w, i, _ in JOBS])
+def test_jobs_pass_the_reference_gate(tmp_path, capsys, workload, index, kind):
+    """A run in each picture, a check, the defect check (which must exit 1)
+    and two adaptive great-circle sweeps agree with the benchmark's
+    independent reference."""
     workloads, reference = perfbench_module("workloads"), perfbench_module("reference")
-    job = workloads.job("sweep-check", 1107, index)
-    assert job.kind == "sweep"
+    job = workloads.job(workload, 1107, index)
+    assert job.kind == kind
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(job.config))
     exit_code = main([job.command, str(cfg), "--output-dir", str(tmp_path), *job.extra_args])

@@ -1,11 +1,13 @@
-"""Smoke test: every script in demos/ runs to the end and prints its table."""
+"""Smoke test: every script in demos/ and README's library quick start runs
+to the end and prints its output."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_the_demos_are_found():
@@ -18,3 +20,11 @@ def test_demo_runs(path, capsys):
     out = capsys.readouterr().out
     assert out.strip()
     assert "np.float64" not in out  # numbers print as plain floats, not numpy reprs
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start"):]
+    code = section[section.index("```python\n") + len("```python\n"):section.index("\n```\n")]
+    exec(compile(code, "README.md quick start", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out.strip()

@@ -280,9 +280,10 @@ def counting_generator(calls):
 
 def test_fixed_steps_evaluate_each_node_once():
     """n fixed RK4 steps sample 2n+1 distinct node times, once each.  The
-    states are the RK4 step matrices M_k (one step applied to the identity)
-    applied in order, and agree with a per-stage RK4 integration, with the
-    generator evaluated at every stage, to rounding."""
+    states are the prefix scan of the RK4 step matrices M_k (one step applied
+    to the identity) bit for bit, and agree with applying them in order and
+    with a per-stage RK4 integration, with the generator evaluated at every
+    stage, to rounding."""
     calls = []
     h = counting_generator(calls)
     psi0 = np.array([1.0, 0.5j])
@@ -291,16 +292,18 @@ def test_fixed_steps_evaluate_each_node_once():
     assert n == 100
     assert len(calls) == 2 * n + 1 == len(set(calls))
     nodes = (np.arange(n + 1) * 0.01).tolist()
+    ms = []
     stepped = [psi0.astype(complex)]
     per_stage = [psi0.astype(complex)]
     for t, t_next in zip(nodes, nodes[1:]):
-        m = stepping.rk4_step((h(t), h(t + 0.005), h(t_next)), np.eye(2), 0.01)
-        stepped.append(m @ stepped[-1])
+        ms.append(stepping.rk4_step((h(t), h(t + 0.005), h(t_next)), np.eye(2), 0.01))
+        stepped.append(ms[-1] @ stepped[-1])
         y = per_stage[-1]
         k1 = -1j * (h(t) @ y)
         k2 = -1j * (h(t + 0.005) @ (y + 0.005 * k1))
         k3 = -1j * (h(t + 0.005) @ (y + 0.005 * k2))
         k4 = -1j * (h(t_next) @ (y + 0.01 * k3))
         per_stage.append(y + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    assert np.array_equal(res.states, np.array(stepped))
+    assert np.array_equal(res.states[1:], stepping._scan(np.array(ms), psi0))
+    assert max_abs(res.states - np.array(stepped)) <= 1e-14 * np.linalg.norm(psi0)
     assert max_abs(res.states - np.array(per_stage)) <= 1e-14 * np.linalg.norm(psi0)

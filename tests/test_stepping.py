@@ -76,7 +76,7 @@ def test_adaptive_is_the_fixed_run_at_the_accepted_step_count():
     n = len(times) - 1
     assert n > 7 and n % 7 == 0 and (n // 7) & (n // 7 - 1) == 0  # 30 // 4 * 2^k, k >= 1
     fixed_times, fixed_ys = stepping._integrate_fixed(
-        gen, y0.astype(complex), 0.0, 3.0, n, stepping.magnus6_steps, scan=True)
+        gen, y0.astype(complex), 0.0, 3.0, n, stepping.magnus6_steps)
     assert np.array_equal(times, fixed_times)
     assert np.array_equal(ys, fixed_ys)
 
@@ -94,9 +94,9 @@ def test_adaptive_raises_past_the_step_budget(monkeypatch):
 def test_divergence_detected():
     """dy/dt = 10 y overflows at t = ln(max float) / 10 = 70.978 under both
     steppers, and the error names the first non-finite sample time, which
-    lies within one step of it: the fixed run steps one matrix at a time,
-    the adaptive run's first Magnus-6 pass (5000 steps of 0.04) scans its
-    chunks and re-steps the one that overflows."""
+    lies within one step of it: both runs scan their chunks (the fixed run
+    steps of 0.01, the adaptive run's first Magnus-6 pass 5000 steps of
+    0.04) and re-step the chunk that overflows one matrix at a time."""
     t_overflow = math.log(np.finfo(float).max) / 10.0
     named = []
     for config in (StepperConfig(dt=0.01),
@@ -106,6 +106,28 @@ def test_divergence_detected():
         named.append(float(str(err.value).rsplit("=", 1)[1]))
     assert abs(named[0] - t_overflow) < 0.02
     assert t_overflow < named[1] <= t_overflow + 0.04
+
+
+def test_spurious_prefix_overflow_is_restepped():
+    """y = exp(c (t^2/2 - s0 t)) decays to about e^-460 at t = s0 and grows
+    back to e^460 at t = 1, so the chunk's prefix products over [s0, 1] reach
+    e^920 and overflow while every state stays finite.  The chunk is
+    re-stepped one matrix at a time: without a warning, RK4 gives the
+    in-order product bit for bit and Magnus-6 the exact solution."""
+    s0 = math.sqrt(2.0) - 1.0
+    c = 920.0 / s0**2
+    gen = lambda t: np.array([[1j * c * (t - s0)]])
+    y0 = np.array([1.0 + 0j])
+    steps = stepping.rk4_steps(gen)(np.arange(1001) * 1e-3, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(stepping._scan(steps, y0)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ys = integrate(gen, y0, 0.0, 1.0, StepperConfig(dt=1e-3))
+    assert np.array_equal(ys[1:], sequential_product(steps, y0))
+    times, ys = stepping._integrate_fixed(gen, y0, 0.0, 1.0, 250, stepping.magnus6_steps)
+    exact = np.exp(c * (times**2 / 2.0 - s0 * times))
+    assert np.max(np.abs(ys[:, 0] / exact - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk4-adaptive"])
@@ -188,8 +210,7 @@ def test_magnus6_is_sixth_order():
     y0 = np.array([1.0, 0.5j], dtype=complex)
 
     def endpoint(n):
-        return stepping._integrate_fixed(gen, y0, 0.0, 2.0, n, stepping.magnus6_steps,
-                                         scan=True)[1][-1]
+        return stepping._integrate_fixed(gen, y0, 0.0, 2.0, n, stepping.magnus6_steps)[1][-1]
 
     reference = endpoint(1280)
     e1, e2 = (np.max(np.abs(endpoint(n) - reference)) for n in (10, 20))
