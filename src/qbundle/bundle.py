@@ -22,12 +22,13 @@ Physical endpoints do not depend on the switch time.  In the Hermitian
 representation the conversion uses G^{-1}, and the state Phi jumps at the
 switch (G is not the identity) while all eta-norms stay continuous.
 
-The generators of :class:`SystemSpec` add the geometric part H_A and the
-energy observable e (the section's Hermitian form): H = H_A + rho^{-1} e rho
+The generic generators of :class:`SystemSpec` add the geometric part H_A and
+the energy observable e (the section's Hermitian form): H = H_A + rho^{-1} e rho
 in the eta picture, h = rho H_A rho^{-1} + i rhodot rho^{-1} + e in the
-Hermitian one.  Marked :func:`qbundle.linalg.stacked`, on a stack of times
-they evaluate the curve once, factorise the metric at most once and return
-the stack, so a fixed-step chart segment costs one call.
+Hermitian one.  A run integrates :meth:`SystemSpec.run_generator`: the closed
+forms of the ``closed`` slot, which the two-level model fills, else the generic
+ones, which ``check`` compares them with.  Marked :func:`qbundle.linalg.stacked`,
+on a stack of times each evaluates the curve once and returns the stack.
 The gluing layer follows :class:`qbundle.metric.MetricField`:
 :class:`TransitionFunctionField` (partials on axis -3), the transforms
 (:func:`tilde_eta`, :func:`big_g`, :func:`transform_state`,
@@ -39,7 +40,7 @@ every point and name the first failing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -314,6 +315,9 @@ class SystemSpec:
         Hermitian form per chart
     overlap_window : parameter interval during which the curve lies in the
         chart overlap (used to default and validate the switch time)
+    closed : optional closed forms a run integrates, as :class:`qbundle.twolevel.ClosedForms`:
+        hermitian(patch, r, v) -> h, generator(patch, r, v) -> H, energy(patch, r)
+        -> H_E and big_g(r) -> G of :attr:`transition`
     """
 
     patches: dict[str, PatchData]
@@ -322,6 +326,7 @@ class SystemSpec:
     transition: TransitionFunctionField | None = None
     energy: ObservableSection | None = None
     overlap_window: tuple[float, float] | None = None
+    closed: Any = None
 
     def __post_init__(self):
         if len(self.charts) not in (1, 2) or not set(self.charts) <= self.patches.keys():
@@ -408,6 +413,28 @@ class SystemSpec:
 
         return h_herm
 
+    def run_generator(self, patch_id: str, hermitian: bool = False) -> Callable[..., np.ndarray]:
+        """The generator a run integrates on the chart, h (``hermitian``) or H: the
+        :attr:`closed` form if filled, else the generic one; OutOfPatch names a point off it."""
+        if self.closed is None:
+            return self.hermitian_generator(patch_id) if hermitian else self.generator(patch_id)
+        return self._along(patch_id, self.closed.hermitian if hermitian else self.closed.generator)
+
+    def run_energy(self, patch_id: str) -> Callable[..., np.ndarray] | None:
+        """H_E(t) as a run records it, closed like :meth:`run_generator`."""
+        if self.closed is None or self.energy is None:
+            return self.energy_generator(patch_id)
+        return self._along(patch_id, lambda pid, r, v: self.closed.energy(pid, r))
+
+    def _along(self, patch_id: str, form) -> Callable[..., np.ndarray]:
+        @linalg.stacked
+        def along(t) -> np.ndarray:  # form(patch_id, R(t), Rdot(t)), R(t) on the chart
+            r = self.curve.points(t)
+            self.patch(patch_id).metric.coords(r)
+            return form(patch_id, r, self.curve.velocities(t))
+
+        return along
+
     def default_tau(self) -> float:
         if self.overlap_window is None:
             raise TauNotInOverlap("system has no overlap window")
@@ -469,17 +496,20 @@ def evolve_across_patches(
             r = system.curve.points(ta)
             transition = system.transition_into(pid)
             # column states convert as a stack of vectors, each with the bits it has alone
-            if hermitian:
+            if hermitian and system.closed is not None:  # G^{-1} = G^dag, G of system.transition
+                gg = system.closed.big_g(r)
+                psi = ((gg if pid == system.transition.from_patch else linalg.dagger(gg))
+                       @ psi.T[..., None])[..., 0].T
+            elif hermitian:
                 gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
                            transition, r, check_tol=None)
                 psi = (linalg.inv(gg) @ psi.T[..., None])[..., 0].T
             else:
                 psi = transform_state(transition, r, psi.T).T
         pieces.append(evolve(
-            system.hermitian_generator(pid) if hermitian else system.generator(pid),
-            psi, ta, tb, stepper,
+            system.run_generator(pid, hermitian), psi, ta, tb, stepper,
             curve_metric=None if hermitian else system.curve_metric(pid),
-            energy=None if hermitian else system.energy_generator(pid),
+            energy=None if hermitian else system.run_energy(pid),
             patch_id=pid,
         ))
         psi = pieces[-1].final_state

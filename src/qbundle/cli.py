@@ -12,7 +12,8 @@ check <config.json>
     Run the configured evolution, as ``run`` does, and the invariant
     battery (metric compatibility, chart-gluing consistency, intertwiner
     unitarity, section compatibility, generator Hermiticity, the
-    pseudo-Hermiticity defect law, norm conservation of that run) and
+    pseudo-Hermiticity defect law, the agreement of the run's closed-form
+    generator with the generic one, norm conservation of that run) and
     write/print a report.  Exit code 1 when any check fails.
 
 compare <a.json> <b.json> [--tol X]
@@ -75,6 +76,7 @@ CHECK_TOLERANCES = {
     "section-compatibility": 1e-8,
     "generator-hermiticity": 1e-8,
     "no-go-defect": 1e-8,
+    "closed-form-agreement": 1e-8,
     "norm-conservation": 1e-6,
 }
 
@@ -337,7 +339,7 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
         pid: PatchData(pd.metric, defected(pd.connection))
         for pid, pd in system.patches.items()
     }
-    return dataclasses.replace(system, patches=patches)
+    return dataclasses.replace(system, patches=patches, closed=None)  # run the defect
 
 
 def build_from_config(cfg: dict) -> SystemSpec:
@@ -445,15 +447,16 @@ def _run_many(cfgs: list) -> tuple[SystemSpec, list]:
     batch = evolve_across_patches(system, np.stack(psi0, axis=1), tau=cfg["tau"],
                                   stepper=stepper, representation=cfg["representation"])
     results = [batch.column(j) for j in range(len(cfgs))]
-    return system, [(result, _summary(c, stepper, segments, result))
+    return system, [(result, _summary(c, stepper, segments, result, system))
                     for c, result in zip(cfgs, results)]
 
 
-def _summary(cfg: dict, stepper: StepperConfig, segments, result) -> dict:
+def _summary(cfg: dict, stepper: StepperConfig, segments, result, system: SystemSpec) -> dict:
     return {
         "config": {**cfg, "package_version": __version__},
         "final_time": float(result.times[-1]),
         "final_state": [[float(c.real), float(c.imag)] for c in result.final_state],
+        "generator": "generic" if system.closed is None else "closed-form",
         "integrator": stepper.integrator,
         "norm_drift": (float(np.max(np.abs(result.eta_norm - result.eta_norm[0])))
                        if result.eta_norm is not None else None),
@@ -555,22 +558,25 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
             o_a, o_b = (system.energy.matrix(pid, pts) for pid in (pid_a, pid_b))
             add("section-compatibility", _worst_entries(o_b - dagger(gg) @ o_a @ gg))
 
-    # Hermitian-representation generator must be Hermitian
-    def hermiticity(pid, ts):
-        h = system.hermitian_generator(pid)(ts)
-        return _worst_entries(h - dagger(h))
-
-    add("generator-hermiticity", np.concatenate([hermiticity(pid, ts) for pid, ts in samples]))
+    # the generic generators (h, H) at each chart's samples; h must be Hermitian
+    generic = [(system.hermitian_generator(pid)(ts), system.generator(pid)(ts))
+               for pid, ts in samples]
+    add("generator-hermiticity", [_worst_entries(h - dagger(h)) for h, _ in generic])
 
     # the pseudo-Hermiticity defect of the full generator equals i etadot eta^{-1}
-    def no_go(pid, ts):
+    def no_go(pid, ts, h):
         cm = system.curve_metric(pid)
-        h = system.generator(pid)(ts)
         eta = cm.eta(ts)
         eta_inv = inv(eta)
         return _worst_entries(dagger(h) - eta @ h @ eta_inv - 1j * cm.eta_dot(ts) @ eta_inv)
 
-    add("no-go-defect", np.concatenate([no_go(pid, ts) for pid, ts in samples]))
+    add("no-go-defect", [no_go(pid, ts, h) for (pid, ts), (_, h) in zip(samples, generic)])
+
+    if system.closed is not None:  # the run's closed-form generator against the generic one
+        hermitian = cfg["representation"] == "hermitian"
+        add("closed-form-agreement", [
+            _worst_entries(system.run_generator(pid, hermitian)(ts) - (h if hermitian else big_h))
+            for (pid, ts), (h, big_h) in zip(samples, generic)])
 
     # end-to-end norm conservation of the run
     add("norm-conservation",

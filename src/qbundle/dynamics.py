@@ -29,7 +29,8 @@ in closed form for 2x2, else in the eigenbasis of eta = V diag(w) V^dag,
 
 so one Hermitian evaluation factorises eta once.  Callers that hold the
 :class:`MetricOperator` at t pass it as ``op`` to :meth:`CurveMetric.rho_dot`
-and :func:`hermitian_representation`.
+and :func:`hermitian_representation`.  These generic routes are the oracle of
+the two-level model's closed rhodot and h, which its runs integrate instead.
 
 :class:`CurveMetric` and :func:`hermitian_representation` take one time or a
 stack of times (n,), with matching stacks of generators and operators.

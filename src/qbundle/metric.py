@@ -233,7 +233,8 @@ class MetricField:
         self.dim = dim
         self._domain = domain
 
-    def _coords(self, point) -> tuple[np.ndarray, bool]:
+    def coords(self, point) -> tuple[np.ndarray, bool]:
+        """:func:`chart_points` on the chart: OutOfPatch names the first point off it."""
         return chart_points(point, self.dim, self._domain, f"patch '{self.patch_id}'")
 
     @linalg.stacked
@@ -242,7 +243,7 @@ class MetricField:
         return _in_region(self._domain, point)
 
     def eta(self, point) -> np.ndarray:
-        rows, single = self._coords(point)
+        rows, single = self.coords(point)
         eta = linalg.as_square(linalg.over_points(self._eta_fn, rows), "eta")
         return eta[0] if single else eta
 
@@ -252,7 +253,7 @@ class MetricField:
     def partials(self, point) -> np.ndarray:
         """d eta / d R^a for each coordinate a, analytic when available:
         (d, N, N) for one point, (n, d, N, N) for a stack."""
-        rows, single = self._coords(point)
+        rows, single = self.coords(point)
         if self._partials_fn is not None:
             parts = linalg.as_square(linalg.over_points(self._partials_fn, rows),
                                      "partial of eta")

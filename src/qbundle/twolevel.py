@@ -330,6 +330,18 @@ def rho_inverse_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np
     return (_m(0.5 * (a + b)) * ID2 - _m(0.5 * (a - b)) * pauli_dot(x)) / _m(a * b)
 
 
+def rho_dot_matrix(theta, phi, theta_dot, phi_dot, scales: ScaleFields,
+                   patch: str = PLUS) -> np.ndarray:
+    """d rho / dt at velocity (theta_dot, phi_dot), (a, b) the chart's scale fields:
+    rhodot = (adot + bdot)/2 1 + [(adot - bdot)/2 xhat + (a - b)/2 xhatdot] . sigma."""
+    a, b, da, db = _scale_data(scales, patch, theta, phi)
+    x, dx = _frame(theta, phi, patch)
+    v = np.stack(np.broadcast_arrays(theta_dot, phi_dot), axis=-1)
+    a_dot, b_dot, x_dot = np.sum(da * v, -1), np.sum(db * v, -1), np.sum(v[..., None] * dx, -2)
+    return _m(0.5 * (a_dot + b_dot)) * ID2 + pauli_dot(
+        0.5 * ((a_dot - b_dot)[..., None] * x + (a - b)[..., None] * x_dot))
+
+
 def metric_field(scales: ScaleFields, patch: str = PLUS,
                  theta_plus: float = THETA_PLUS_DEFAULT,
                  theta_minus: float = THETA_MINUS_DEFAULT) -> MetricField:
@@ -612,6 +624,15 @@ def h_rho_term(theta, phi, theta_dot, phi_dot,
 # ------------------------------------------------------------- energy
 
 
+def _south_pole_phi(theta, phi, pole_phi):
+    """phi with the ``pole_phi`` convention at the south pole (PoleAmbiguity for None)."""
+    at_pole = np.abs(theta - np.pi) < _POLE_EPS
+    if np.any(at_pole) and pole_phi is None:
+        raise PoleAmbiguity("minus-chart energy matrix at the south pole needs a phi "
+                            "convention (pole_phi)")
+    return np.where(at_pole, pole_phi, phi) if np.any(at_pole) else phi
+
+
 def energy_matrix(theta, phi, energy: EnergyFieldS2,
                   patch: str = PLUS, pole_phi: float | None = 0.0) -> np.ndarray:
     """Hermitian-form energy observable on a chart.
@@ -625,15 +646,7 @@ def energy_matrix(theta, phi, energy: EnergyFieldS2,
     y = _pointwise(energy.y_hat, theta, phi)
     if patch == PLUS:
         return half_eps * pauli_dot(y)
-    at_pole = np.abs(theta - np.pi) < _POLE_EPS
-    if np.any(at_pole):
-        if pole_phi is None:
-            raise PoleAmbiguity(
-                "minus-chart energy matrix at the south pole needs a phi "
-                "convention (pole_phi)"
-            )
-        phi = np.where(at_pole, pole_phi, phi)
-    return half_eps * _sigma_tilde_dot(y, theta, phi)
+    return half_eps * _sigma_tilde_dot(y, theta, _south_pole_phi(theta, phi, pole_phi))
 
 
 def hermitian_hamiltonian(theta, phi, theta_dot, phi_dot,
@@ -646,20 +659,25 @@ def hermitian_hamiltonian(theta, phi, theta_dot, phi_dot,
 
         h  = e + alpha(Rdot) - (1/2) Gamma_+(Rdot) - Gamma_0(Rdot)   (plus)
         h~ = e~ + alpha~(Rdot) + (1/2) (G^{-1}Gamma_- G)(Rdot)       (minus)
+
+    e + alpha(Rdot) is one sigma (plus) or sigma~ (minus) contraction, with
+    :func:`energy_matrix`'s ``pole_phi`` convention when there is an energy.
     """
     theta, phi, theta_dot, phi_dot = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (theta, phi, theta_dot, phi_dot)))
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
+    vec = np.zeros(theta.shape + (3,))
     if energy is not None:
-        out = out + energy_matrix(theta, phi, energy, patch, pole_phi)
+        vec = vec + (0.5 * _pointwise(energy.epsilon, theta, phi))[..., None] * _pointwise(
+            energy.y_hat, theta, phi)
     if alpha is not None:
-        out = out + _along(_alpha_matrices(theta, phi, alpha, patch), theta_dot, phi_dot)
+        vec = (vec + theta_dot[..., None] * _pointwise(alpha.theta_vec, theta, phi)
+               + phi_dot[..., None] * _pointwise(alpha.phi_vec, theta, phi))
     if patch == PLUS:
-        out = out - 0.5 * _along(gamma_plus(theta, phi), theta_dot, phi_dot)
-        out = out - _along(gamma_zero(theta, phi), theta_dot, phi_dot)
-    else:
-        out = out + 0.5 * _along(gamma_minus_conjugated(theta, phi), theta_dot, phi_dot)
-    return out
+        return (pauli_dot(vec) - 0.5 * _along(gamma_plus(theta, phi), theta_dot, phi_dot)
+                - _along(gamma_zero(theta, phi), theta_dot, phi_dot))
+    basis_phi = phi if energy is None else _south_pole_phi(theta, phi, pole_phi)
+    return (_sigma_tilde_dot(vec, theta, basis_phi)
+            + 0.5 * _along(gamma_minus_conjugated(theta, phi), theta_dot, phi_dot))
 
 
 # ----------------------------------------------------- appendix internals
@@ -852,6 +870,38 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_mar
     return charts, window
 
 
+@dataclass(frozen=True)
+class ClosedForms:
+    """The :attr:`SystemSpec.closed` slot of :func:`build_system`, at points r of a
+    chart with velocities v: h of :func:`hermitian_hamiltonian`, H = rho^{-1} (h rho -
+    i rhodot), H_E = rho^{-1} e rho and G of :func:`big_g_s2` (plus -> minus), all closed."""
+
+    scales: ScaleFields
+    alpha: AlphaField
+    energy_field: EnergyFieldS2 | None
+    pole_phi: float | None
+    big_g = staticmethod(lambda r: big_g_s2(r[..., 0], r[..., 1]))
+
+    def _roots(self, patch: str, r) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(f(r[..., 0], r[..., 1], self.scales, patch)
+                     for f in (rho_matrix, rho_inverse_matrix))
+
+    def hermitian(self, patch: str, r, v) -> np.ndarray:
+        return hermitian_hamiltonian(r[..., 0], r[..., 1], v[..., 0], v[..., 1], self.alpha,
+                                     self.energy_field, patch, self.pole_phi)
+
+    def generator(self, patch: str, r, v) -> np.ndarray:
+        rho, rho_inv = self._roots(patch, r)
+        rho_dot = rho_dot_matrix(r[..., 0], r[..., 1], v[..., 0], v[..., 1], self.scales, patch)
+        h_rho = linalg.matmul(self.hermitian(patch, r, v), rho)
+        return linalg.matmul(rho_inv, h_rho - 1j * rho_dot)
+
+    def energy(self, patch: str, r) -> np.ndarray:
+        rho, rho_inv = self._roots(patch, r)
+        e = energy_matrix(r[..., 0], r[..., 1], self.energy_field, patch, self.pole_phi)
+        return linalg.matmul(linalg.matmul(rho_inv, e), rho)
+
+
 def build_system(
     curve: CurvePath,
     scales: ScaleFields | None = None,
@@ -870,7 +920,7 @@ def build_system(
     midpoint of the overlap dwell.  Curves entering the
     pole margin are rejected, as are curves that would require more than
     one switch.  Every generator evaluation checks that its points lie in
-    their chart (OutOfPatch).
+    their chart (OutOfPatch).  Runs integrate its :class:`ClosedForms`.
     """
     if not (0.0 < theta_minus < theta_plus < np.pi):
         raise ConfigError(
@@ -910,5 +960,6 @@ def build_system(
         transition=transition_field(scales, theta_plus, theta_minus),
         energy=section,
         overlap_window=window,
+        closed=ClosedForms(scales, alpha, energy, pole_phi),
     )
 

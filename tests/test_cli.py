@@ -257,10 +257,14 @@ def test_check_passes_and_writes_report(tmp_path, monkeypatch, capsys):
     assert all(r["max_residual"] <= r["tolerance"] for r in report["checks"])
 
 
-def test_check_fails_on_seeded_defect(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("representation", ["eta", "hermitian"])
+def test_check_fails_on_seeded_defect(tmp_path, monkeypatch, capsys, representation):
+    """The defect empties the closed-form slot, so the run integrates the
+    defected generic generator and breaks norm conservation in either picture."""
     monkeypatch.chdir(tmp_path)
     cfg_dict = base_config()
     cfg_dict["defect"] = {"omega_anti_hermitian": 0.05}
+    cfg_dict["representation"] = representation
     cfg = write_config(tmp_path / "broken.json", cfg_dict)
     assert main(["check", cfg]) == 1
     assert "FAIL" in capsys.readouterr().out

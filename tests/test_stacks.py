@@ -2,6 +2,7 @@
 returns exactly its row-by-row evaluation, applies the same checks to every
 row, and lets the integrators evaluate a chart segment in one call."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -494,13 +495,15 @@ def test_over_points_calling_rule():
 # ------------------------------------------------------------- integrators
 
 
-def counting_generators(monkeypatch):
-    """Record the length of every stack passed to SystemSpec.generator closures."""
+def counting_generators(monkeypatch, name="run_generator"):
+    """Record the length of every stack passed to the closures of the
+    SystemSpec generator factory ``name``: by default the generator a run
+    integrates, closed-form or generic."""
     stacks = []
-    factory = SystemSpec.generator
+    factory = getattr(SystemSpec, name)
 
-    def generator(self, patch_id):
-        h = factory(self, patch_id)
+    def generator(self, *args):
+        h = factory(self, *args)
 
         @functools.wraps(h)
         def counted(t):
@@ -509,7 +512,7 @@ def counting_generators(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(SystemSpec, "generator", generator)
+    monkeypatch.setattr(SystemSpec, name, generator)
     return stacks
 
 
@@ -518,8 +521,23 @@ def readme_system():
 
 
 def test_fixed_steps_call_the_generator_once_per_chart_segment(monkeypatch):
+    """Counted on the generator the run integrates, the closed form here;
+    the generic SystemSpec.generator is never called."""
+    generic = counting_generators(monkeypatch, "generator")
     stacks = counting_generators(monkeypatch)
     res = evolve_across_patches(readme_system(), np.array([0.8, -0.2 + 0.4j]),
+                                stepper=StepperConfig(dt=1e-3))
+    assert len(stacks) == 2  # two chart segments, one call each
+    assert sum(stacks) == 2 * (len(res.times) - 2) + 2  # 2n+1 nodes per segment
+    assert generic == []
+
+
+def test_fixed_steps_call_the_generic_generator_once_per_chart_segment(monkeypatch):
+    """The same pin on the same system with the closed-form slot emptied,
+    where the run integrates SystemSpec.generator."""
+    stacks = counting_generators(monkeypatch, "generator")
+    system = dataclasses.replace(readme_system(), closed=None)
+    res = evolve_across_patches(system, np.array([0.8, -0.2 + 0.4j]),
                                 stepper=StepperConfig(dt=1e-3))
     assert len(stacks) == 2  # two chart segments, one call each
     assert sum(stacks) == 2 * (len(res.times) - 2) + 2  # 2n+1 nodes per segment
