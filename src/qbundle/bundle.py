@@ -119,7 +119,7 @@ class TransitionFunctionField:
         return self._values(self._g_fn, point, "g")
 
     def g_inv(self, point) -> np.ndarray:
-        return linalg.inv(self.g(point))
+        return np.linalg.inv(self.g(point))
 
     def partial_g(self, point) -> np.ndarray:
         """d g / d R^a for each coordinate a, analytic when available:
@@ -205,7 +205,7 @@ def transform_hamiltonian(
     ``gdot`` uses the supplied derivative or a central difference in t.
     """
     g = linalg.as_square(g_of_t(t), "g")
-    g_inv = linalg.inv(g)
+    g_inv = np.linalg.inv(g)
     if g_dot_of_t is not None:
         gd = g_dot_of_t(t)
     else:
@@ -398,17 +398,14 @@ class SystemSpec:
         """h(t) = rho H_A rho^{-1} + i rhodot rho^{-1} + e(R(t)) on one chart:
         the geometric part mapped into the Hermitian picture, plus the energy
         observable as the section gives it."""
-        metric = self.patch(patch_id).metric
         conn = self.patch(patch_id).connection
         cm = self.curve_metric(patch_id)
         has_energy = self.energy is not None and patch_id in self.energy.fields
 
         @linalg.stacked
         def h_herm(t) -> np.ndarray:
-            r, v = self.curve.points(t), self.curve.velocities(t)
-            op = metric.operator(r)
-            rho_dot = op.root_derivative(metric.eta_dot(r, v))
-            out = hermitian_representation(conn.contracted(r, v), cm, t, op, rho_dot)
+            r = self.curve.points(t)
+            out = hermitian_representation(conn.contracted(r, self.curve.velocities(t)), cm, t)
             return out + self.energy.matrix(patch_id, r) if has_energy else out
 
         return h_herm
@@ -503,7 +500,7 @@ def evolve_across_patches(
             elif hermitian:
                 gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
                            transition, r, check_tol=None)
-                psi = (linalg.inv(gg) @ psi.T[..., None])[..., 0].T
+                psi = (np.linalg.inv(gg) @ psi.T[..., None])[..., 0].T
             else:
                 psi = transform_state(transition, r, psi.T).T
         pieces.append(evolve(

@@ -64,7 +64,7 @@ from .bundle import (
 from .connection import ConnectionForm, CurvePath, check_metric_compatibility
 from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
-from .linalg import dagger, inv, is_hermitian, is_positive_definite, max_abs, stacked
+from .linalg import dagger, is_hermitian, is_positive_definite, max_abs, stacked
 from .metric import constant_metric_field
 from .stepping import StepperConfig
 
@@ -567,7 +567,7 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     def no_go(pid, ts, h):
         cm = system.curve_metric(pid)
         eta = cm.eta(ts)
-        eta_inv = inv(eta)
+        eta_inv = np.linalg.inv(eta)
         return _worst_entries(dagger(h) - eta @ h @ eta_inv - 1j * cm.eta_dot(ts) @ eta_inv)
 
     add("no-go-defect", [no_go(pid, ts, h) for (pid, ts), (_, h) in zip(samples, generic)])

@@ -170,7 +170,7 @@ class TransportResult:
 def a_zero(metric: MetricField, point) -> np.ndarray:
     """Canonical compatible connection  A0_a = -(i/2) eta^{-1} (d_a eta),
     as (d, N, N), or (n, d, N, N) for a stack of points."""
-    eta_inv = linalg.inv(metric.eta(point))
+    eta_inv = np.linalg.inv(metric.eta(point))
     return -0.5j * eta_inv[..., None, :, :] @ metric.partials(point)
 
 
@@ -234,7 +234,7 @@ def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, poin
     against its own tolerance.
     """
     eta = metric.eta(point)[..., None, :, :]
-    eta_inv = linalg.inv(eta)
+    eta_inv = np.linalg.inv(eta)
     comps = a_form.components(point)
     res = linalg.dagger(comps) - eta @ comps @ eta_inv - 1j * metric.partials(point) @ eta_inv
     worst = np.max(np.abs(res), axis=(-3, -2, -1))
@@ -329,6 +329,6 @@ def gauge_transform_connection(a_form: ConnectionForm, transition, point) -> np.
     :class:`qbundle.bundle.TransitionFunctionField`).
     """
     g = transition.g(point)[..., None, :, :]
-    g_inv = linalg.inv(g)
+    g_inv = np.linalg.inv(g)
     return (g_inv @ a_form.components(point) @ g
             - 1j * g_inv @ np.asarray(transition.partial_g(point)))

@@ -22,15 +22,15 @@ the energy observable e, h = rho H_A rho^{-1} + i rhodot rho^{-1} + e.  rhodot
 is obtained either from the metric's coordinate partials by solving the
 Sylvester equation rho X + X rho = etadot, or by a central time difference.
 
-The Sylvester equation is solved by :meth:`MetricOperator.root_derivative`:
-in closed form for 2x2, else in the eigenbasis of eta = V diag(w) V^dag,
+The Sylvester equation is solved by :meth:`MetricOperator.root_derivative`
+in the eigenbasis of eta = V diag(w) V^dag, for every N,
 
     rhodot = V [ (V^dag etadot V)_ij / (sqrt w_i + sqrt w_j) ] V^dag,
 
-so one Hermitian evaluation factorises eta once.  Callers that hold the
-:class:`MetricOperator` at t pass it as ``op`` to :meth:`CurveMetric.rho_dot`
-and :func:`hermitian_representation`.  These generic routes are the oracle of
-the two-level model's closed rhodot and h, which its runs integrate instead.
+so one Hermitian evaluation factorises eta once: :func:`hermitian_representation`
+passes its :class:`MetricOperator` at t as ``op`` to :meth:`CurveMetric.rho_dot`.
+These generic routes are the oracle of the two-level model's closed rhodot and
+h, which its runs integrate instead.
 
 :class:`CurveMetric` and :func:`hermitian_representation` take one time or a
 stack of times (n,), with matching stacks of generators and operators.
@@ -218,21 +218,12 @@ def evolve(
 # ------------------------------------------------- Hermitian representation
 
 
-def hermitian_representation(
-    h_full: np.ndarray,
-    curve_metric: CurveMetric,
-    t,
-    op: MetricOperator | None = None,
-    rho_dot: np.ndarray | None = None,
-) -> np.ndarray:
-    """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}.
-
-    ``op`` is the metric at t and ``rho_dot`` its derivative when the caller
-    has already computed them."""
-    op = curve_metric.operator(t) if op is None else op
-    rho_dot = curve_metric.rho_dot(t, op=op) if rho_dot is None else rho_dot
+def hermitian_representation(h_full: np.ndarray, curve_metric: CurveMetric, t) -> np.ndarray:
+    """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}, from one
+    factorisation of the metric at t."""
+    op = curve_metric.operator(t)
     rho_h = linalg.matmul(op.rho, np.asarray(h_full, dtype=complex))
-    return linalg.matmul(rho_h + 1j * rho_dot, op.rho_inv)
+    return linalg.matmul(rho_h + 1j * curve_metric.rho_dot(t, op=op), op.rho_inv)
 
 
 def hermitian_representation_via_physical(

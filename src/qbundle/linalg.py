@@ -16,11 +16,11 @@ stack by :func:`over_points`, the only code that knows the calling rule: a
 callable marked with :func:`stacked` receives the whole stack and returns
 one result per point, any other callable is called once per point.
 
-2x2 kernels.  On (n, 2, 2) stacks, the two-level hot path, numpy's per-matrix
-dispatch costs more than the arithmetic, so :func:`matmul`, :func:`inv`,
-:func:`hermitian_sqrt` and :func:`exp_stack` use closed forms entry by entry;
-other sizes take ``@``, ``numpy.linalg.inv``, ``eigh`` and scipy's ``expm``,
-the oracle the kernels are tested against.
+2x2 kernels.  On (n, 2, 2) stacks, the stepper's hot path, numpy's per-matrix
+dispatch costs more than the arithmetic, so :func:`matmul` and
+:func:`exp_stack` use closed forms entry by entry; other sizes take ``@`` and
+scipy's ``expm``.  Factorisations have one route for every size:
+:func:`positive_spectrum` and :func:`hermitian_sqrt` go through ``eigh``.
 
 Gates.  The Hermiticity and positivity gates of :func:`positive_spectrum` are
 relative to the size of the operand, and no predicate takes a tolerance.
@@ -209,65 +209,32 @@ def is_positive_definite(m) -> bool:
 
 
 def positive_spectrum(m):
-    """(h, w, v) per matrix of a stack m: its Hermitian part, ascending
-    eigenvalues and eigenvectors by ``eigh`` (a 2x2 takes closed-form
-    eigenvalues and v None).  Raises NotPositiveDefinite, naming the first
-    matrix whose Hermiticity residual exceeds 1e-10 of its largest entry or
-    whose smallest eigenvalue is at most 1e-12 of its largest.  Both gates
-    are relative, so c m passes or fails as m does for any c > 0."""
+    """(w, v) per matrix of a stack m: the ascending eigenvalues and the
+    eigenvectors of its Hermitian part, by one ``eigh``.  Raises
+    NotPositiveDefinite, naming the first matrix whose Hermiticity residual
+    exceeds 1e-10 of its largest entry or whose smallest eigenvalue is at most
+    1e-12 of its largest.  Both gates are relative, so c m passes or fails as
+    m does for any c > 0."""
     m = as_square(m)
     bad, res = _not_hermitian(m)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(f"matrix is not Hermitian (residual {res[k]:.3e}){where}")
-    h, v = 0.5 * (m + dagger(m)), None
-    if h.shape[-1] == 2:
-        a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])
-        r = np.hypot(0.5 * (a - d), b)
-        w = np.stack((0.5 * (a + d) - r, 0.5 * (a + d) + r), axis=-1)
-    else:
-        w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
     bad = _not_positive(w)
     if np.any(bad):
         k, where = _first(bad)
         raise NotPositiveDefinite(
             f"matrix is not positive definite (min eigenvalue {w[k][0]:.3e}){where}")
-    return h, w, v
+    return w, v
 
 
 def hermitian_sqrt(m):
     """Unique positive-definite square root of each matrix of m, after the
     gates of :func:`positive_spectrum`: V diag(sqrt(w)) V^dag, which does not
-    depend on the basis inside degenerate eigenspaces.  A 2x2 matrix takes the
-    closed form (m + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), with det computed
-    after an exact scaling by :func:`_scale`, so it stays in range."""
-    h, w, v = positive_spectrum(m)
-    if v is not None:
-        return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
-    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 0, 1])
-    k = _scale(np.maximum(a, d))
-    s = np.sqrt((a * k) * (d * k) - (b * k) * (b * k)) / k
-    return (h + s[..., None, None] * ID2) / np.sqrt(a + d + 2.0 * s)[..., None, None]
-
-
-def _scale(x: np.ndarray) -> np.ndarray:
-    """Per entry of x >= 0, the power of 2 k with 1/2 <= k x < 1, at most 2**1022."""
-    return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1022))
-
-
-def inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of a stack, without validation: for 2x2, the adjugate
-    over the determinant, after an exact scaling by :func:`_scale`, else
-    ``numpy.linalg.inv``.  Either raises LinAlgError on an exactly singular matrix."""
-    if m.shape[-2:] != (2, 2):
-        return np.linalg.inv(m)
-    p, q, r, s = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    k = _scale(np.maximum(np.maximum(abs(p), abs(q)), np.maximum(abs(r), abs(s))))
-    p, q, r, s = p * k, q * k, r * k, s * k
-    det = p * s - q * r
-    if not np.all(det):
-        raise np.linalg.LinAlgError("Singular matrix")
-    return np.stack((s, -q, -r, p), axis=-1).reshape(m.shape) * (k / det)[..., None, None]
+    depend on the basis inside degenerate eigenspaces."""
+    w, v = positive_spectrum(m)
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

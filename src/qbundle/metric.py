@@ -20,15 +20,14 @@ points (n, d) and returns one result or a stack of n.  The field's callables are
 evaluated through :func:`qbundle.linalg.over_points`, so a pointwise ``eta_fn``
 works unchanged and one marked :func:`qbundle.linalg.stacked` is called once per
 stack.  A :class:`MetricOperator` built from a stack (n, N, N) factorises all n
-metrics in one :func:`qbundle.linalg.hermitian_sqrt` call and holds stacks of
-rho, rho^{-1} and eta^{-1}.  The chart domain, shape, finiteness, Hermiticity
-and positivity checks apply to every point of a stack, and their errors name the
-first failing point.
+metrics with one ``eigh`` (:func:`qbundle.linalg.positive_spectrum`), for every
+N, and builds its stacks of rho, rho^{-1} and eta^{-1} from those factors.  The
+chart domain, shape, finiteness, Hermiticity and positivity checks apply to
+every point of a stack, and their errors name the first failing point.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,34 +52,23 @@ class MetricOperator:
     ----------
     eta : ndarray
         The metric itself.
+    root_eigvals, eigvecs : ndarray
+        Spectral factorisation eta = V diag(root_eigvals**2) V^dag, from one
+        ``eigh``; rho and both inverses are built from it.
     rho : ndarray
         Unique positive root, rho @ rho = eta.
     rho_inv, eta_inv : ndarray
         Cached inverses.
-    root_eigvals, eigvecs : ndarray
-        Spectral factorisation eta = V diag(root_eigvals**2) V^dag.  For
-        N != 2 one ``eigh`` gives both it and rho; for 2x2 it is computed on
-        first use, as rho and root_derivative take closed forms.
     """
 
     def __init__(self, eta):
         self.eta = linalg.as_square(eta, "eta")
-        if self.dim == 2:
-            self.rho = linalg.hermitian_sqrt(self.eta)
-        else:
-            _, w, v = linalg.positive_spectrum(self.eta)
-            self._spectrum = np.sqrt(w), v
-            self.rho = (v * self._spectrum[0][..., None, :]) @ linalg.dagger(v)
-        self.rho_inv = linalg.inv(self.rho)
-        self.eta_inv = linalg.inv(self.eta)
-
-    @functools.cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(0.5 * (self.eta + linalg.dagger(self.eta)))
-        return np.sqrt(w), v
-
-    root_eigvals = property(lambda self: self._spectrum[0])
-    eigvecs = property(lambda self: self._spectrum[1])
+        w, v = linalg.positive_spectrum(self.eta)
+        self.root_eigvals, self.eigvecs = np.sqrt(w), v
+        vh = linalg.dagger(v)
+        self.rho = (v * self.root_eigvals[..., None, :]) @ vh
+        self.rho_inv = (v / self.root_eigvals[..., None, :]) @ vh
+        self.eta_inv = (v / w[..., None, :]) @ vh
 
     @property
     def dim(self) -> int:
@@ -92,17 +80,9 @@ class MetricOperator:
     def root_derivative(self, eta_dot) -> np.ndarray:
         """rhodot for a given etadot: the solution X of  rho X + X rho = etadot.
 
-        For 2x2, Cayley-Hamilton (u^2 = u - e I for u = rho / tr rho, e = det u)
-        gives  X = [(1 + e) C - u C - C u + u C u] / (2 e tr rho)  with C = etadot.
-        Otherwise, in the eigenbasis of eta the equation is diagonal, X =
+        In the eigenbasis of eta the equation is diagonal, so X =
         V [(V^dag etadot V)_ij / (sqrt w_i + sqrt w_j)] V^dag, and X is unique.
         """
-        if self.dim == 2:
-            t = (self.rho[..., 0, 0].real + self.rho[..., 1, 1].real)[..., None, None]
-            u = self.rho * (1.0 / t)
-            e = (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0])[..., None, None]
-            uc, cu = linalg.matmul(u, eta_dot), linalg.matmul(eta_dot, u)
-            return ((1.0 + e) * eta_dot - uc - cu + linalg.matmul(uc, u)) / (2.0 * e * t)
         v, s = self.eigvecs, self.root_eigvals
         vh = linalg.dagger(v)
         return v @ ((vh @ eta_dot @ v) / (s[..., :, None] + s[..., None, :])) @ vh
@@ -125,14 +105,14 @@ def _eta_of(metric) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(metric, MetricOperator):
         return metric.eta, metric.eta_inv
     eta = linalg.as_square(metric, "eta")
-    return eta, linalg.inv(eta)
+    return eta, np.linalg.inv(eta)
 
 
 def pseudo_hermiticity_residual(m, metric) -> float:
     """max-entry norm of  m^dag - eta m eta^{-1}."""
     eta, eta_inv = _eta_of(metric)
     m = linalg.as_square(m)
-    return linalg.max_abs(m.conj().T - eta @ m @ eta_inv)
+    return linalg.max_abs(linalg.dagger(m) - eta @ m @ eta_inv)
 
 
 def is_pseudo_hermitian(m, metric, tol: float = PSEUDO_HERMITICITY_TOL) -> bool:
@@ -143,7 +123,7 @@ def pseudo_anti_hermiticity_residual(m, metric) -> float:
     """max-entry norm of  m^dag + eta m eta^{-1}."""
     eta, eta_inv = _eta_of(metric)
     m = linalg.as_square(m)
-    return linalg.max_abs(m.conj().T + eta @ m @ eta_inv)
+    return linalg.max_abs(linalg.dagger(m) + eta @ m @ eta_inv)
 
 
 def is_pseudo_anti_hermitian(m, metric, tol: float = PSEUDO_HERMITICITY_TOL) -> bool:
@@ -158,7 +138,7 @@ def split_pseudo(m, metric) -> tuple[np.ndarray, np.ndarray]:
     """
     eta, eta_inv = _eta_of(metric)
     m = linalg.as_square(m)
-    m_ph = 0.5 * (m + eta_inv @ m.conj().T @ eta)
+    m_ph = 0.5 * (m + eta_inv @ linalg.dagger(m) @ eta)
     return m_ph, m - m_ph
 
 

@@ -43,7 +43,13 @@ from qbundle.linalg import (
     pauli_dot,
     stacked,
 )
-from qbundle.metric import MetricField, MetricOperator
+from qbundle.metric import (
+    MetricField,
+    MetricOperator,
+    pseudo_anti_hermiticity_residual,
+    pseudo_hermiticity_residual,
+    split_pseudo,
+)
 from qbundle.stepping import StepperConfig
 
 ALPHA = tl.constant_alpha((0.1, -0.2, 0.3), (0.05, 0.4, -0.15))
@@ -137,11 +143,14 @@ def test_linalg_broadcasts_row_by_row(seed, n, dim):
     m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     positive = m @ m.conj().swapaxes(-1, -2) + 0.1 * np.eye(dim)
     assert_stacks_rows(hermitian_sqrt, positive)
-    assert_stacks_rows(linalg.inv, positive)
     assert_stacks_rows(linalg.matmul, m, positive)
     op, rows = MetricOperator(positive), [MetricOperator(p) for p in positive]
     for name in ("root_eigvals", "eigvecs"):
         assert_rows(getattr(op, name), [getattr(r, name) for r in rows])
+    for fn in (pseudo_hermiticity_residual, pseudo_anti_hermiticity_residual):
+        assert_rows(fn(m, op), max(fn(x, r) for x, r in zip(m, rows)))
+    for part in (0, 1):
+        assert_rows(split_pseudo(m, op)[part], [split_pseudo(x, r)[part] for x, r in zip(m, rows)])
     coeffs = rng.standard_normal((n, 3))
     assert_rows(pauli_dot(coeffs), [pauli_dot(c) for c in coeffs])
     assert_rows(contract(coeffs, m[:, None].repeat(3, axis=1)),
@@ -362,65 +371,60 @@ README_MERIDIAN = {"curve": {"kind": "meridian", "phi0": 0.3,
 
 
 def test_check_battery_factorises_a_few_stacks(monkeypatch):
-    """On the README two-chart meridian the battery makes at most 6
-    hermitian_sqrt calls (106 when the overlap rows went point by point, 10
-    when two rows factorised the same stacks again) and each overlap row
-    still reports check_samples samples."""
+    """On the README two-chart meridian the battery makes at most 6 eigh
+    calls (106 hermitian_sqrt calls when the overlap rows went point by
+    point, 10 when two rows factorised the same stacks again) and each
+    overlap row still reports check_samples samples."""
     cfg = README_MERIDIAN
     system, result, _ = cli._run_one(cfg)
-    calls = []
-    sqrt = linalg.hermitian_sqrt
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sqrt(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_sqrt", counted)
+    calls = counting_numpy_factorisations(monkeypatch)
     report = cli.run_checks(cfg, system, result)
-    assert report["all_passed"] and len(calls) <= 6
+    assert report["all_passed"] and 0 < len([c for c in calls if c[0] == "eigh"]) <= 6
     samples = {row["name"]: row["samples"] for row in report["checks"]}
     for name in ("transition-consistency", "intertwiner-unitarity", "section-compatibility"):
         assert samples[name] == 25
 
 
 def counting_numpy_factorisations(monkeypatch):
-    """Record (name, matrix shape) of every np.linalg.eigh and inv call."""
+    """Record (name, array shape) of every np.linalg.eigh and inv call."""
     calls = []
     for name in ("eigh", "inv"):
         def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(a)[-2:]))
+            calls.append((_name, np.shape(a)))
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
-def test_readme_meridian_calls_no_numpy_factorisation_on_2x2(tmp_path, monkeypatch):
-    """A run in both pictures and a check take the 2x2 kernels throughout."""
+def test_readme_meridian_factorises_only_in_its_check(tmp_path, monkeypatch):
+    """A run in either picture integrates the closed forms and calls no eigh;
+    its check factorises only in the generic oracle, on stacks of
+    check_samples points."""
     monkeypatch.chdir(tmp_path)
     calls = counting_numpy_factorisations(monkeypatch)
     for rep in ("eta", "hermitian"):
         path = tmp_path / f"{rep}.json"
         path.write_text(json.dumps(dict(README_MERIDIAN, representation=rep)))
         assert cli.main(["run", str(path)]) == 0
+        assert [c for c in calls if c[0] == "eigh"] == []
         assert cli.main(["check", str(path)]) == 0
-    assert [c for c in calls if c[1] == (2, 2)] == []
+        eighs = [shape for name, shape in calls if name == "eigh"]
+        assert eighs and set(eighs) == {(25, 2, 2)}
+        calls.clear()
 
 
-def test_one_eigh_per_factorisation_for_n_not_2(monkeypatch):
-    """A 3x3 MetricOperator takes rho and the spectrum of root_derivative
-    from one eigh of the stack; a 2x2 one makes one hermitian_sqrt call and
-    no eigh."""
-    eta = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2j], [0.0, -0.2j, 1.5]])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_eigh_per_metric_operator(monkeypatch, dim):
+    """A MetricOperator of any size takes rho, its inverses and the spectrum
+    of root_derivative from one eigh of the stack; root_derivative makes none."""
+    eta = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2j], [0.0, -0.2j, 1.5]])[:dim, :dim]
     calls = counting_numpy_factorisations(monkeypatch)
     op = MetricOperator(np.array([eta, 2.0 * eta]))
-    x = op.root_derivative(np.array([np.eye(3), eta]))
-    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (3, 3))]
-    assert max_abs(op.rho @ x + x @ op.rho - np.array([np.eye(3), eta])) <= 1e-13
-    sqrt, roots = linalg.hermitian_sqrt, []
-    monkeypatch.setattr(linalg, "hermitian_sqrt", lambda m: roots.append(1) or sqrt(m))
-    MetricOperator(eta[:2, :2]).root_derivative(np.eye(2))
-    assert roots == [1] and [c for c in calls if c[0] == "eigh"] == [("eigh", (3, 3))]
+    assert calls == [("eigh", (2, dim, dim))]
+    x = op.root_derivative(np.array([np.eye(dim), eta]))
+    assert calls == [("eigh", (2, dim, dim))]
+    assert max_abs(op.rho @ x + x @ op.rho - np.array([np.eye(dim), eta])) <= 1e-13
 
 
 def test_three_level_custom_config_takes_the_eigh_route(monkeypatch):
@@ -440,8 +444,9 @@ def test_three_level_custom_config_takes_the_eigh_route(monkeypatch):
         system, result, _ = cli._run_one(dict(cfg, representation=rep))
         assert max_abs(result.final_state - expected) <= 1e-10
         assert cli.run_checks(dict(cfg, representation=rep), system, result)["all_passed"]
-    assert ("eigh", (3, 3)) in calls and ("inv", (3, 3)) in calls
-    assert [c for c in calls if c[1] == (2, 2)] == []
+    kinds = {(name, shape[-2:]) for name, shape in calls}
+    assert ("eigh", (3, 3)) in kinds and ("inv", (3, 3)) in kinds
+    assert [c for c in kinds if c[1] == (2, 2)] == []
 
 
 # ------------------------------------------------------------- checks per row
