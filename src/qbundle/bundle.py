@@ -25,7 +25,8 @@ switch (G is not the identity) while all eta-norms stay continuous.
 The generic generators of :class:`SystemSpec` add the geometric part H_A and
 the energy observable e (the section's Hermitian form): H = H_A + rho^{-1} e rho
 in the eta picture, h = rho H_A rho^{-1} + i rhodot rho^{-1} + e in the
-Hermitian one.  A run integrates :meth:`SystemSpec.run_generator`: the closed
+Hermitian one.  Both closures read a :class:`ChartEvaluation`, which ``check``
+reads too.  A run integrates :meth:`SystemSpec.run_generator`: the closed
 forms of the ``closed`` slot, which the two-level model fills, else the generic
 ones, which ``check`` compares them with.  Marked :func:`qbundle.linalg.stacked`,
 on a stack of times each evaluates the curve once and returns the stack.
@@ -40,13 +41,14 @@ every point and name the first failing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .connection import ConnectionForm, CurvePath
-from .dynamics import CurveMetric, EvolutionResult, evolve, hermitian_representation
+from .dynamics import CurveMetric, EvolutionResult, evolve, hermitian_from_parts
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -355,60 +357,26 @@ class SystemSpec:
     # -- generators along the curve: one time t or a stack (n,) gives one
     # generator (N, N) or a stack (n, N, N), from H_A = Rdot^a A_a(R) and e(R)
 
-    def _energy_at(self, patch_id: str):
-        """R -> H_E = rho^{-1} e(R) rho; None without an energy observable."""
-        if self.energy is None or patch_id not in self.energy.fields:
-            return None
-        metric = self.patch(patch_id).metric
-
-        def h_e(r) -> np.ndarray:
-            op = metric.operator(r)
-            return linalg.matmul(linalg.matmul(op.rho_inv, self.energy.matrix(patch_id, r)),
-                                 op.rho)
-
-        return h_e
+    def evaluate(self, patch_id: str, t) -> ChartEvaluation:
+        """The chart's bundle data and generic generators at t (:class:`ChartEvaluation`)."""
+        return ChartEvaluation(self, patch_id, t)
 
     def energy_generator(self, patch_id: str) -> Callable[[float], np.ndarray] | None:
         """H_E(t) = rho^{-1} e(R(t)) rho on the chart, from the Hermitian-form
         section; None when the system carries no energy observable."""
-        h_e = self._energy_at(patch_id)
-        if h_e is None:
+        if self.energy is None or patch_id not in self.energy.fields:
             return None
-
-        @linalg.stacked
-        def energy(t) -> np.ndarray:
-            return h_e(self.curve.points(t))
-
-        return energy
+        return linalg.stacked(lambda t: self.evaluate(patch_id, t).h_e)
 
     def generator(self, patch_id: str) -> Callable[[float], np.ndarray]:
         """Full H(t) = H_A(t) + H_E(t) on one chart, the eta picture's generator."""
-        conn = self.patch(patch_id).connection
-        h_e = self._energy_at(patch_id)
-
-        @linalg.stacked
-        def h(t) -> np.ndarray:
-            r = self.curve.points(t)
-            h_a = conn.contracted(r, self.curve.velocities(t))
-            return h_a if h_e is None else h_a + h_e(r)
-
-        return h
+        return linalg.stacked(lambda t: self.evaluate(patch_id, t).big_h)
 
     def hermitian_generator(self, patch_id: str) -> Callable[..., np.ndarray]:
         """h(t) = rho H_A rho^{-1} + i rhodot rho^{-1} + e(R(t)) on one chart:
         the geometric part mapped into the Hermitian picture, plus the energy
         observable as the section gives it."""
-        conn = self.patch(patch_id).connection
-        cm = self.curve_metric(patch_id)
-        has_energy = self.energy is not None and patch_id in self.energy.fields
-
-        @linalg.stacked
-        def h_herm(t) -> np.ndarray:
-            r = self.curve.points(t)
-            out = hermitian_representation(conn.contracted(r, self.curve.velocities(t)), cm, t)
-            return out + self.energy.matrix(patch_id, r) if has_energy else out
-
-        return h_herm
+        return linalg.stacked(lambda t: self.evaluate(patch_id, t).h)
 
     def run_generator(self, patch_id: str, hermitian: bool = False) -> Callable[..., np.ndarray]:
         """The generator a run integrates on the chart, h (``hermitian``) or H: the
@@ -456,6 +424,47 @@ class SystemSpec:
         if not self.transition_into(second).in_overlap(r_tau):
             raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
         return [((span[0], tau), first), ((tau, span[1]), second)]
+
+
+class ChartEvaluation:
+    """One chart on a time t or a stack of times (n,), from :meth:`SystemSpec.evaluate`:
+    ``points`` R(t), and parts built when first read and then shared: ``op`` (one
+    factorisation of eta), ``partials``, ``components``, ``e`` (None without an energy
+    observable), ``eta_dot``, ``h_a`` = Rdot^a A_a, ``h_e`` = rho^{-1} e rho, ``big_h``
+    = H_A + H_E (reading neither partials nor rhodot) and the Hermitian ``h``."""
+
+    def __init__(self, system: SystemSpec, patch_id: str, t):
+        self.t, self.patch_id, self._curve = t, patch_id, system.curve
+        self._data = system.patch(patch_id)
+        self._energy = system.energy if patch_id in getattr(system.energy, "fields", ()) else None
+        self.points = system.curve.points(t)
+
+    velocities = cached_property(lambda self: self._curve.velocities(self.t))
+    op = cached_property(lambda self: self._data.metric.operator(self.points))
+    partials = cached_property(lambda self: self._data.metric.partials(self.points))
+    components = cached_property(lambda self: self._data.connection.components(self.points))
+    eta_dot = cached_property(lambda self: linalg.contract(self.velocities, self.partials))
+    h_a = cached_property(lambda self: linalg.contract(self.velocities, self.components))
+
+    @cached_property
+    def e(self) -> np.ndarray | None:
+        return None if self._energy is None else self._energy.matrix(self.patch_id, self.points)
+
+    @cached_property
+    def h_e(self) -> np.ndarray | None:
+        if self._energy is None:
+            return None
+        return linalg.matmul(linalg.matmul(self.op.rho_inv, self.e), self.op.rho)
+
+    @cached_property
+    def big_h(self) -> np.ndarray:
+        return self.h_a if self._energy is None else self.h_a + self.h_e
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h = rho H_A rho^{-1} + i rhodot rho^{-1} + e."""
+        h = hermitian_from_parts(self.h_a, self.op, self.eta_dot)
+        return h if self._energy is None else h + self.e
 
 
 # ------------------------------------------------------ chart-switched evolution

@@ -56,12 +56,10 @@ from .bundle import (
     ObservableSection,
     PatchData,
     SystemSpec,
-    big_g,
     evolve_across_patches,
-    tilde_eta,
     unitarity_defect,
 )
-from .connection import ConnectionForm, CurvePath, check_metric_compatibility
+from .connection import ConnectionForm, CurvePath, compatibility_residual
 from .dynamics import EvolutionResult
 from .errors import ConfigError, QBundleError
 from .linalg import dagger, is_hermitian, is_positive_definite, max_abs, stacked
@@ -508,24 +506,23 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     ``system`` and ``result`` are the run it describes; without them the
     config is run first, exactly as ``run`` would run it.
 
-    Each row reports the worst residual over its sample points.  The chart
-    rows evaluate each chart's stack of curve samples in one call; the three
-    overlap rows (transition consistency, intertwiner unitarity, section
-    compatibility) evaluate the stack of ``check_samples`` overlap points in
-    one call per chart pair.  The charts and their intervals are the run's
-    segments for the config's ``tau``."""
+    Each row reports the worst residual over its sample points.  Each chart's
+    stack of ``check_samples`` curve samples is evaluated once
+    (:meth:`SystemSpec.evaluate`), and every chart row and both generic
+    generators read that evaluation; the three overlap rows share one g and
+    one factorised metric per chart on ``check_samples`` overlap points.  The
+    charts and their intervals are the run's segments for the config's ``tau``."""
     cfg = resolve_config(cfg)
     if system is None or result is None:
         system, result, _ = _run_one(cfg)
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["check_samples"]
-    curve = system.curve
     segments = system.segments(cfg["tau"])
-    samples = []  # (patch, n times drawn uniformly from its segment's interior)
+    evals = []  # each chart on n times drawn from its segment's interior, read by every chart row
     for (ta, tb), pid in segments:
         lo, hi = min(ta, tb), max(ta, tb)
         pad = 1e-9 * (hi - lo)
-        samples.append((pid, rng.uniform(lo + pad, hi - pad, n)))
+        evals.append(system.evaluate(pid, rng.uniform(lo + pad, hi - pad, n)))
     rows = []
 
     def add(name, values):  # one value per sample point
@@ -534,49 +531,33 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         rows.append({"name": name, "samples": values.size,
                      "max_residual": worst, "tolerance": tol, "passed": bool(worst <= tol)})
 
-    # metric compatibility of each chart's connection along the curve; the
-    # pointwise residuals below are evaluated on each chart's stack of samples
     add("metric-compatibility", np.concatenate([
-        check_metric_compatibility(system.patch(pid).connection,
-                                   system.patch(pid).metric,
-                                   curve.points(ts))
-        for pid, ts in samples
-    ]))
+        compatibility_residual(ev.op.eta, ev.components, ev.partials) for ev in evals]))
 
     if len(segments) == 2 and system.overlap_window is not None:
         (_, pid_a), (_, pid_b) = segments
-        metric_a = system.patch(pid_a).metric
-        metric_b = system.patch(pid_b).metric
-        transition = system.transition_into(pid_b)
-        pts = curve.points(rng.uniform(*system.overlap_window, n))
-        add("transition-consistency",
-            _worst_entries(tilde_eta(transition, metric_a, pts) - metric_b.eta(pts)))
-        # one G per overlap point serves both the unitarity and the section row
-        gg = big_g(metric_a, metric_b, transition, pts, check_tol=None)
+        pts = system.curve.points(rng.uniform(*system.overlap_window, n))
+        g = system.transition_into(pid_b).g(pts)
+        op_a, op_b = (system.patch(pid).metric.operator(pts) for pid in (pid_a, pid_b))
+        add("transition-consistency", _worst_entries(dagger(g) @ op_a.eta @ g - op_b.eta))
+        # one G = rho g rho~^{-1} per overlap point serves both the unitarity and the section row
+        gg = op_a.rho @ g @ op_b.rho_inv
         add("intertwiner-unitarity", unitarity_defect(gg))
         if system.energy is not None:
             o_a, o_b = (system.energy.matrix(pid, pts) for pid in (pid_a, pid_b))
             add("section-compatibility", _worst_entries(o_b - dagger(gg) @ o_a @ gg))
 
-    # the generic generators (h, H) at each chart's samples; h must be Hermitian
-    generic = [(system.hermitian_generator(pid)(ts), system.generator(pid)(ts))
-               for pid, ts in samples]
-    add("generator-hermiticity", [_worst_entries(h - dagger(h)) for h, _ in generic])
-
-    # the pseudo-Hermiticity defect of the full generator equals i etadot eta^{-1}
-    def no_go(pid, ts, h):
-        cm = system.curve_metric(pid)
-        eta = cm.eta(ts)
-        eta_inv = np.linalg.inv(eta)
-        return _worst_entries(dagger(h) - eta @ h @ eta_inv - 1j * cm.eta_dot(ts) @ eta_inv)
-
-    add("no-go-defect", [no_go(pid, ts, h) for (pid, ts), (_, h) in zip(samples, generic)])
+    # the generic generators: h must be Hermitian, and the pseudo-Hermiticity
+    # defect of H equals i etadot eta^{-1}, compatibility along the velocity
+    add("generator-hermiticity", [_worst_entries(ev.h - dagger(ev.h)) for ev in evals])
+    add("no-go-defect", [compatibility_residual(ev.op.eta, ev.big_h[..., None, :, :],
+                                                ev.eta_dot[..., None, :, :]) for ev in evals])
 
     if system.closed is not None:  # the run's closed-form generator against the generic one
         hermitian = cfg["representation"] == "hermitian"
         add("closed-form-agreement", [
-            _worst_entries(system.run_generator(pid, hermitian)(ts) - (h if hermitian else big_h))
-            for (pid, ts), (h, big_h) in zip(samples, generic)])
+            _worst_entries(system.run_generator(ev.patch_id, hermitian)(ev.t)
+                           - (ev.h if hermitian else ev.big_h)) for ev in evals])
 
     # end-to-end norm conservation of the run
     add("norm-conservation",

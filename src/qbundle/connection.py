@@ -233,10 +233,15 @@ def check_metric_compatibility(a_form: ConnectionForm, metric: MetricField, poin
     in the max-entry norm (an (n,) array for a stack); the caller compares
     against its own tolerance.
     """
-    eta = metric.eta(point)[..., None, :, :]
+    return compatibility_residual(metric.eta(point), a_form.components(point),
+                                  metric.partials(point))
+
+
+def compatibility_residual(eta, comps, partials):
+    """:func:`check_metric_compatibility` from evaluated eta, components and partials."""
+    eta = eta[..., None, :, :]
     eta_inv = np.linalg.inv(eta)
-    comps = a_form.components(point)
-    res = linalg.dagger(comps) - eta @ comps @ eta_inv - 1j * metric.partials(point) @ eta_inv
+    res = linalg.dagger(comps) - eta @ comps @ eta_inv - 1j * partials @ eta_inv
     worst = np.max(np.abs(res), axis=(-3, -2, -1))
     return float(worst) if worst.ndim == 0 else worst
 

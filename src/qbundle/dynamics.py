@@ -27,10 +27,10 @@ in the eigenbasis of eta = V diag(w) V^dag, for every N,
 
     rhodot = V [ (V^dag etadot V)_ij / (sqrt w_i + sqrt w_j) ] V^dag,
 
-so one Hermitian evaluation factorises eta once: :func:`hermitian_representation`
-passes its :class:`MetricOperator` at t as ``op`` to :meth:`CurveMetric.rho_dot`.
-These generic routes are the oracle of the two-level model's closed rhodot and
-h, which its runs integrate instead.
+so h needs one factorisation of eta: :func:`hermitian_from_parts` takes H, the
+:class:`MetricOperator` and etadot, for :func:`hermitian_representation` and
+:class:`qbundle.bundle.ChartEvaluation`.  These generic routes are the oracle
+of the two-level model's closed rhodot and h, which its runs integrate instead.
 
 :class:`CurveMetric` and :func:`hermitian_representation` take one time or a
 stack of times (n,), with matching stacks of generators and operators.
@@ -136,18 +136,16 @@ class CurveMetric:
     def rho(self, t) -> np.ndarray:
         return self.operator(t).rho
 
-    def rho_dot(self, t: float, method: str = "sylvester",
-                op: MetricOperator | None = None) -> np.ndarray:
+    def rho_dot(self, t: float, method: str = "sylvester") -> np.ndarray:
         """d(rho)/dt along the curve.
 
         method "sylvester" differentiates the defining relation rho rho = eta:
-        rhodot solves  rho X + X rho = etadot  (unique for positive rho) through
-        ``op``, the metric at t (factorised here when not given).  method "fd",
-        a central difference of rho(t), is the Sylvester route's independent oracle.
+        rhodot solves  rho X + X rho = etadot  (unique for positive rho).
+        method "fd", a central difference of rho(t), is the Sylvester route's
+        independent oracle.
         """
         if method == "sylvester":
-            op = self.operator(t) if op is None else op
-            return op.root_derivative(self.eta_dot(t))
+            return self.operator(t).root_derivative(self.eta_dot(t))
         if method == "fd":
             ts = np.asarray(t, dtype=float)[..., np.newaxis]
             return linalg.central_difference(lambda s: self.rho(s[..., 0]), ts,
@@ -218,12 +216,18 @@ def evolve(
 # ------------------------------------------------- Hermitian representation
 
 
+def hermitian_from_parts(h_full, op: MetricOperator, eta_dot) -> np.ndarray:
+    """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}  from the
+    factorised metric ``op`` and etadot at the same time (or stacks of them),
+    with rhodot from :meth:`MetricOperator.root_derivative`."""
+    rho_h = linalg.matmul(op.rho, np.asarray(h_full, dtype=complex))
+    return linalg.matmul(rho_h + 1j * op.root_derivative(eta_dot), op.rho_inv)
+
+
 def hermitian_representation(h_full: np.ndarray, curve_metric: CurveMetric, t) -> np.ndarray:
     """Hermitian generator  h = rho H rho^{-1} + i rhodot rho^{-1}, from one
     factorisation of the metric at t."""
-    op = curve_metric.operator(t)
-    rho_h = linalg.matmul(op.rho, np.asarray(h_full, dtype=complex))
-    return linalg.matmul(rho_h + 1j * curve_metric.rho_dot(t, op=op), op.rho_inv)
+    return hermitian_from_parts(h_full, curve_metric.operator(t), curve_metric.eta_dot(t))
 
 
 def hermitian_representation_via_physical(
@@ -231,11 +235,11 @@ def hermitian_representation_via_physical(
     curve_metric: CurveMetric,
     t: float,
 ) -> np.ndarray:
-    """Equivalent form  h = rho H_ph rho^{-1} + (i/2) [rhodot, rho^{-1}]
-    with H_ph = H - H_A0 the pseudo-Hermitian part of the generator."""
-    _, h_ph = split_geometric(h_full, curve_metric, t)
-    op = curve_metric.operator(t)
-    rho_dot = curve_metric.rho_dot(t, op=op)
+    """Equivalent form  h = rho H_ph rho^{-1} + (i/2) [rhodot, rho^{-1}] with
+    H_ph = H - H_A0 the pseudo-Hermitian part of H, from one factorisation at t."""
+    op, eta_dot = curve_metric.operator(t), curve_metric.eta_dot(t)
+    h_ph = np.asarray(h_full, dtype=complex) + 0.5j * op.eta_inv @ eta_dot  # H - H_A0
+    rho_dot = op.root_derivative(eta_dot)
     return (op.rho @ h_ph @ op.rho_inv
             + 0.5j * (rho_dot @ op.rho_inv - op.rho_inv @ rho_dot))
 
@@ -267,6 +271,7 @@ __all__ = [
     "geometric_hamiltonian",
     "split_geometric",
     "evolve",
+    "hermitian_from_parts",
     "hermitian_representation",
     "hermitian_representation_via_physical",
     "map_state",

@@ -506,17 +506,13 @@ def test_check_chart_rows_sample_the_run_segments():
     cfg = base_config()
     cfg["tau"] = 0.3
     system, result, _ = _run_one(cfg)
-    seen, hermitian_generator = [], system.hermitian_generator
+    seen, evaluate = [], system.evaluate
 
-    def spy(pid):
-        gen = hermitian_generator(pid)
+    def spy(pid, ts):
+        seen.append((pid, np.asarray(ts)))
+        return evaluate(pid, ts)
 
-        def h(ts):
-            seen.append((pid, np.asarray(ts)))
-            return gen(ts)
-        return h
-
-    system.hermitian_generator = spy
+    system.evaluate = spy
     assert run_checks(cfg, system, result)["all_passed"]
     (pid_a, plus), (pid_b, minus) = seen
     assert (pid_a, pid_b) == ("plus", "minus") and plus.size == minus.size == 25

@@ -185,6 +185,26 @@ def test_hermitian_representation_two_formulas_agree():
         np.testing.assert_allclose(a, b, atol=1e-8)
 
 
+@pytest.mark.parametrize("form", [hermitian_representation, hermitian_representation_via_physical])
+def test_each_hermitian_form_factorises_the_metric_once(monkeypatch, form):
+    """Either form of h takes rho, rho^-1, rhodot and H_A0 from one metric
+    operator and one etadot per call, on one time and on a 9-time stack."""
+    rng = np.random.default_rng(SEED)
+    cm = CurveMetric(smooth_metric_field(rng), line_path())
+    calls = []
+    for name in ("operator", "eta_dot"):
+        def counted(*args, _orig=getattr(MetricField, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(MetricField, name, counted)
+    for t in (0.4, np.linspace(0.1, 0.9, 9)):
+        h_full = rng.standard_normal(np.shape(t) + (2, 2)) + 0j
+        form(h_full, cm, t)
+        assert sorted(calls) == ["eta_dot", "operator"]
+        calls.clear()
+
+
 def test_rho_dot_sylvester_vs_finite_difference():
     rng = np.random.default_rng(SEED)
     field = smooth_metric_field(rng)

@@ -241,22 +241,25 @@ def counting_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("energy", [None, ENERGY])
 def test_each_generator_factorises_the_metric_at_most_once(monkeypatch, energy):
     """One stacked generator call factorises the metric once with an energy
-    section and never without one; one hermitian_generator call factorises
-    once and maps through bundle.hermitian_representation once, the module
-    attribute that perfbench's tracer wraps."""
+    section and never without one, and builds neither the partials nor
+    rhodot; one hermitian_generator call factorises once and maps through
+    the formula for h, bundle.hermitian_from_parts, once."""
     system = tl.build_system(tl.meridian_curve(0.3, np.pi / 6, 5 * np.pi / 6),
                              alpha=ALPHA, energy=energy)
     operators = counting_calls(monkeypatch, MetricField, "operator")
-    mapped = counting_calls(monkeypatch, bundle, "hermitian_representation")
+    mapped = counting_calls(monkeypatch, bundle, "hermitian_from_parts")
+    partials = counting_calls(monkeypatch, MetricField, "partials")
+    rho_dots = counting_calls(monkeypatch, MetricOperator, "root_derivative")
     for (ta, tb), pid in system.segments():
         ts = np.linspace(ta, tb, 9)
         system.generator(pid)(ts)
         assert (len(operators), len(mapped)) == (0 if energy is None else 1, 0)
+        assert partials == rho_dots == []
         operators.clear()
         system.hermitian_generator(pid)(ts)
-        assert (len(operators), len(mapped)) == (1, 1)
-        operators.clear()
-        mapped.clear()
+        assert (len(operators), len(mapped), len(partials), len(rho_dots)) == (1, 1, 1, 1)
+        for calls in (operators, mapped, partials, rho_dots):
+            calls.clear()
 
 
 # ------------------------------------------------------------- gluing
@@ -371,18 +374,57 @@ README_MERIDIAN = {"curve": {"kind": "meridian", "phi0": 0.3,
 
 
 def test_check_battery_factorises_a_few_stacks(monkeypatch):
-    """On the README two-chart meridian the battery makes at most 6 eigh
-    calls (106 hermitian_sqrt calls when the overlap rows went point by
-    point, 10 when two rows factorised the same stacks again) and each
-    overlap row still reports check_samples samples."""
+    """On the README two-chart meridian the battery makes at most 4 eigh
+    calls, one per chart and one per chart for G (106 hermitian_sqrt calls
+    when the overlap rows went point by point, 6 when each generic generator
+    factorised its chart again) and each overlap row still reports
+    check_samples samples."""
     cfg = README_MERIDIAN
     system, result, _ = cli._run_one(cfg)
     calls = counting_numpy_factorisations(monkeypatch)
     report = cli.run_checks(cfg, system, result)
-    assert report["all_passed"] and 0 < len([c for c in calls if c[0] == "eigh"]) <= 6
+    assert report["all_passed"] and 0 < len([c for c in calls if c[0] == "eigh"]) <= 4
     samples = {row["name"]: row["samples"] for row in report["checks"]}
     for name in ("transition-consistency", "intertwiner-unitarity", "section-compatibility"):
         assert samples[name] == 25
+
+
+@pytest.mark.parametrize("representation", ["eta", "hermitian"])
+def test_check_battery_evaluates_each_chart_once(monkeypatch, representation):
+    """One README meridian battery, in either picture, evaluates each chart's
+    samples once: at most 2 connection-component and 2 metric-partial calls,
+    4 eta and 4 eigh calls (one per chart, and one per chart for G); every
+    row still passes."""
+    cfg = dict(README_MERIDIAN, representation=representation)
+    system, result, _ = cli._run_one(cfg)
+    counts = {name: counting_calls(monkeypatch, owner, name)
+              for owner, name in ((bundle.ConnectionForm, "components"),
+                                  (MetricField, "partials"), (MetricField, "eta"))}
+    calls = counting_numpy_factorisations(monkeypatch)
+    assert cli.run_checks(cfg, system, result)["all_passed"]
+    assert len(counts["components"]) <= 2 and len(counts["partials"]) <= 2
+    assert len(counts["eta"]) <= 4 and len([c for c in calls if c[0] == "eigh"]) <= 4
+
+
+@pytest.mark.parametrize("cfg", [
+    README_MERIDIAN,
+    {"model": "custom-matrix-fields", "patch": "A",
+     "eta": [[2.0, 0.3, 0.0], [0.3, 1.5, [0.0, 0.2]], [0.0, [0.0, -0.2], 1.0]],
+     "curve": {"kind": "line", "from": [0.0, 0.0], "to": [1.0, 0.5]},
+     "energy_hermitian": [[1.0, 0.2, 0.0], [0.2, -0.5, [0.0, 0.1]], [0.0, [0.0, -0.1], 0.3]],
+     "connection": [[[0.1, 0.0, 0.2], [0.0, -0.3, 0.0], [0.2, 0.0, 0.4]],
+                    [[0.0, [0.0, 0.5], 0.0], [[0.0, -0.5], 0.0, 0.1], [0.0, 0.1, 0.2]]],
+     "initial_state": [1.0, 0.0, 0.0]},
+], ids=["readme-meridian", "custom-3x3"])
+def test_generator_closures_read_the_chart_evaluation(cfg):
+    """SystemSpec.generator and hermitian_generator return, bit for bit, the
+    H and h of SystemSpec.evaluate on the same times, on every chart."""
+    system = cli.build_from_config(cfg)
+    for (ta, tb), pid in system.segments():
+        ts = np.linspace(ta, tb, 13)[1:-1]
+        ev = system.evaluate(pid, ts)
+        assert np.array_equal(system.generator(pid)(ts), ev.big_h)
+        assert np.array_equal(system.hermitian_generator(pid)(ts), ev.h)
 
 
 def counting_numpy_factorisations(monkeypatch):
