@@ -26,12 +26,17 @@ components.  Default geometry: theta_plus = 2 pi / 3, theta_minus =
 pi / 3, scale fields xi = xi~ = 1, zeta = 1 - cos(theta)/cos(theta_plus),
 zeta~ = 1 + cos(theta)/cos(theta_plus), which degenerate exactly on the
 opposite chart's boundary circle and nowhere inside their own chart.
+
+rho, rho^-1, rhodot, e, h and H are built on Pauli coefficients: c0 1 + c . sigma
+is the tuple (c0, c1, c2, c3) of broadcast arrays, multiplied by the quaternion
+rule and made a 2x2 stack once per call, from one chart frame per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -279,6 +284,108 @@ def u_matrix(theta: float, phi: float) -> np.ndarray:
     return np.array([[c, -s / e], [s * e, c]], dtype=complex)
 
 
+# ------------------------------------------------------ Pauli coefficients
+
+
+def _product(a, b) -> tuple:
+    """(a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            a0 * b1 + b0 * a1 + 1j * (a2 * b3 - a3 * b2),
+            a0 * b2 + b0 * a2 + 1j * (a3 * b1 - a1 * b3),
+            a0 * b3 + b0 * a3 + 1j * (a1 * b2 - a2 * b1))
+
+
+def _matrix(c) -> np.ndarray:
+    out = np.empty(np.broadcast(*c).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = c[0] + c[3], c[0] - c[3]
+    out[..., 0, 1], out[..., 1, 0] = c[1] - 1j * c[2], c[1] + 1j * c[2]
+    return out
+
+
+def _sigma_tilde_basis(st, ct, sp, cp) -> tuple:
+    """Rows R_j of the rotation sigma~_j = R_j . sigma, from sin and cos of theta, phi."""
+    s2, c2, s2t, s2p, c2p = st * st, ct * ct, 2.0 * st * ct, 2.0 * sp * cp, cp * cp - sp * sp
+    return ((s2 - c2 * c2p, -c2 * s2p, -s2t * cp),
+            (-c2 * s2p, s2 + c2 * c2p, -s2t * sp),
+            (s2t * cp, s2t * sp, s2 - c2))
+
+
+class _ChartFrame:
+    """One chart's data at points (theta, phi): sin and cos and xhat (mirrored on
+    minus), and the scale fields and sigma~ basis once first read.  Its methods
+    return Pauli coefficient tuples and evaluate the fields they need once."""
+
+    def __init__(self, theta, phi, patch: str, forms: ClosedForms):
+        self.point = self.theta, self.phi = _grid(theta, phi)
+        self.patch, self.forms = patch, forms
+        self.trig = st, ct, sp, cp = (np.sin(self.theta), np.cos(self.theta),
+                                      np.sin(self.phi), np.cos(self.phi))
+        self.xhat = st * cp, st * sp, (ct if patch == PLUS else -ct)
+
+    scale = cached_property(lambda self: [f(*self.point)
+                                          for f in self.forms.scales.pair(self.patch)])
+    energy_vec = cached_property(lambda self: 0.5 * _pointwise(
+        self.forms.energy_field.epsilon, *self.point)[..., None] * _pointwise(
+        self.forms.energy_field.y_hat, *self.point))
+
+    @cached_property
+    def basis(self) -> tuple:
+        """sigma~, at the ``pole_phi`` convention on the south pole when there is an
+        energy (PoleAmbiguity for None)."""
+        st, ct, sp, cp = self.trig
+        at_pole = abs(self.theta - np.pi) < _POLE_EPS
+        if self.forms.energy_field is not None and at_pole.any():
+            if self.forms.pole_phi is None:
+                raise PoleAmbiguity("minus-chart energy matrix at the south pole needs a phi "
+                                    "convention (pole_phi)")
+            phi = np.where(at_pole, self.forms.pole_phi, self.phi)
+            sp, cp = np.sin(phi), np.cos(phi)
+        return _sigma_tilde_basis(st, ct, sp, cp)
+
+    def sigma(self, vec) -> tuple:
+        """3-vectors (..., 3) contracted with sigma (plus) or sigma~ (minus)."""
+        v = tuple(np.rollaxis(vec, -1))
+        if self.patch == MINUS:
+            v = tuple(v[0] * r1 + v[1] * r2 + v[2] * r3 for r1, r2, r3 in zip(*self.basis))
+        return (0.0,) + v
+
+    def rho(self, inverse: bool = False) -> tuple:
+        """rho = (a + b)/2 + (a - b)/2 xhat . sigma, or rho^{-1} = adj(rho) / (a b)."""
+        a, b = self.scale
+        s, d = 0.5 * (a + b), 0.5 * (a - b)
+        if inverse:
+            s, d = s / (a * b), -d / (a * b)
+        return (s,) + tuple(d * x for x in self.xhat)
+
+    def rho_dot(self, theta_dot, phi_dot) -> tuple:
+        """(adot + bdot)/2 + [(adot - bdot)/2 xhat + (a - b)/2 xhatdot] . sigma."""
+        (a, b), (st, ct, sp, cp) = self.scale, self.trig
+        a_dot, b_dot = (d_theta * theta_dot + d_phi * phi_dot for d_theta, d_phi in
+                        (f.partials(*self.point) for f in self.forms.scales.pair(self.patch)))
+        x_dot = (ct * cp * theta_dot - st * sp * phi_dot, ct * sp * theta_dot + st * cp * phi_dot,
+                 (-st if self.patch == PLUS else st) * theta_dot)
+        s, d = 0.5 * (a_dot - b_dot), 0.5 * (a - b)
+        return (0.5 * (a_dot + b_dot),) + tuple(s * x + d * y for x, y in zip(self.xhat, x_dot))
+
+    def h(self, theta_dot, phi_dot) -> tuple:
+        """e + alpha(Rdot) contracted once, plus -(1/2) Gamma_+(Rdot) - Gamma_0(Rdot)
+        on plus or (1/2) (G^{-1} Gamma_- G)(Rdot) on minus."""
+        st, ct, sp, cp = self.trig
+        u, w = 0.5 * phi_dot * st * ct, 0.5 * theta_dot
+        if self.patch == PLUS:
+            gamma = (u * cp - w * sp, u * sp + w * cp, phi_dot * (0.5 * st * st + ct * ct))
+        else:
+            gamma = (u * cp + w * sp, u * sp - w * cp, 0.5 * phi_dot * st * st)
+        alpha, energy = self.forms.alpha, self.forms.energy_field
+        vec = np.zeros(3) if energy is None else self.energy_vec
+        if alpha is not None:
+            for v, f in ((theta_dot, alpha.theta_vec), (phi_dot, alpha.phi_vec)):
+                vec = vec + v[..., None] * _pointwise(f, *self.point)
+        return (0.0,) + tuple(g + c for g, c in zip(gamma, self.sigma(vec)[1:]))
+
+
 # ------------------------------------------------------------- metric data
 
 
@@ -318,28 +425,18 @@ def eta_partials(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarr
 def rho_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
     """Closed-form positive root of the metric:
     rho = (xi + zeta)/2 1 + (xi - zeta)/2 xhat . sigma."""
-    fa, fb = scales.pair(patch)
-    a, b = fa(theta, phi), fb(theta, phi)
-    return _m(0.5 * (a + b)) * ID2 + _m(0.5 * (a - b)) * pauli_dot(_xhat(theta, phi, patch))
+    return _matrix(_ChartFrame(theta, phi, patch, ClosedForms(scales)).rho())
 
 
 def rho_inverse_matrix(theta, phi, scales: ScaleFields, patch: str = PLUS) -> np.ndarray:
-    fa, fb = scales.pair(patch)
-    a, b = fa(theta, phi), fb(theta, phi)
-    x = _xhat(theta, phi, patch)
-    return (_m(0.5 * (a + b)) * ID2 - _m(0.5 * (a - b)) * pauli_dot(x)) / _m(a * b)
+    return _matrix(_ChartFrame(theta, phi, patch, ClosedForms(scales)).rho(inverse=True))
 
 
 def rho_dot_matrix(theta, phi, theta_dot, phi_dot, scales: ScaleFields,
                    patch: str = PLUS) -> np.ndarray:
     """d rho / dt at velocity (theta_dot, phi_dot), (a, b) the chart's scale fields:
     rhodot = (adot + bdot)/2 1 + [(adot - bdot)/2 xhat + (a - b)/2 xhatdot] . sigma."""
-    a, b, da, db = _scale_data(scales, patch, theta, phi)
-    x, dx = _frame(theta, phi, patch)
-    v = np.stack(np.broadcast_arrays(theta_dot, phi_dot), axis=-1)
-    a_dot, b_dot, x_dot = np.sum(da * v, -1), np.sum(db * v, -1), np.sum(v[..., None] * dx, -2)
-    return _m(0.5 * (a_dot + b_dot)) * ID2 + pauli_dot(
-        0.5 * ((a_dot - b_dot)[..., None] * x + (a - b)[..., None] * x_dot))
+    return _matrix(_ChartFrame(theta, phi, patch, ClosedForms(scales)).rho_dot(theta_dot, phi_dot))
 
 
 def metric_field(scales: ScaleFields, patch: str = PLUS,
@@ -428,31 +525,11 @@ def big_g_s2(theta, phi) -> np.ndarray:
     return _glue_matrix(np.sin(theta), ct, -ct, np.exp(1j * phi))
 
 
-def _sigma_tilde_basis(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma~_1, sigma~_2, sigma~_3) in closed form."""
-    theta, phi = _grid(theta, phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    s2t, c2t = np.sin(2.0 * theta), np.cos(2.0 * theta)
-    s2p, c2p = np.sin(2.0 * phi), np.cos(2.0 * phi)
-    return ((_m(st * st - ct * ct * c2p) * SIGMA1
-             - _m(ct * ct * s2p) * SIGMA2
-             - _m(s2t * np.cos(phi)) * SIGMA3),
-            (_m(-ct * ct * s2p) * SIGMA1
-             + _m(st * st + ct * ct * c2p) * SIGMA2
-             - _m(s2t * np.sin(phi)) * SIGMA3),
-            _m(s2t) * radial_pauli(phi) - _m(c2t) * SIGMA3)
-
-
 def sigma_tilde(j: int, theta, phi) -> np.ndarray:
     """Conjugated Pauli matrices  sigma~_j = G^{-1} sigma_j G  in closed form."""
     if j not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {j}")
-    return _sigma_tilde_basis(theta, phi)[j - 1]
-
-
-def _sigma_tilde_dot(vecs: np.ndarray, theta, phi) -> np.ndarray:
-    """sum_j v_j sigma~_j for 3-vectors (..., 3)."""
-    return sum(_m(vecs[..., j]) * s for j, s in enumerate(_sigma_tilde_basis(theta, phi)))
+    return _matrix(_ChartFrame(theta, phi, MINUS, ClosedForms()).sigma(np.eye(3)[j - 1]))
 
 
 def transition_field(scales: ScaleFields,
@@ -563,12 +640,9 @@ def gamma_total_from_definition(theta, phi, scales: ScaleFields) -> np.ndarray:
 def _alpha_matrices(theta, phi, alpha: AlphaField, patch: str) -> np.ndarray:
     """alpha_a as matrices: coefficients contract sigma on plus and the
     conjugated sigma~ on minus."""
-    vecs = np.stack([_pointwise(alpha.theta_vec, theta, phi),
-                     _pointwise(alpha.phi_vec, theta, phi)], axis=-2)
-    if patch == PLUS:
-        return pauli_dot(vecs)
-    theta, phi = _grid(theta, phi)
-    return _sigma_tilde_dot(vecs, theta[..., None], phi[..., None])  # against the component axis
+    frame = _ChartFrame(theta, phi, patch, ClosedForms())
+    vecs = np.stack([_pointwise(f, *frame.point) for f in (alpha.theta_vec, alpha.phi_vec)])
+    return np.moveaxis(_matrix(frame.sigma(vecs)), 0, -3)  # components on axis -3
 
 
 def omega_hermitian(theta, phi, scales: ScaleFields,
@@ -624,15 +698,6 @@ def h_rho_term(theta, phi, theta_dot, phi_dot,
 # ------------------------------------------------------------- energy
 
 
-def _south_pole_phi(theta, phi, pole_phi):
-    """phi with the ``pole_phi`` convention at the south pole (PoleAmbiguity for None)."""
-    at_pole = np.abs(theta - np.pi) < _POLE_EPS
-    if np.any(at_pole) and pole_phi is None:
-        raise PoleAmbiguity("minus-chart energy matrix at the south pole needs a phi "
-                            "convention (pole_phi)")
-    return np.where(at_pole, pole_phi, phi) if np.any(at_pole) else phi
-
-
 def energy_matrix(theta, phi, energy: EnergyFieldS2,
                   patch: str = PLUS, pole_phi: float | None = 0.0) -> np.ndarray:
     """Hermitian-form energy observable on a chart.
@@ -641,12 +706,8 @@ def energy_matrix(theta, phi, energy: EnergyFieldS2,
     (eps/2) sum_j y_j sigma~_j, whose phi-dependence survives at the south
     pole; there the ``pole_phi`` convention value is used (pass None to get
     a PoleAmbiguity error instead)."""
-    theta, phi = _grid(theta, phi)
-    half_eps = _m(0.5 * _pointwise(energy.epsilon, theta, phi))
-    y = _pointwise(energy.y_hat, theta, phi)
-    if patch == PLUS:
-        return half_eps * pauli_dot(y)
-    return half_eps * _sigma_tilde_dot(y, theta, _south_pole_phi(theta, phi, pole_phi))
+    frame = _ChartFrame(theta, phi, patch, ClosedForms(energy_field=energy, pole_phi=pole_phi))
+    return _matrix(frame.sigma(frame.energy_vec))
 
 
 def hermitian_hamiltonian(theta, phi, theta_dot, phi_dot,
@@ -663,21 +724,8 @@ def hermitian_hamiltonian(theta, phi, theta_dot, phi_dot,
     e + alpha(Rdot) is one sigma (plus) or sigma~ (minus) contraction, with
     :func:`energy_matrix`'s ``pole_phi`` convention when there is an energy.
     """
-    theta, phi, theta_dot, phi_dot = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (theta, phi, theta_dot, phi_dot)))
-    vec = np.zeros(theta.shape + (3,))
-    if energy is not None:
-        vec = vec + (0.5 * _pointwise(energy.epsilon, theta, phi))[..., None] * _pointwise(
-            energy.y_hat, theta, phi)
-    if alpha is not None:
-        vec = (vec + theta_dot[..., None] * _pointwise(alpha.theta_vec, theta, phi)
-               + phi_dot[..., None] * _pointwise(alpha.phi_vec, theta, phi))
-    if patch == PLUS:
-        return (pauli_dot(vec) - 0.5 * _along(gamma_plus(theta, phi), theta_dot, phi_dot)
-                - _along(gamma_zero(theta, phi), theta_dot, phi_dot))
-    basis_phi = phi if energy is None else _south_pole_phi(theta, phi, pole_phi)
-    return (_sigma_tilde_dot(vec, theta, basis_phi)
-            + 0.5 * _along(gamma_minus_conjugated(theta, phi), theta_dot, phi_dot))
+    frame = _ChartFrame(theta, phi, patch, ClosedForms(None, alpha, energy, pole_phi))
+    return _matrix(frame.h(np.asarray(theta_dot, dtype=float), np.asarray(phi_dot, dtype=float)))
 
 
 # ----------------------------------------------------- appendix internals
@@ -874,32 +922,30 @@ def _itinerary(curve: CurvePath, theta_plus: float, theta_minus: float, pole_mar
 class ClosedForms:
     """The :attr:`SystemSpec.closed` slot of :func:`build_system`, at points r of a
     chart with velocities v: h of :func:`hermitian_hamiltonian`, H = rho^{-1} (h rho -
-    i rhodot), H_E = rho^{-1} e rho and G of :func:`big_g_s2` (plus -> minus), all closed."""
+    i rhodot), H_E = rho^{-1} e rho and G of :func:`big_g_s2` (plus -> minus), all closed.
+    Each call evaluates every field once, in one chart frame, and multiplies Pauli
+    coefficient tuples (c0, c1, c2, c3) of c0 1 + c . sigma into one 2x2 stack."""
 
-    scales: ScaleFields
-    alpha: AlphaField
-    energy_field: EnergyFieldS2 | None
-    pole_phi: float | None
+    scales: ScaleFields | None = None
+    alpha: AlphaField | None = None
+    energy_field: EnergyFieldS2 | None = None
+    pole_phi: float | None = 0.0
     big_g = staticmethod(lambda r: big_g_s2(r[..., 0], r[..., 1]))
 
-    def _roots(self, patch: str, r) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(f(r[..., 0], r[..., 1], self.scales, patch)
-                     for f in (rho_matrix, rho_inverse_matrix))
-
     def hermitian(self, patch: str, r, v) -> np.ndarray:
-        return hermitian_hamiltonian(r[..., 0], r[..., 1], v[..., 0], v[..., 1], self.alpha,
-                                     self.energy_field, patch, self.pole_phi)
+        return _matrix(_ChartFrame(r[..., 0], r[..., 1], patch, self).h(v[..., 0], v[..., 1]))
 
     def generator(self, patch: str, r, v) -> np.ndarray:
-        rho, rho_inv = self._roots(patch, r)
-        rho_dot = rho_dot_matrix(r[..., 0], r[..., 1], v[..., 0], v[..., 1], self.scales, patch)
-        h_rho = linalg.matmul(self.hermitian(patch, r, v), rho)
-        return linalg.matmul(rho_inv, h_rho - 1j * rho_dot)
+        frame = _ChartFrame(r[..., 0], r[..., 1], patch, self)
+        theta_dot, phi_dot = v[..., 0], v[..., 1]
+        h_rho = _product(frame.h(theta_dot, phi_dot), frame.rho())
+        rhs = tuple(x - 1j * y for x, y in zip(h_rho, frame.rho_dot(theta_dot, phi_dot)))
+        return _matrix(_product(frame.rho(inverse=True), rhs))
 
     def energy(self, patch: str, r) -> np.ndarray:
-        rho, rho_inv = self._roots(patch, r)
-        e = energy_matrix(r[..., 0], r[..., 1], self.energy_field, patch, self.pole_phi)
-        return linalg.matmul(linalg.matmul(rho_inv, e), rho)
+        frame = _ChartFrame(r[..., 0], r[..., 1], patch, self)
+        e = frame.sigma(frame.energy_vec)
+        return _matrix(_product(_product(frame.rho(inverse=True), e), frame.rho()))
 
 
 def build_system(
@@ -942,16 +988,9 @@ def build_system(
         )
         patches[pid] = PatchData(metric=mf, connection=conn)
 
-    section = None
-    if energy is not None:
-        section = ObservableSection(
-            {
-                PLUS: linalg.stacked(lambda r: energy_matrix(r[:, 0], r[:, 1], energy, PLUS)),
-                MINUS: linalg.stacked(
-                    lambda r: energy_matrix(r[:, 0], r[:, 1], energy, MINUS, pole_phi)),
-            },
-            authoring_patch=PLUS,
-        )
+    section = None if energy is None else ObservableSection({pid: linalg.stacked(
+        lambda r, p=pid: energy_matrix(r[:, 0], r[:, 1], energy, p, pole_phi))
+        for pid in (PLUS, MINUS)}, authoring_patch=PLUS)
 
     return SystemSpec(
         patches=patches,

@@ -10,11 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from qbundle import cli
+from qbundle import cli, linalg
 from qbundle import twolevel as tl
 from qbundle.bundle import evolve_across_patches
 from qbundle.errors import OutOfPatch, PoleAmbiguity
-from qbundle.linalg import max_abs, pauli_dot
+from qbundle.linalg import PAULI, dagger, max_abs, pauli_dot
 from qbundle.stepping import StepperConfig
 
 ALPHA = tl.constant_alpha((0.1, -0.2, 0.3), (0.05, 0.4, -0.15))
@@ -177,3 +177,177 @@ def test_check_compares_the_closed_form_with_the_generic_generator(representatio
         assert system.closed is None and summary["generator"] == "generic"
         names = {r["name"] for r in cli.run_checks(other, system, result)["checks"]}
         assert "closed-form-agreement" not in names and "no-go-defect" in names
+
+
+# ------------------------------------ coefficient forms against matrix oracles
+#
+# rho, rho^-1, rhodot, sigma~, e and h are built on Pauli coefficients; each is
+# checked at one point and on a stack against a matrix-form closed form that
+# the generic oracle also uses.
+
+THETA_RANGE = {tl.PLUS: (0.2, 1.9), tl.MINUS: (1.2, 2.95)}
+
+
+def one_point_and_stack(patch, n=9):
+    """(theta, phi, theta_dot, phi_dot) inside the chart: plain floats, then stacks."""
+    rng = np.random.default_rng(29 if patch == tl.PLUS else 31)
+    th, ph = rng.uniform(*THETA_RANGE[patch], n), rng.uniform(-3.0, 3.0, n)
+    th_dot, ph_dot = rng.uniform(-2.0, 2.0, (2, n))
+    return [(float(th[0]), float(ph[0]), float(th_dot[0]), float(ph_dot[0])),
+            (th, ph, th_dot, ph_dot)]
+
+
+def along(form, th_dot, ph_dot):
+    """A matrix one-form (axis -3 holds the theta and phi parts) at a velocity."""
+    v = np.stack(np.broadcast_arrays(th_dot, ph_dot), axis=-1)[..., None, None]
+    return form[..., 0, :, :] * v[..., 0, :, :] + form[..., 1, :, :] * v[..., 1, :, :]
+
+
+def h_oracle(th, ph, th_dot, ph_dot, patch, pole_phi=0.0):
+    """The documented h from the matrix-form Gammas, with e + alpha(Rdot) on the
+    plus chart conjugated by G = big_g_s2 on minus (at pole_phi on the south pole)."""
+    a_theta, a_phi = np.array([0.1, -0.2, 0.3]), np.array([0.05, 0.4, -0.15])
+    eps, y = 0.8, np.array([0.2, -0.3, 0.93]) / np.linalg.norm([0.2, -0.3, 0.93])
+    move = np.multiply.outer(th_dot, a_theta) + np.multiply.outer(ph_dot, a_phi)
+    plain = pauli_dot(0.5 * eps * y + move)
+    if patch == tl.PLUS:
+        return (plain - 0.5 * along(tl.gamma_plus(th, ph), th_dot, ph_dot)
+                - along(tl.gamma_zero(th, ph), th_dot, ph_dot))
+    gg = tl.big_g_s2(th, np.where(np.abs(th - np.pi) < 1e-12, pole_phi, ph))
+    return (dagger(gg) @ plain @ gg
+            + 0.5 * along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot))
+
+
+def test_pauli_product_is_the_matrix_product():
+    """The quaternion rule on coefficient tuples, with scalar and stacked
+    complex components, against @ on the matrices they stand for."""
+    rng = np.random.default_rng(37)
+    a = tuple(rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(4))
+    b = (0.0,) + tuple(complex(x, y) for x, y in rng.normal(size=(3, 2)))
+    for x, y in ((a, b), (b, a), (a, a)):
+        product = tl._matrix(x) @ tl._matrix(y)
+        assert max_abs(tl._matrix(tl._product(x, y)) - product) <= 1e-14 * max_abs(product)
+
+
+@pytest.mark.parametrize("patch", [tl.PLUS, tl.MINUS])
+def test_rho_squares_to_eta_and_inverts(patch):
+    scales = wavy_scales()
+    for th, ph, _, _ in one_point_and_stack(patch):
+        rho = tl.rho_matrix(th, ph, scales, patch)
+        assert rho.shape == np.shape(th) + (2, 2)
+        assert max_abs(rho @ rho - tl.eta_matrix(th, ph, scales, patch)) <= 1e-14
+        assert max_abs(rho @ tl.rho_inverse_matrix(th, ph, scales, patch) - np.eye(2)) <= 1e-14
+
+
+@pytest.mark.parametrize("patch", [tl.PLUS, tl.MINUS])
+def test_rho_dot_is_the_derivative_of_rho_along_the_curve(patch):
+    """rho_dot_matrix against a central difference of rho_matrix along
+    (theta + theta_dot s, phi + phi_dot s)."""
+    scales, step = wavy_scales(), 1e-5
+    for th, ph, th_dot, ph_dot in one_point_and_stack(patch):
+        ahead, behind = (tl.rho_matrix(th + sign * step * th_dot, ph + sign * step * ph_dot,
+                                       scales, patch) for sign in (1.0, -1.0))
+        closed = tl.rho_dot_matrix(th, ph, th_dot, ph_dot, scales, patch)
+        assert closed.shape == np.shape(th) + (2, 2)
+        assert max_abs(closed - (ahead - behind) / (2.0 * step)) <= 1e-9
+
+
+def test_sigma_tilde_conjugates_by_the_intertwiner():
+    """sigma~_j = G^dag sigma_j G with G from big_g_s2, at one point and on a stack."""
+    for th, ph, _, _ in one_point_and_stack(tl.MINUS):
+        gg = tl.big_g_s2(th, ph)
+        for j, sigma in enumerate(PAULI, start=1):
+            assert max_abs(tl.sigma_tilde(j, th, ph) - dagger(gg) @ sigma @ gg) <= 1e-14
+
+
+@pytest.mark.parametrize("patch", [tl.PLUS, tl.MINUS])
+def test_hermitian_hamiltonian_is_its_documented_formula(patch):
+    """h = e + alpha(Rdot) - (1/2) Gamma_+(Rdot) - Gamma_0(Rdot) on plus and
+    G^dag (e + alpha(Rdot)) G + (1/2) (G^-1 Gamma_- G)(Rdot) on minus, and the
+    energy alone is e on plus and G^dag e G on minus."""
+    for th, ph, th_dot, ph_dot in one_point_and_stack(patch):
+        h = tl.hermitian_hamiltonian(th, ph, th_dot, ph_dot, ALPHA, ENERGY, patch)
+        assert h.shape == np.shape(th) + (2, 2)
+        assert max_abs(h - h_oracle(th, ph, th_dot, ph_dot, patch)) <= 1e-14
+        e = tl.hermitian_hamiltonian(th, ph, 0.0, 0.0, None, ENERGY, patch)
+        assert max_abs(tl.energy_matrix(th, ph, ENERGY, patch) - e) <= 1e-15
+
+
+def test_south_pole_convention_holds_on_stacks():
+    """On a stack through the south pole the energy part takes pole_phi there
+    and the Gamma part keeps the stack's phi; pole_phi=None raises, on every
+    closed form that reads the energy on the minus chart."""
+    th, ph = np.array([2.0, np.pi, 2.6]), np.array([0.1, 2.5, -1.0])
+    th_dot, ph_dot = np.array([0.3, -0.4, 1.1]), np.array([0.5, 0.0, -0.2])
+    h = tl.hermitian_hamiltonian(th, ph, th_dot, ph_dot, ALPHA, ENERGY, tl.MINUS, pole_phi=0.7)
+    assert max_abs(h - h_oracle(th, ph, th_dot, ph_dot, tl.MINUS, pole_phi=0.7)) <= 1e-14
+    e = tl.energy_matrix(th, ph, ENERGY, tl.MINUS, pole_phi=0.7)
+    gg = tl.big_g_s2(np.pi, 0.7)
+    assert max_abs(e[1] - tl.energy_matrix(np.pi, 2.5, ENERGY, tl.MINUS, pole_phi=0.7)) == 0.0
+    assert max_abs(e[1] - dagger(gg) @ tl.energy_matrix(np.pi, 2.5, ENERGY, tl.PLUS) @ gg) <= 1e-15
+    forms = tl.ClosedForms(wavy_scales(), ALPHA, ENERGY, None)
+    r, v = np.stack([th, ph], axis=-1), np.stack([th_dot, ph_dot], axis=-1)
+    for call in (lambda: tl.hermitian_hamiltonian(th, ph, th_dot, ph_dot, ALPHA, ENERGY,
+                                                  tl.MINUS, pole_phi=None),
+                 lambda: tl.energy_matrix(th, ph, ENERGY, tl.MINUS, pole_phi=None),
+                 lambda: forms.generator(tl.MINUS, r, v), lambda: forms.hermitian(tl.MINUS, r, v),
+                 lambda: forms.energy(tl.MINUS, r)):
+        with pytest.raises(PoleAmbiguity):
+            call()
+    assert max_abs(forms.energy(tl.PLUS, r[:1]) - dataclasses.replace(
+        forms, pole_phi=0.0).energy(tl.PLUS, r[:1])) == 0.0
+
+
+def counting_fields(calls: dict):
+    """Scales, alpha and energy whose every callable is stacked and counts its calls."""
+    def counted(name, fn):
+        def call(th, ph):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(th, ph)
+        return linalg.stacked(call)
+
+    def field(name, fn, d_theta, d_phi):
+        return tl.ScalarField(counted(name, fn), counted(name + ".d_theta", d_theta),
+                              counted(name + ".d_phi", d_phi))
+
+    scales = tl.ScaleFields(
+        field("xi", lambda th, ph: 1.2 + 0.3 * np.sin(th) * np.cos(ph),
+              lambda th, ph: 0.3 * np.cos(th) * np.cos(ph),
+              lambda th, ph: -0.3 * np.sin(th) * np.sin(ph)),
+        field("zeta", lambda th, ph: 0.8 + 0.2 * np.cos(th),
+              lambda th, ph: -0.2 * np.sin(th), lambda th, ph: np.zeros_like(th)),
+        field("xi_tilde", lambda th, ph: 1.0 + 0.25 * np.sin(th) * np.sin(ph),
+              lambda th, ph: 0.25 * np.cos(th) * np.sin(ph),
+              lambda th, ph: 0.25 * np.sin(th) * np.cos(ph)),
+        field("zeta_tilde", lambda th, ph: 1.5 + 0.1 * np.cos(th) * np.sin(ph),
+              lambda th, ph: -0.1 * np.sin(th) * np.sin(ph),
+              lambda th, ph: 0.1 * np.cos(th) * np.cos(ph)))
+    alpha = tl.AlphaField(counted("alpha.theta", ALPHA.theta_vec),
+                          counted("alpha.phi", ALPHA.phi_vec))
+    energy = tl.EnergyFieldS2(counted("epsilon", ENERGY.epsilon), counted("y_hat", ENERGY.y_hat))
+    return scales, alpha, energy
+
+
+@pytest.mark.parametrize("patch", [tl.PLUS, tl.MINUS])
+def test_each_closed_form_call_evaluates_every_field_once(patch, monkeypatch):
+    """One ClosedForms.generator, .hermitian or .energy call on a 33-point stack
+    evaluates each field it needs once (the chart's two scale fields, their four
+    partials, the two alpha vectors, the gap and the direction) and builds the
+    sigma~ basis once on the minus chart; it reads no other field."""
+    calls, bases = {}, []
+    forms = tl.ClosedForms(*counting_fields(calls), 0.0)
+    basis = tl._sigma_tilde_basis
+    monkeypatch.setattr(tl, "_sigma_tilde_basis", lambda *a: bases.append(1) or basis(*a))
+    _, (th, ph, th_dot, ph_dot) = one_point_and_stack(patch, n=33)
+    r, v = np.stack([th, ph], axis=-1), np.stack([th_dot, ph_dot], axis=-1)
+    a, b = ("xi", "zeta") if patch == tl.PLUS else ("xi_tilde", "zeta_tilde")
+    scale_values, partials = {a: 1, b: 1}, {f"{x}.{d}": 1 for x in (a, b) for d in ("d_theta", "d_phi")}
+    fields = {"alpha.theta": 1, "alpha.phi": 1, "epsilon": 1, "y_hat": 1}
+    energy = {"epsilon": 1, "y_hat": 1}
+    for run, want in ((lambda: forms.generator(patch, r, v), scale_values | partials | fields),
+                      (lambda: forms.hermitian(patch, r, v), fields),
+                      (lambda: forms.energy(patch, r), scale_values | energy)):
+        calls.clear(), bases.clear()
+        assert run().shape == (33, 2, 2)
+        assert calls == want
+        assert len(bases) == (patch == tl.MINUS)
