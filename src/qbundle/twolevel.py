@@ -326,8 +326,8 @@ class _ChartFrame:
 
     scale = cached_property(lambda self: [f(*self.point)
                                           for f in self.forms.scales.pair(self.patch)])
-    energy_vec = cached_property(lambda self: 0.5 * (  # (eps/2) yhat
-        _pointwise(self.forms.energy_field.epsilon, *self.point)[..., None]
+    energy_vec = cached_property(lambda self: (  # (eps/2) yhat
+        0.5 * _pointwise(self.forms.energy_field.epsilon, *self.point)[..., None]
         * _pointwise(self.forms.energy_field.y_hat, *self.point)))
 
     @cached_property
