@@ -197,12 +197,6 @@ def one_point_and_stack(patch, n=9):
             (th, ph, th_dot, ph_dot)]
 
 
-def along(form, th_dot, ph_dot):
-    """A matrix one-form (axis -3 holds the theta and phi parts) at a velocity."""
-    v = np.stack(np.broadcast_arrays(th_dot, ph_dot), axis=-1)[..., None, None]
-    return form[..., 0, :, :] * v[..., 0, :, :] + form[..., 1, :, :] * v[..., 1, :, :]
-
-
 def h_oracle(th, ph, th_dot, ph_dot, patch, pole_phi=0.0):
     """The documented h from the matrix-form Gammas, with e + alpha(Rdot) on the
     plus chart conjugated by G = big_g_s2 on minus (at pole_phi on the south pole)."""
@@ -211,11 +205,11 @@ def h_oracle(th, ph, th_dot, ph_dot, patch, pole_phi=0.0):
     move = np.multiply.outer(th_dot, a_theta) + np.multiply.outer(ph_dot, a_phi)
     plain = pauli_dot(0.5 * eps * y + move)
     if patch == tl.PLUS:
-        return (plain - 0.5 * along(tl.gamma_plus(th, ph), th_dot, ph_dot)
-                - along(tl.gamma_zero(th, ph), th_dot, ph_dot))
+        return (plain - 0.5 * tl._along(tl.gamma_plus(th, ph), th_dot, ph_dot)
+                - tl._along(tl.gamma_zero(th, ph), th_dot, ph_dot))
     gg = tl.big_g_s2(th, np.where(np.abs(th - np.pi) < 1e-12, pole_phi, ph))
     return (dagger(gg) @ plain @ gg
-            + 0.5 * along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot))
+            + 0.5 * tl._along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot))
 
 
 def test_pauli_product_is_the_matrix_product():
