@@ -26,12 +26,9 @@ from .errors import (
 )
 from .linalg import (
     ID2,
-    PAULI,
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    adjoint,
-    commutator,
     hermitian_sqrt,
     is_hermitian,
     is_positive_definite,
@@ -43,9 +40,6 @@ from .metric import (
     MetricOperator,
     constant_metric_field,
     eta_inner,
-    hermitize,
-    is_pseudo_anti_hermitian,
-    is_pseudo_hermitian,
     split_pseudo,
 )
 from .stepping import StepperConfig
@@ -54,26 +48,20 @@ from .connection import (
     CurvePath,
     TransportResult,
     a_zero,
-    a_zero_form,
     assemble_connection,
     check_metric_compatibility,
     curvature,
     gauge_transform_connection,
-    parallel_transport,
-    path_from_position,
+    geometric_hamiltonian,
     transport_operator,
 )
 from .dynamics import (
     CurveMetric,
     EvolutionResult,
-    HamiltonianDecomposition,
-    decompose_generator,
     evolve,
-    geometric_hamiltonian,
     hermitian_representation,
     hermitian_representation_via_physical,
     map_state,
-    split_geometric,
 )
 from .bundle import (
     ObservableSection,
@@ -84,7 +72,6 @@ from .bundle import (
     check_section_compatibility,
     evolve_across_patches,
     tilde_eta,
-    transform_hamiltonian,
     transform_observable,
     transform_state,
     unitarity_defect,

@@ -6,7 +6,8 @@ g(R):
     eta~ = g^dag eta g,     psi~ = g^{-1} psi,     A~_a = g^{-1} A_a g - i g^{-1} d_a g,
 
 and the generator picks up a derivative term along a curve,
-H~ = g^{-1} H g - i g^{-1} gdot.  The combination
+H~ = g^{-1} H g - i g^{-1} gdot: the law for A~ contracted with Rdot.  The
+combination
 
     G = rho g rho~^{-1}
 
@@ -194,27 +195,6 @@ def transform_state(transition: TransitionFunctionField, point, psi) -> np.ndarr
             f"psi has shape {psi.shape}, expected {g_inv.shape[:-1]}") from exc
 
 
-def transform_hamiltonian(
-    h_fn: Callable[[float], np.ndarray],
-    g_of_t: Callable[[float], np.ndarray],
-    t: float,
-    g_dot_of_t: Callable[[float], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Generator seen from the target chart along a curve:
-
-        H~(t) = g^{-1} H g - i g^{-1} gdot.
-
-    ``gdot`` uses the supplied derivative or a central difference in t.
-    """
-    g = linalg.as_square(g_of_t(t), "g")
-    g_inv = np.linalg.inv(g)
-    if g_dot_of_t is not None:
-        gd = g_dot_of_t(t)
-    else:
-        gd = linalg.central_difference(g_of_t, t, G_FD_STEP)
-    return g_inv @ h_fn(t) @ g - 1j * g_inv @ gd
-
-
 def transform_observable(observable, intertwiner, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Observable in the target chart's Hermitian form:  o~ = G^{-1} o G,
     for one intertwiner or a stack, each checked for unitarity."""
@@ -229,23 +209,13 @@ def transform_observable(observable, intertwiner, tol: float = UNITARITY_TOL) ->
 class ObservableSection:
     """A physical observable given per chart in Hermitian form.
 
-    ``fields`` maps patch_id -> callable R -> Hermitian matrix.  The
-    authoring patch marks which chart's field is considered primary; a
-    missing chart's values can be generated on the overlap by conjugating
-    with the intertwiner (:meth:`with_pushforward`).
+    ``fields`` maps patch_id -> callable R -> Hermitian matrix.  On an overlap
+    the charts' fields must agree up to o~ = G^{-1} o G
+    (:func:`check_section_compatibility`).
     """
 
-    def __init__(self, fields: dict[str, Callable[[np.ndarray], np.ndarray]],
-                 authoring_patch: str):
-        if authoring_patch not in fields:
-            raise DimensionMismatch(
-                f"authoring patch '{authoring_patch}' has no field"
-            )
+    def __init__(self, fields: dict[str, Callable[[np.ndarray], np.ndarray]]):
         self.fields = dict(fields)
-        self.authoring_patch = authoring_patch
-
-    def patches(self) -> list[str]:
-        return sorted(self.fields)
 
     def matrix(self, patch_id: str, point) -> np.ndarray:
         try:
@@ -255,26 +225,6 @@ class ObservableSection:
         rows, single = linalg.as_stack(point, 1)
         out = linalg.as_square(linalg.over_points(fn, rows), "observable")
         return out[0] if single else out
-
-    def with_pushforward(
-        self,
-        target_patch: str,
-        eta_field: MetricField,
-        eta_tilde_field: MetricField,
-        transition: TransitionFunctionField,
-    ) -> "ObservableSection":
-        """Extend the section to ``target_patch`` on the overlap via
-        o~ = G^{-1} o G (raises OutOfOverlap when evaluated outside)."""
-        src = self.fields[self.authoring_patch]
-
-        @linalg.stacked
-        def fn(r: np.ndarray) -> np.ndarray:
-            gg = big_g(eta_field, eta_tilde_field, transition, r, check_tol=None)
-            return linalg.dagger(gg) @ linalg.over_points(src, r) @ gg
-
-        fields = dict(self.fields)
-        fields[target_patch] = fn
-        return ObservableSection(fields, self.authoring_patch)
 
 
 def check_section_compatibility(

@@ -317,7 +317,7 @@ def _custom_system(cfg: dict) -> SystemSpec:
         patches={patch: PatchData(constant_metric_field(patch, eta, dim=dim), form)},
         curve=curve,
         charts=(patch,),
-        energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}, patch),
+        energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}),
     )
 
 
@@ -595,6 +595,12 @@ def _cmd_compare(args) -> int:
         _run_one(_load_config(path)) for path in (args.config_a, args.config_b))
     if res_a.states.shape[1] != res_b.states.shape[1]:
         raise ConfigError("cannot compare runs with different state dimensions")
+    # raw components are comparable only in one picture on one chart
+    for what, a, b in (("representation", sum_a["config"]["representation"],
+                        sum_b["config"]["representation"]),
+                       ("final chart", sum_a["schedule"][-1][1], sum_b["schedule"][-1][1])):
+        if a != b:
+            raise ConfigError(f"cannot compare endpoints in different frames: {what} {a!r} vs {b!r}")
     delta = float(max_abs(res_a.final_state - res_b.final_state))
     print(f"final time:      {sum_a['final_time']:g} vs {sum_b['final_time']:g}")
     print(f"endpoint delta:  {delta:.6e}  (tolerance {args.tol:g})")

@@ -124,44 +124,18 @@ class CurvePath:
                               - self.velocities(ts))
 
 
-def path_from_position(
-    t_start: float,
-    t_end: float,
-    position: Callable[[float], np.ndarray],
-) -> CurvePath:
-    """Build a CurvePath with a finite-difference velocity."""
-
-    def velocity(t: float) -> np.ndarray:
-        return linalg.central_difference(position, t, VELOCITY_FD_STEP)
-
-    return CurvePath(t_start, t_end, position, velocity)
-
-
 @dataclass
 class TransportResult:
-    """Sampled solution of a transport integration.
-
-    times : 1-d array of sample times
-    operators : stacked transport operators G(t), or None when only a state
-        was propagated
-    states : stacked state vectors psi(t), or None
-    """
+    """Sampled solution of a transport integration: the sample times (n,) and
+    the transport operators G(t) at them (n, N, N).  A state transports as
+    ``final_operator @ psi0``."""
 
     times: np.ndarray
-    operators: np.ndarray | None = None
-    states: np.ndarray | None = None
+    operators: np.ndarray
 
     @property
     def final_operator(self) -> np.ndarray:
-        if self.operators is None:
-            raise ValueError("no transport operators were recorded")
         return self.operators[-1]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("no states were recorded")
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------- assembly
@@ -172,16 +146,6 @@ def a_zero(metric: MetricField, point) -> np.ndarray:
     as (d, N, N), or (n, d, N, N) for a stack of points."""
     eta_inv = np.linalg.inv(metric.eta(point))
     return -0.5j * eta_inv[..., None, :, :] @ metric.partials(point)
-
-
-def a_zero_form(metric: MetricField) -> ConnectionForm:
-    """The canonical connection packaged as a ConnectionForm on the chart."""
-    return ConnectionForm(
-        metric.patch_id,
-        linalg.stacked(lambda r: a_zero(metric, r)),
-        dim=metric.dim,
-        domain=metric.contains,
-    )
 
 
 def assemble_connection(
@@ -256,11 +220,6 @@ def geometric_hamiltonian(a_form: ConnectionForm, path: CurvePath, t) -> np.ndar
     return a_form.contracted(path.points(t), path.velocities(t))
 
 
-def _transport_generator(a_form: ConnectionForm, path: CurvePath):
-    """:func:`geometric_hamiltonian` along ``path``, marked stacked."""
-    return linalg.stacked(lambda ts: geometric_hamiltonian(a_form, path, ts))
-
-
 def transport_operator(
     a_form: ConnectionForm,
     path: CurvePath,
@@ -276,26 +235,9 @@ def transport_operator(
     """
     t0 = path.t_start if t0 is None else t0
     t1 = path.t_end if t1 is None else t1
-    gen = _transport_generator(a_form, path)
+    gen = linalg.stacked(lambda ts: geometric_hamiltonian(a_form, path, ts))
     times, ops = integrate(gen, np.eye(gen(t0).shape[-1], dtype=complex), t0, t1, stepper)
     return TransportResult(times=times, operators=ops)
-
-
-def parallel_transport(
-    a_form: ConnectionForm,
-    path: CurvePath,
-    psi0,
-    t0: float | None = None,
-    t1: float | None = None,
-    stepper: StepperConfig = StepperConfig(),
-) -> TransportResult:
-    """Transport a single state vector: i dpsi/dt = (sum_a Rdot^a A_a) psi."""
-    t0 = path.t_start if t0 is None else t0
-    t1 = path.t_end if t1 is None else t1
-    psi0 = linalg.as_vector(psi0, name="psi0")
-
-    times, states = integrate(_transport_generator(a_form, path), psi0, t0, t1, stepper)
-    return TransportResult(times=times, states=states)
 
 
 # ---------------------------------------------------------------- curvature

@@ -6,10 +6,12 @@ splits as  H(t) = H_A(t) + H_E(t)  with the geometric part
     H_A(t) = sum_a Rdot^a(t) A_a(R(t))
            = H_A0(t) + H_omega(t),          H_A0 = -(i/2) eta^{-1} etadot,
 
-H_A0 pseudo-anti-Hermitian and H_omega, H_E pseudo-Hermitian.  Evolution by H
-preserves the time-dependent eta inner product even though H itself is not
-pseudo-Hermitian; its pseudo-Hermiticity defect is pinned to the metric's
-motion,  H^dag - eta H eta^{-1} = i etadot eta^{-1}.
+H_A0 pseudo-anti-Hermitian and H_omega, H_E pseudo-Hermitian, so
+:func:`qbundle.metric.split_pseudo` splits H into (H_omega + H_E, H_A0) and
+H_A into (H_omega, H_A0).  Evolution by H preserves the time-dependent eta
+inner product even though H itself is not pseudo-Hermitian; its
+pseudo-Hermiticity defect is pinned to the metric's motion,
+H^dag - eta H eta^{-1} = i etadot eta^{-1}.
 
 The unitarily equivalent *Hermitian representation* acts on Phi = rho Psi with
 the Hermitian generator
@@ -44,38 +46,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .connection import ConnectionForm, CurvePath, geometric_hamiltonian
+from .connection import CurvePath
 from .errors import DimensionMismatch, InvalidState
-from .metric import MetricField, MetricOperator, split_pseudo
+from .metric import MetricField, MetricOperator
 from .stepping import StepperConfig, integrate
 
 #: default step for time-differencing rho(t) when analytic partials are absent
 RHO_DOT_TIME_STEP = 1e-6
-
-
-@dataclass
-class HamiltonianDecomposition:
-    """The parts of the full generator at one instant.
-
-    total = h_a0 + h_omega + h_energy; h_geometric = h_a0 + h_omega;
-    h_physical = h_omega + h_energy (the pseudo-Hermitian part of total).
-    """
-
-    h_a0: np.ndarray
-    h_omega: np.ndarray
-    h_energy: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.h_a0 + self.h_omega + self.h_energy
-
-    @property
-    def h_geometric(self) -> np.ndarray:
-        return self.h_a0 + self.h_omega
-
-    @property
-    def h_physical(self) -> np.ndarray:
-        return self.h_omega + self.h_energy
 
 
 @dataclass
@@ -151,22 +128,6 @@ class CurveMetric:
             return linalg.central_difference(lambda s: self.rho(s[..., 0]), ts,
                                              RHO_DOT_TIME_STEP)[0]
         raise ValueError(f"unknown rho_dot method {method!r}")
-
-
-# ---------------------------------------------------------------- generators
-
-
-def split_geometric(h_a: np.ndarray, curve_metric: CurveMetric, t: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Split H_A into (H_A0, H_omega).
-
-    H_A0 = -(i/2) eta^{-1} etadot is fixed by the metric's motion along the
-    curve; the remainder H_omega = H_A - H_A0 is pseudo-Hermitian exactly
-    when the connection is metric-compatible (given H, the remainder is H_ph).
-    """
-    op = curve_metric.operator(t)
-    h_a0 = -0.5j * op.eta_inv @ curve_metric.eta_dot(t)
-    return h_a0, np.asarray(h_a, dtype=complex) - h_a0
 
 
 # ---------------------------------------------------------------- evolution
@@ -247,34 +208,3 @@ def hermitian_representation_via_physical(
 def map_state(curve_metric: CurveMetric, t: float, psi) -> np.ndarray:
     """Intertwine into the Hermitian representation: Phi = rho(t) psi."""
     return curve_metric.rho(t) @ linalg.as_vector(psi, name="psi")
-
-
-def decompose_generator(
-    a_form: ConnectionForm,
-    path: CurvePath,
-    curve_metric: CurveMetric,
-    t: float,
-    energy: Callable[[float], np.ndarray] | None = None,
-) -> HamiltonianDecomposition:
-    """Assemble and split the full generator at time t."""
-    h_a = geometric_hamiltonian(a_form, path, t)
-    h_a0, h_omega = split_geometric(h_a, curve_metric, t)
-    n = h_a.shape[0]
-    h_e = energy(t) if energy is not None else np.zeros((n, n), dtype=complex)
-    return HamiltonianDecomposition(h_a0, h_omega, np.asarray(h_e, dtype=complex))
-
-
-__all__ = [
-    "HamiltonianDecomposition",
-    "EvolutionResult",
-    "CurveMetric",
-    "geometric_hamiltonian",
-    "split_geometric",
-    "evolve",
-    "hermitian_from_parts",
-    "hermitian_representation",
-    "hermitian_representation_via_physical",
-    "map_state",
-    "decompose_generator",
-    "split_pseudo",
-]

@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives.
 
 Everything downstream (metric operators, connections, propagators) is built on
-the small set of operations collected here: adjoints, Hermiticity / positive
-definiteness predicates, the Hermitian square root via spectral decomposition,
-matrix exponentials, commutators and Pauli contractions.  Matrices are plain
+the small set of operations collected here: conjugate transposes, Hermiticity /
+positive definiteness predicates, the Hermitian square root via spectral
+decomposition, matrix exponentials and Pauli contractions.  Matrices are plain
 ``numpy`` arrays of ``complex`` dtype; no wrapper classes.
 
 Stacks.  Fields and generators are evaluated on a whole stack of points or
@@ -40,7 +40,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA1, SIGMA2, SIGMA3)
 ID2 = np.eye(2, dtype=complex)
 
 # ---------------------------------------------------------------- helpers
@@ -163,20 +162,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- operations
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return dagger(as_square(m))
-
-
-def commutator(a, b) -> np.ndarray:
-    """[a, b] = a @ b - b @ a."""
-    a = as_square(a, "a")
-    b = as_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"commutator shapes differ: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def is_hermitian(m) -> bool:

@@ -9,7 +9,9 @@ product  <phi, psi>_eta = phi^dag @ eta @ psi.  An operator H is
 which is exactly the condition for H to be self-adjoint in the eta inner
 product.  The positive root rho = sqrt(eta) intertwines the eta-weighted space
 with the standard one: h = rho @ H @ rho^{-1} is Hermitian iff H is
-pseudo-Hermitian.
+pseudo-Hermitian.  The residual functions return the max-entry norm of the
+defect, which each caller compares with its own tolerance, and
+:func:`split_pseudo` splits any operator into its two parts.
 
 :class:`MetricOperator` wraps one metric at a point and caches rho and its
 inverse; :class:`MetricField` is a metric-valued field over a coordinate patch
@@ -34,9 +36,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, OutOfPatch, QBundleError
-
-#: default tolerance for pseudo-(anti-)Hermiticity residual checks
-PSEUDO_HERMITICITY_TOL = 1e-8
 
 #: default relative step for finite-difference partials of metric fields
 FD_STEP = 1e-5
@@ -115,19 +114,11 @@ def pseudo_hermiticity_residual(m, metric) -> float:
     return linalg.max_abs(linalg.dagger(m) - eta @ m @ eta_inv)
 
 
-def is_pseudo_hermitian(m, metric, tol: float = PSEUDO_HERMITICITY_TOL) -> bool:
-    return pseudo_hermiticity_residual(m, metric) <= tol
-
-
 def pseudo_anti_hermiticity_residual(m, metric) -> float:
     """max-entry norm of  m^dag + eta m eta^{-1}."""
     eta, eta_inv = _eta_of(metric)
     m = linalg.as_square(m)
     return linalg.max_abs(linalg.dagger(m) + eta @ m @ eta_inv)
-
-
-def is_pseudo_anti_hermitian(m, metric, tol: float = PSEUDO_HERMITICITY_TOL) -> bool:
-    return pseudo_anti_hermiticity_residual(m, metric) <= tol
 
 
 def split_pseudo(m, metric) -> tuple[np.ndarray, np.ndarray]:
@@ -140,16 +131,6 @@ def split_pseudo(m, metric) -> tuple[np.ndarray, np.ndarray]:
     m = linalg.as_square(m)
     m_ph = 0.5 * (m + eta_inv @ linalg.dagger(m) @ eta)
     return m_ph, m - m_ph
-
-
-def hermitize(m, metric) -> np.ndarray:
-    """Similarity transform rho @ m @ rho^{-1}.
-
-    Maps a pseudo-Hermitian operator to an honest Hermitian one on the
-    standard Hilbert space (and an arbitrary operator to its rho-conjugate).
-    """
-    op = metric if isinstance(metric, MetricOperator) else MetricOperator(metric)
-    return op.rho @ linalg.as_square(m) @ op.rho_inv
 
 
 # ---------------------------------------------------------------- fields

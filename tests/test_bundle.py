@@ -26,20 +26,23 @@ from qbundle.bundle import (
     check_section_compatibility,
     evolve_across_patches,
     tilde_eta,
-    transform_hamiltonian,
     transform_observable,
     transform_state,
     unitarity_defect,
 )
-from qbundle.connection import ConnectionForm, CurvePath, a_zero_form
+from qbundle.connection import (
+    ConnectionForm,
+    CurvePath,
+    assemble_connection,
+    gauge_transform_connection,
+)
 from qbundle.errors import (
     ConfigError,
-    DimensionMismatch,
     NotUnitary,
     OutOfOverlap,
     TauNotInOverlap,
 )
-from qbundle.linalg import SIGMA1, SIGMA3, matrix_exp, max_abs
+from qbundle.linalg import SIGMA1, SIGMA3, contract, matrix_exp, max_abs
 from qbundle.metric import MetricField, constant_metric_field
 from qbundle.stepping import StepperConfig
 
@@ -96,7 +99,7 @@ def make_system(energy=False):
         return [-1j * np.linalg.inv(g) @ dg_of(r[0])]
 
     patches = {
-        "left": PatchData(left_metric, a_zero_form(left_metric)),
+        "left": PatchData(left_metric, assemble_connection(left_metric)),
         "right": PatchData(right_metric, ConnectionForm("right", a_tilde, dim=1)),
     }
     curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
@@ -107,7 +110,6 @@ def make_system(energy=False):
                 "left": lambda r: SIGMA3.astype(complex),
                 "right": lambda r: u_of(r[0]).conj().T @ SIGMA3 @ u_of(r[0]),
             },
-            "left",
         )
     return SystemSpec(
         patches,
@@ -214,17 +216,19 @@ def test_transform_state():
 
 
 def test_transform_hamiltonian_rotating_frame():
-    """g(t) = exp(i w t sigma3): H~ = g^dag H g + w sigma3."""
-    w = 1.7
-    g_t = lambda t: matrix_exp(1j * w * t * SIGMA3)
-    g_dot = lambda t: 1j * w * SIGMA3 @ g_t(t)
-    h = lambda t: SIGMA1.astype(complex)
-    for t in (0.0, 0.4, 1.1):
-        expected = g_t(t).conj().T @ SIGMA1 @ g_t(t) + w * SIGMA3
-        np.testing.assert_allclose(
-            transform_hamiltonian(h, g_t, t, g_dot_of_t=g_dot), expected, atol=1e-12)
-        np.testing.assert_allclose(
-            transform_hamiltonian(h, g_t, t), expected, atol=1e-8)
+    """g(R) = exp(i w R sigma3) and A = sigma1: the transformed connection
+    contracted with a velocity v is H~ = v (g^dag sigma1 g + w sigma3), with
+    the analytic and with the finite-difference partial_g."""
+    w, v = 1.7, 1.3
+    g_of_r = lambda r: matrix_exp(1j * w * r[0] * SIGMA3)
+    form = ConnectionForm("left", lambda r: [SIGMA1.astype(complex)], dim=1)
+    points = np.array([[0.0], [0.4], [1.1]])
+    expected = [v * (g_of_r(r).conj().T @ SIGMA1 @ g_of_r(r) + w * SIGMA3) for r in points]
+    analytic = lambda r: [1j * w * SIGMA3 @ g_of_r(r)]
+    for partials_fn, atol in ((analytic, 1e-12), (None, 1e-8)):
+        tf = TransitionFunctionField("left", "right", g_of_r, partials_fn=partials_fn, dim=1)
+        h_tilde = contract(np.full((3, 1), v), gauge_transform_connection(form, tf, points))
+        np.testing.assert_allclose(h_tilde, expected, atol=atol)
 
 
 def test_transform_observable_checks_unitarity():
@@ -239,45 +243,29 @@ def test_transform_observable_checks_unitarity():
 
 
 def test_observable_section_basics():
-    sec = ObservableSection({"left": lambda r: SIGMA3.astype(complex)}, "left")
-    assert sec.patches() == ["left"]
+    sec = ObservableSection({"left": lambda r: SIGMA3.astype(complex)})
     np.testing.assert_allclose(sec.matrix("left", [0.1]), SIGMA3)
     with pytest.raises(OutOfOverlap):
         sec.matrix("right", [0.1])
-    with pytest.raises(DimensionMismatch):
-        ObservableSection({"left": lambda r: SIGMA3}, "nowhere")
-
-
-def test_section_pushforward_and_compatibility():
-    left_metric = constant_metric_field("left", np.eye(2), dim=1)
-    right_metric = right_metric_field()
-    tf = make_transition()
-    sec = ObservableSection({"left": lambda r: SIGMA3.astype(complex)}, "left")
-    pushed = sec.with_pushforward("right", left_metric, right_metric, tf)
-    r = [0.6]
-    np.testing.assert_allclose(
-        pushed.matrix("right", r),
-        u_of(0.6).conj().T @ SIGMA3 @ u_of(0.6),
-        atol=1e-12,
-    )
-    samples = [np.array([x]) for x in (0.3, 0.45, 0.6, 0.7)]
-    resid = check_section_compatibility(
-        pushed, "left", "right", left_metric, right_metric, tf, samples)
-    assert resid <= 1e-10
 
 
 def test_section_compatibility_detects_mismatch():
+    """o~ = G^{-1} o G on the right chart passes; sigma3 on both charts does
+    not, since sigma3 is not invariant under conjugation by exp(i a R sigma1)."""
     left_metric = constant_metric_field("left", np.eye(2), dim=1)
     tf = make_transition()
+    good = make_system(energy=True).energy
+    samples = [np.array([x]) for x in (0.3, 0.45, 0.6, 0.7)]
+    resid = check_section_compatibility(
+        good, "left", "right", left_metric, right_metric_field(), tf, samples)
+    assert resid <= 1e-10
     bad = ObservableSection(
         {"left": lambda r: SIGMA3.astype(complex),
          "right": lambda r: SIGMA3.astype(complex)},
-        "left",
     )
     resid = check_section_compatibility(
         bad, "left", "right", left_metric, right_metric_field(), tf,
         [np.array([0.6])])
-    # sigma3 is not invariant under conjugation by exp(i a R sigma1)
     assert resid > 0.1
 
 
@@ -371,7 +359,7 @@ def test_tau_validation():
 def test_single_chart_passthrough():
     metric = constant_metric_field("only", np.eye(2), dim=1)
     curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
-    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve, ("only",))
+    system = SystemSpec({"only": PatchData(metric, assemble_connection(metric))}, curve, ("only",))
     res = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2))
     np.testing.assert_allclose(res.final_state, PSI0, atol=1e-12)
     res_h = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2),
@@ -411,6 +399,6 @@ def test_charts_are_checked_at_construction():
 def test_segments_on_one_chart_ignore_tau():
     metric = constant_metric_field("only", np.eye(2), dim=1)
     curve = CurvePath(0.0, 1.0, lambda t: np.array([t]), lambda t: np.array([1.0]))
-    system = SystemSpec({"only": PatchData(metric, a_zero_form(metric))}, curve, ("only",))
+    system = SystemSpec({"only": PatchData(metric, assemble_connection(metric))}, curve, ("only",))
     for tau in (None, 0.3, 5.0):
         assert system.segments(tau) == [((0.0, 1.0), "only")]

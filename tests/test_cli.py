@@ -350,6 +350,27 @@ def test_compare_detects_different_physics(tmp_path, monkeypatch):
     assert main(["compare", a, b]) == 1
 
 
+def test_compare_refuses_runs_in_different_pictures(tmp_path, monkeypatch, capsys):
+    """Psi and Phi = rho psi are different components of one state."""
+    monkeypatch.chdir(tmp_path)
+    a = write_config(tmp_path / "a.json", base_config())
+    b = write_config(tmp_path / "b.json", {**base_config(), "representation": "hermitian"})
+    assert main(["compare", a, b]) == 2
+    assert "representation 'eta' vs 'hermitian'" in capsys.readouterr().err
+
+
+def test_compare_refuses_runs_that_end_on_different_charts(tmp_path, monkeypatch, capsys):
+    """A meridian that stops at theta = 1.2 ends on the plus chart, the README
+    meridian on the minus chart."""
+    monkeypatch.chdir(tmp_path)
+    a = write_config(tmp_path / "a.json", base_config())
+    cfg_dict = base_config()
+    cfg_dict["curve"]["theta_to"] = 1.2
+    b = write_config(tmp_path / "b.json", cfg_dict)
+    assert main(["compare", a, b]) == 2
+    assert "final chart 'minus' vs 'plus'" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- sweep
 
 

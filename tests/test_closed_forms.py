@@ -10,11 +10,12 @@ import re
 import numpy as np
 import pytest
 
+import paper_identities as paper
 from qbundle import cli, linalg
 from qbundle import twolevel as tl
 from qbundle.bundle import evolve_across_patches
 from qbundle.errors import OutOfPatch, PoleAmbiguity
-from qbundle.linalg import PAULI, dagger, max_abs, pauli_dot
+from qbundle.linalg import SIGMA1, SIGMA2, SIGMA3, dagger, max_abs, pauli_dot
 from qbundle.stepping import StepperConfig
 
 ALPHA = tl.constant_alpha((0.1, -0.2, 0.3), (0.05, 0.4, -0.15))
@@ -130,14 +131,14 @@ def test_minus_chart_h_contracts_sigma_tilde_once(monkeypatch):
     h = tl.hermitian_hamiltonian(th, ph, th_dot, ph_dot, ALPHA, ENERGY, tl.MINUS)
     assert len(calls) == 1
     e = tl.energy_matrix(th, ph, ENERGY, tl.MINUS)
-    alpha = tl._along(tl._alpha_matrices(th, ph, ALPHA, tl.MINUS), th_dot, ph_dot)
-    gamma = 0.5 * tl._along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot)
+    alpha = paper._along(tl._alpha_matrices(th, ph, ALPHA, tl.MINUS), th_dot, ph_dot)
+    gamma = 0.5 * paper._along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot)
     assert max_abs(h - (e + alpha + gamma)) <= 1e-14
     plus = tl.hermitian_hamiltonian(th - 1.0, ph, th_dot, ph_dot, ALPHA, None, tl.PLUS)
     vec = th_dot[:, None] * np.array([0.1, -0.2, 0.3]) + ph_dot[:, None] * np.array(
         [0.05, 0.4, -0.15])
-    rest = (-0.5 * tl._along(tl.gamma_plus(th - 1.0, ph), th_dot, ph_dot)
-            - tl._along(tl.gamma_zero(th - 1.0, ph), th_dot, ph_dot))
+    rest = (-0.5 * paper._along(tl.gamma_plus(th - 1.0, ph), th_dot, ph_dot)
+            - paper._along(tl.gamma_zero(th - 1.0, ph), th_dot, ph_dot))
     assert max_abs(plus - (pauli_dot(vec) + rest)) <= 1e-14
 
 
@@ -145,7 +146,7 @@ def test_minus_chart_h_keeps_the_energy_pole_convention():
     """At the south pole the merged sigma~ contraction takes pole_phi when
     there is an energy, as energy_matrix does, and pole_phi=None raises;
     without an energy no convention is needed."""
-    gamma = 0.5 * tl._along(tl.gamma_minus_conjugated(np.pi, 2.5), 0.3, 0.0)
+    gamma = 0.5 * paper._along(tl.gamma_minus_conjugated(np.pi, 2.5), 0.3, 0.0)
     h = tl.hermitian_hamiltonian(np.pi, 2.5, 0.3, 0.0, None, ENERGY, tl.MINUS, pole_phi=0.7)
     assert max_abs(h - tl.energy_matrix(np.pi, 2.5, ENERGY, tl.MINUS, 0.7) - gamma) <= 1e-14
     with pytest.raises(PoleAmbiguity):
@@ -205,11 +206,11 @@ def h_oracle(th, ph, th_dot, ph_dot, patch, pole_phi=0.0):
     move = np.multiply.outer(th_dot, a_theta) + np.multiply.outer(ph_dot, a_phi)
     plain = pauli_dot(0.5 * eps * y + move)
     if patch == tl.PLUS:
-        return (plain - 0.5 * tl._along(tl.gamma_plus(th, ph), th_dot, ph_dot)
-                - tl._along(tl.gamma_zero(th, ph), th_dot, ph_dot))
+        return (plain - 0.5 * paper._along(tl.gamma_plus(th, ph), th_dot, ph_dot)
+                - paper._along(tl.gamma_zero(th, ph), th_dot, ph_dot))
     gg = tl.big_g_s2(th, np.where(np.abs(th - np.pi) < 1e-12, pole_phi, ph))
     return (dagger(gg) @ plain @ gg
-            + 0.5 * tl._along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot))
+            + 0.5 * paper._along(tl.gamma_minus_conjugated(th, ph), th_dot, ph_dot))
 
 
 def test_pauli_product_is_the_matrix_product():
@@ -250,7 +251,7 @@ def test_sigma_tilde_conjugates_by_the_intertwiner():
     """sigma~_j = G^dag sigma_j G with G from big_g_s2, at one point and on a stack."""
     for th, ph, _, _ in one_point_and_stack(tl.MINUS):
         gg = tl.big_g_s2(th, ph)
-        for j, sigma in enumerate(PAULI, start=1):
+        for j, sigma in enumerate((SIGMA1, SIGMA2, SIGMA3), start=1):
             assert max_abs(tl.sigma_tilde(j, th, ph) - dagger(gg) @ sigma @ gg) <= 1e-14
 
 

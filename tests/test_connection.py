@@ -7,13 +7,10 @@ from qbundle.connection import (
     ConnectionForm,
     CurvePath,
     a_zero,
-    a_zero_form,
     assemble_connection,
     check_metric_compatibility,
     curvature,
     gauge_transform_connection,
-    parallel_transport,
-    path_from_position,
     transport_operator,
 )
 from qbundle.errors import OmegaNotPseudoHermitian, OutOfPatch
@@ -63,7 +60,7 @@ def test_a_zero_known_value_1d():
 def test_a_zero_is_pseudo_anti_hermitian_and_compatible():
     rng = np.random.default_rng(SEED)
     field = random_metric_field(rng)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
     for _ in range(20):
         r = rng.uniform(-1.5, 1.5, 2)
         assert check_metric_compatibility(form, field, r) <= 1e-7
@@ -108,8 +105,11 @@ def test_compatibility_residual_detects_defect():
 
 
 def test_path_velocity_consistency():
-    path = path_from_position(0.0, 1.0, lambda t: np.array([np.sin(t), t * t]))
+    path = CurvePath(0.0, 1.0, lambda t: np.array([np.sin(t), t * t]),
+                     lambda t: np.array([np.cos(t), 2.0 * t]))
     assert path.velocity_consistency() <= 1e-6
+    path.velocity = lambda t: np.array([np.cos(t), t])  # off by t in the second slot
+    assert path.velocity_consistency() > 0.9
 
 
 # ---------------------------------------------------------------- transport
@@ -156,14 +156,13 @@ def test_transport_preserves_eta_inner_product():
     """Metric-compatible transport conserves <u, v>_eta along the curve."""
     rng = np.random.default_rng(SEED)
     field = random_metric_field(rng, dim=1)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
     path = line_path()
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    ru = parallel_transport(form, path, u0, stepper=StepperConfig(dt=1e-3))
-    rv = parallel_transport(form, path, v0, stepper=StepperConfig(dt=1e-3))
+    g = transport_operator(form, path, stepper=StepperConfig(dt=1e-3)).final_operator
     before = eta_inner(field.eta([0.0]), u0, v0)
-    after = eta_inner(field.eta([1.0]), ru.final_state, rv.final_state)
+    after = eta_inner(field.eta([1.0]), g @ u0, g @ v0)
     assert abs(after - before) <= 1e-8 * abs(before)
 
 
@@ -176,8 +175,6 @@ def test_transport_refuses_patch_crossing():
     for t0, t1 in ((0.0, 1.0), (0.6, 0.9)):
         with pytest.raises(OutOfPatch):
             transport_operator(form, path, t0, t1)
-        with pytest.raises(OutOfPatch):
-            parallel_transport(form, path, [1.0, 0.0], t0, t1)
     # a window inside the chart is fine
     transport_operator(form, path, 0.0, 0.4)
 

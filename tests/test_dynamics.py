@@ -5,24 +5,27 @@ import pytest
 
 from qbundle import stepping
 from qbundle import twolevel as tl
-from qbundle.connection import ConnectionForm, CurvePath, a_zero_form
+from qbundle.connection import (
+    ConnectionForm,
+    CurvePath,
+    assemble_connection,
+    geometric_hamiltonian,
+)
 from qbundle.dynamics import (
     CurveMetric,
-    decompose_generator,
     evolve,
-    geometric_hamiltonian,
     hermitian_representation,
     hermitian_representation_via_physical,
     map_state,
-    split_geometric,
 )
 from qbundle.errors import InvalidState, OutOfPatch
 from qbundle.linalg import SIGMA1, SIGMA2, SIGMA3, max_abs
 from qbundle.metric import (
     MetricField,
     constant_metric_field,
-    is_pseudo_anti_hermitian,
-    is_pseudo_hermitian,
+    pseudo_anti_hermiticity_residual,
+    pseudo_hermiticity_residual,
+    split_pseudo,
 )
 from qbundle.stepping import StepperConfig
 
@@ -86,31 +89,42 @@ def test_geometric_hamiltonian_on_a_run_switched_early():
 
 
 def test_split_geometric_parts_and_sum():
+    """split_pseudo splits H_A = H_A0 + H_omega into (H_omega, H_A0), with
+    H_A0 = -(i/2) eta^{-1} etadot."""
     rng = np.random.default_rng(SEED)
     field = smooth_metric_field(rng)
     path = line_path()
     cm = CurveMetric(field, path)
-    form = a_zero_form(field)
+
+    def omega(r):  # pseudo-Hermitian: rho^{-1} (Hermitian) rho
+        op = field.operator(r)
+        return [op.rho_inv @ SIGMA1 @ op.rho]
+
+    form = assemble_connection(field, omega_fn=omega)
     for t in (0.2, 0.5, 0.8):
         h_a = geometric_hamiltonian(form, path, t)
-        h_a0, h_w = split_geometric(h_a, cm, t)
-        np.testing.assert_allclose(h_a0 + h_w, h_a, atol=1e-9)
         eta = cm.eta(t)
-        assert is_pseudo_anti_hermitian(h_a0, eta, tol=1e-7)
-        assert is_pseudo_hermitian(h_w, eta, tol=1e-7)
+        h_w, h_a0 = split_pseudo(h_a, eta)
+        np.testing.assert_allclose(h_a0 + h_w, h_a, atol=1e-9)
+        np.testing.assert_allclose(h_a0, -0.5j * np.linalg.inv(eta) @ cm.eta_dot(t), atol=1e-9)
+        np.testing.assert_allclose(h_w, omega(cm.point(t))[0], atol=1e-9)
+        assert pseudo_anti_hermiticity_residual(h_a0, eta) <= 1e-7
+        assert pseudo_hermiticity_residual(h_w, eta) <= 1e-7
 
 
 def test_decompose_generator_total():
-    rng = np.random.default_rng(SEED)
+    """H = H_A + H_E splits into H_ph = H_omega + H_E and H_A0."""
     field = exp_metric_1d()
     path = line_path()
     cm = CurveMetric(field, path)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
     energy = lambda t: np.cos(t) * SIGMA3.astype(complex)
-    dec = decompose_generator(form, path, cm, 0.3, energy=energy)
-    expected = geometric_hamiltonian(form, path, 0.3) + energy(0.3)
-    np.testing.assert_allclose(dec.total, expected, atol=1e-12)
-    np.testing.assert_allclose(dec.h_physical, dec.h_omega + dec.h_energy, atol=1e-14)
+    total = geometric_hamiltonian(form, path, 0.3) + energy(0.3)
+    h_ph, h_a0 = split_pseudo(total, cm.eta(0.3))
+    np.testing.assert_allclose(h_ph + h_a0, total, atol=1e-12)
+    h_a0_metric = -0.5j * np.linalg.inv(cm.eta(0.3)) @ cm.eta_dot(0.3)
+    np.testing.assert_allclose(h_a0, h_a0_metric, atol=1e-12)
+    np.testing.assert_allclose(h_ph, energy(0.3), atol=1e-14)
 
 
 # ---------------------------------------------------------------- evolve
@@ -242,7 +256,7 @@ def test_hermitian_representation_hermitian_for_compatible_generator():
     field = smooth_metric_field(rng)
     path = line_path()
     cm = CurveMetric(field, path)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
     for t in (0.1, 0.5, 0.9):
         op = cm.operator(t)
         h_e = op.rho_inv @ SIGMA3 @ op.rho
@@ -256,7 +270,7 @@ def test_representation_equivalence_single_chart():
     field = exp_metric_1d()
     path = line_path()
     cm = CurveMetric(field, path)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
 
     def h_full(t):
         op = cm.operator(t)
@@ -280,7 +294,7 @@ def test_no_go_defect_matches_metric_motion():
     field = smooth_metric_field(rng)
     path = line_path()
     cm = CurveMetric(field, path)
-    form = a_zero_form(field)
+    form = assemble_connection(field)
     for t in (0.25, 0.65):
         op = cm.operator(t)
         h_full = (geometric_hamiltonian(form, path, t)

@@ -11,9 +11,7 @@ from qbundle.linalg import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    adjoint,
     central_difference,
-    commutator,
     contract,
     dagger,
     exp_stack,
@@ -52,9 +50,9 @@ def test_pauli_algebra():
     np.testing.assert_allclose(SIGMA1 @ SIGMA1, ID2)
     np.testing.assert_allclose(SIGMA2 @ SIGMA2, ID2)
     np.testing.assert_allclose(SIGMA3 @ SIGMA3, ID2)
-    np.testing.assert_allclose(commutator(SIGMA1, SIGMA2), 2j * SIGMA3)
-    np.testing.assert_allclose(commutator(SIGMA2, SIGMA3), 2j * SIGMA1)
-    np.testing.assert_allclose(commutator(SIGMA3, SIGMA1), 2j * SIGMA2)
+    np.testing.assert_allclose(SIGMA1 @ SIGMA2 - SIGMA2 @ SIGMA1, 2j * SIGMA3)
+    np.testing.assert_allclose(SIGMA2 @ SIGMA3 - SIGMA3 @ SIGMA2, 2j * SIGMA1)
+    np.testing.assert_allclose(SIGMA3 @ SIGMA1 - SIGMA1 @ SIGMA3, 2j * SIGMA2)
 
 
 def test_pauli_dot_squares_to_norm():
@@ -76,7 +74,7 @@ def test_pauli_dot_rejects_bad_shape():
 def test_adjoint_and_hermiticity():
     rng = np.random.default_rng(SEED)
     m = random_complex(rng, 4)
-    np.testing.assert_allclose(adjoint(m), m.conj().T)
+    np.testing.assert_allclose(dagger(m), m.conj().T)
     assert is_hermitian(m + m.conj().T)
     assert not is_hermitian(m + m.conj().T + 1e-6 * 1j * np.eye(4))
 
