@@ -31,7 +31,7 @@ reads too.  A run integrates :meth:`SystemSpec.run_generator`: the closed
 forms of the ``closed`` slot, which the two-level model fills, else the generic
 ones, which ``check`` compares them with.  Marked :func:`qbundle.linalg.stacked`,
 on a stack of times each evaluates the curve once and returns the stack.
-The gluing layer follows :class:`qbundle.metric.MetricField`:
+The gluing layer follows the chart-field core :class:`qbundle.metric.ChartField`:
 :class:`TransitionFunctionField` (partials on axis -3), the transforms
 (:func:`tilde_eta`, :func:`big_g`, :func:`transform_state`,
 :func:`transform_observable`) and :func:`check_section_compatibility` take
@@ -57,7 +57,7 @@ from .errors import (
     OutOfOverlap,
     TauNotInOverlap,
 )
-from .metric import MetricField, MetricOperator, _in_region, chart_points
+from .metric import ChartField, MetricField, MetricOperator
 from .stepping import StepperConfig
 
 #: default tolerance for unitarity checks on intertwiners
@@ -86,9 +86,12 @@ def _check_unitary(gg: np.ndarray, tol: float, points=None) -> None:
                          f"defect {defect[k]:.3e} > tol {tol:.3e}")
 
 
-class TransitionFunctionField:
-    """Invertible matrix field g(R) relating two charts on their overlap;
-    its callables are evaluated through :func:`qbundle.linalg.over_points`."""
+class TransitionFunctionField(ChartField):
+    """Invertible matrix field g(R) relating two charts on their overlap,
+    evaluated by the chart-field core :class:`qbundle.metric.ChartField`; a
+    point off the overlap raises OutOfOverlap."""
+
+    outside = OutOfOverlap
 
     def __init__(
         self,
@@ -99,41 +102,22 @@ class TransitionFunctionField:
         overlap: Callable[[np.ndarray], bool] | None = None,
         dim: int = 2,
     ):
+        super().__init__(g_fn, partials_fn, dim, overlap, "g",
+                         f"the overlap of charts '{from_patch}' and '{to_patch}'")
         self.from_patch = from_patch
         self.to_patch = to_patch
-        self._g_fn = g_fn
-        self._partials_fn = partials_fn
-        self._overlap = overlap
-        self.dim = dim
 
-    @linalg.stacked
-    def in_overlap(self, point):
-        """Whether the point lies in the overlap (one flag per point of a stack)."""
-        return _in_region(self._overlap, point)
+    in_overlap = ChartField.contains
+    g = ChartField.values
+    partial_g = ChartField.partials
+    g_dot = ChartField.time_derivative
 
-    def _values(self, fn, point, name: str) -> np.ndarray:
-        rows, single = chart_points(
-            point, self.dim, self._overlap,
-            f"the overlap of charts '{self.from_patch}' and '{self.to_patch}'", OutOfOverlap)
-        out = linalg.as_square(linalg.over_points(fn, rows), name)
-        return out[0] if single else out
-
-    def g(self, point) -> np.ndarray:
-        return self._values(self._g_fn, point, "g")
+    def fd_step(self, rows: np.ndarray) -> float:
+        """Finite-difference step of :meth:`partial_g`: ``G_FD_STEP`` for every coordinate."""
+        return G_FD_STEP
 
     def g_inv(self, point) -> np.ndarray:
         return np.linalg.inv(self.g(point))
-
-    def partial_g(self, point) -> np.ndarray:
-        """d g / d R^a for each coordinate a, analytic when available:
-        (d, N, N) for one point, (n, d, N, N) for a stack."""
-        fn = self._partials_fn or linalg.stacked(lambda r: np.stack(linalg.central_difference(
-            lambda x: linalg.over_points(self._g_fn, x), r, G_FD_STEP), axis=1))
-        return self._values(fn, point, "partial of g")
-
-    def g_dot(self, point, velocity) -> np.ndarray:
-        """Time derivative of g along a curve through ``point``."""
-        return linalg.contract(np.asarray(velocity, dtype=float), self.partial_g(point))
 
     def inverse(self) -> "TransitionFunctionField":
         """The reversed transition, g -> g^{-1} with patches swapped."""
@@ -148,7 +132,7 @@ class TransitionFunctionField:
             self.from_patch,
             linalg.stacked(lambda r: self.g_inv(r)),
             partials_fn=partials_fn,
-            overlap=self._overlap,
+            overlap=self._domain,
             dim=self.dim,
         )
 
@@ -209,7 +193,8 @@ def transform_observable(observable, intertwiner, tol: float = UNITARITY_TOL) ->
 class ObservableSection:
     """A physical observable given per chart in Hermitian form.
 
-    ``fields`` maps patch_id -> callable R -> Hermitian matrix.  On an overlap
+    ``fields`` maps patch_id -> callable R -> Hermitian matrix, evaluated
+    by :class:`qbundle.metric.ChartField`.  On an overlap
     the charts' fields must agree up to o~ = G^{-1} o G
     (:func:`check_section_compatibility`).
     """
@@ -222,9 +207,7 @@ class ObservableSection:
             fn = self.fields[patch_id]
         except KeyError:
             raise OutOfOverlap(f"section has no field on patch '{patch_id}'") from None
-        rows, single = linalg.as_stack(point, 1)
-        out = linalg.as_square(linalg.over_points(fn, rows), "observable")
-        return out[0] if single else out
+        return ChartField(fn, name="observable").values(point)
 
 
 def check_section_compatibility(

@@ -22,9 +22,9 @@ RK4 from the stacked generator sum_a Rdot^a A_a.  A curve names no chart (the
 chart order is :attr:`qbundle.bundle.SystemSpec.charts`): transport stays on its
 connection's chart, whose domain check raises OutOfPatch at the first node outside.
 
-Like :class:`qbundle.metric.MetricField`, a :class:`ConnectionForm` takes one
-point or a stack of points, and :class:`CurvePath` evaluates its position and
-velocity on one time or a stack of times (:meth:`CurvePath.points`,
+A :class:`ConnectionForm` is a :class:`qbundle.metric.ChartField`, so it takes
+one point or a stack of points, and :class:`CurvePath` evaluates its position
+and velocity on one time or a stack of times (:meth:`CurvePath.points`,
 :meth:`CurvePath.velocities`).
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, OmegaNotPseudoHermitian
-from .metric import MetricField, chart_points, pseudo_hermiticity_residual
+from .metric import ChartField, MetricField, pseudo_hermiticity_residual
 from .stepping import StepperConfig, integrate
 
 #: default validation tolerance for the free (pseudo-Hermitian) part
@@ -53,7 +53,7 @@ VELOCITY_FD_STEP = 1e-6
 VELOCITY_CHECK_SAMPLES = 50
 
 
-class ConnectionForm:
+class ConnectionForm(ChartField):
     """Matrix-valued connection coefficients on one chart.
 
     ``components(R)`` returns the d connection matrices [A_1(R), ..., A_d(R)]
@@ -68,22 +68,17 @@ class ConnectionForm:
         dim: int = 2,
         domain: Callable[[np.ndarray], bool] | None = None,
     ):
+        super().__init__(components_fn, None, dim, domain, "connection component",
+                         f"patch '{patch_id}'")
         self.patch_id = patch_id
-        self._components_fn = components_fn
-        self.dim = dim
-        self._domain = domain
 
     def components(self, point) -> np.ndarray:
-        rows, single = chart_points(point, self.dim, self._domain,
-                                    f"patch '{self.patch_id}'")
-        comps = linalg.as_square(linalg.over_points(self._components_fn, rows),
-                                 "connection component")
-        if comps.ndim != 4 or comps.shape[1] != self.dim:
+        comps = self.values(point)
+        one = comps.shape[np.ndim(point) - 1:]  # the components at one point
+        if len(one) != 3 or one[0] != self.dim:
             raise DimensionMismatch(
-                f"connection returned components of shape {comps.shape[1:]}, "
-                f"expected {self.dim} matrices"
-            )
-        return comps[0] if single else comps
+                f"connection returned components of shape {one}, expected {self.dim} matrices")
+        return comps
 
     def contracted(self, point, velocity) -> np.ndarray:
         """sum_a Rdot^a A_a(R): the generator of transport along a velocity."""

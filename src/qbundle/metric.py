@@ -14,18 +14,22 @@ defect, which each caller compares with its own tolerance, and
 :func:`split_pseudo` splits any operator into its two parts.
 
 :class:`MetricOperator` wraps one metric at a point and caches rho and its
-inverse; :class:`MetricField` is a metric-valued field over a coordinate patch
-of the base manifold, with analytic or finite-difference partial derivatives.
+inverse.  :class:`ChartField` is the chart-field core: the one rule by which
+every chart-local field is evaluated on a point (d,) or a stack of points
+(n, d), with its region check, its analytic or finite-difference partials and
+the square and finite check of its values.  :class:`MetricField` (eta),
+:class:`qbundle.connection.ConnectionForm` (A_a) and
+:class:`qbundle.bundle.TransitionFunctionField` (g) are thin names over it,
+and :class:`qbundle.bundle.ObservableSection` evaluates through it.
 
-Stacks.  Every :class:`MetricField` method takes one point (d,) or a stack of
-points (n, d) and returns one result or a stack of n.  The field's callables are
-evaluated through :func:`qbundle.linalg.over_points`, so a pointwise ``eta_fn``
-works unchanged and one marked :func:`qbundle.linalg.stacked` is called once per
-stack.  A :class:`MetricOperator` built from a stack (n, N, N) factorises all n
-metrics with one ``eigh`` (:func:`qbundle.linalg.positive_spectrum`), for every
-N, and builds its stacks of rho, rho^{-1} and eta^{-1} from those factors.  The
-chart domain, shape, finiteness, Hermiticity and positivity checks apply to
-every point of a stack, and their errors name the first failing point.
+Stacks.  A field's callables are evaluated through
+:func:`qbundle.linalg.over_points`, so a pointwise ``eta_fn`` works unchanged
+and one marked :func:`qbundle.linalg.stacked` is called once per stack.  A
+:class:`MetricOperator` built from a stack (n, N, N) factorises all n metrics
+with one ``eigh`` (:func:`qbundle.linalg.positive_spectrum`), for every N, and
+builds its stacks of rho, rho^{-1} and eta^{-1} from those factors.  The chart
+domain, shape, finiteness, Hermiticity and positivity checks apply to every
+point of a stack, and their errors name the first failing point.
 """
 
 from __future__ import annotations
@@ -136,30 +140,74 @@ def split_pseudo(m, metric) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- fields
 
 
-def _in_region(domain, point):
-    """Whether a point lies where the predicate ``domain`` holds (everywhere
-    without one): one flag, or one per point of a stack (n, d)."""
-    rows, single = linalg.as_stack(point, 1)
-    inside = np.ones(len(rows), bool) if domain is None else linalg.over_points(domain, rows)
-    return bool(inside[0]) if single else inside.astype(bool)
+class ChartField:
+    """A matrix-valued field ``fn`` on the region of a chart where ``domain``
+    holds (everywhere without one).
+
+    Every method takes one point (d,) or a stack of points (n, d) and checks
+    that each point has ``dim`` coordinates (any number when ``dim`` is None)
+    and lies in the region; :attr:`outside` names the first point outside
+    ``region``.  Values come from :func:`qbundle.linalg.over_points` and pass
+    :func:`qbundle.linalg.as_square` under ``name``, which names the stack
+    index of a non-finite one; one point gives one value.  Partials are
+    ``partials_fn``'s, else central differences with the step :meth:`fd_step`
+    at points that are not checked against the region.
+    """
+
+    #: error naming a point outside the region
+    outside: type[QBundleError] = OutOfPatch
+
+    def __init__(self, fn, partials_fn=None, dim: int | None = None, domain=None,
+                 name: str = "matrix", region: str = ""):
+        self._fn, self._partials_fn, self._domain = fn, partials_fn, domain
+        self.dim, self.name, self.region = dim, name, region
+
+    @linalg.stacked
+    def contains(self, point):
+        """Whether the point lies in the region (one flag per point of a stack)."""
+        rows, single = linalg.as_stack(point, 1)
+        inside = (np.ones(len(rows), bool) if self._domain is None
+                  else linalg.over_points(self._domain, rows))
+        return bool(inside[0]) if single else inside.astype(bool)
+
+    def coords(self, point) -> tuple[np.ndarray, bool]:
+        """(stack of points, single): the point or stack as an (n, dim) stack,
+        after the shape and region checks of every point."""
+        rows, single = linalg.as_stack(point, 1)
+        if self.dim is not None and (rows.ndim != 2 or rows.shape[1] != self.dim):
+            raise DimensionMismatch(
+                f"expected {self.dim}-vectors of coordinates, got shape {np.shape(point)}")
+        if self._domain is not None:
+            inside = self.contains(rows)
+            if not inside.all():
+                raise self.outside(f"point {rows[np.argmin(inside)]} is outside {self.region}")
+        return rows, single
+
+    def values(self, point, fn=None, name: str | None = None) -> np.ndarray:
+        """``fn`` (by default the field's own callable) on the checked points,
+        as square finite matrices named ``name`` (by default :attr:`name`)."""
+        rows, single = self.coords(point)
+        out = linalg.as_square(linalg.over_points(fn or self._fn, rows), name or self.name)
+        return out[0] if single else out
+
+    def fd_step(self, rows: np.ndarray):
+        """Finite-difference step of :meth:`partials`: ``FD_STEP`` relative to
+        each coordinate, floored at ``FD_STEP_FLOOR``."""
+        return np.maximum(FD_STEP * np.abs(rows), FD_STEP_FLOOR)
+
+    def partials(self, point) -> np.ndarray:
+        """d/dR^a of the field for each coordinate a, analytic when available:
+        (d, N, N) for one point, (n, d, N, N) for a stack."""
+        fn = self._partials_fn or linalg.stacked(lambda r: np.stack(linalg.central_difference(
+            lambda x: linalg.over_points(self._fn, x), r, self.fd_step(r)), axis=1))
+        return self.values(point, fn, f"partial of {self.name}")
+
+    def time_derivative(self, point, velocity) -> np.ndarray:
+        """Time derivative of the field along a curve: sum_a (d/dR^a) Rdot^a."""
+        return linalg.contract(np.asarray(velocity, dtype=float), self.partials(point))
 
 
-def chart_points(point, dim: int, domain, region: str,
-                 error: type[QBundleError] = OutOfPatch) -> tuple[np.ndarray, bool]:
-    """(stack of points, single): one point (dim,) or a stack (n, dim) as an
-    (n, dim) stack, after the shape and domain checks of every point;
-    ``error`` names the first point outside ``region``."""
-    rows, single = linalg.as_stack(point, 1)
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise DimensionMismatch(
-            f"expected {dim}-vectors of coordinates, got shape {np.shape(point)}")
-    inside = _in_region(domain, rows)
-    if not inside.all():
-        raise error(f"point {rows[np.argmin(inside)]} is outside {region}")
-    return rows, single
-
-
-class MetricField:
+class MetricField(ChartField):
     """Metric-operator-valued field over one coordinate patch.
 
     Parameters
@@ -188,45 +236,14 @@ class MetricField:
         dim: int = 2,
         domain: Callable[[np.ndarray], bool] | None = None,
     ):
+        super().__init__(eta_fn, partials_fn, dim, domain, "eta", f"patch '{patch_id}'")
         self.patch_id = patch_id
-        self._eta_fn = eta_fn
-        self._partials_fn = partials_fn
-        self.dim = dim
-        self._domain = domain
 
-    def coords(self, point) -> tuple[np.ndarray, bool]:
-        """:func:`chart_points` on the chart: OutOfPatch names the first point off it."""
-        return chart_points(point, self.dim, self._domain, f"patch '{self.patch_id}'")
-
-    @linalg.stacked
-    def contains(self, point):
-        """Whether the point lies in the chart (one flag per point of a stack)."""
-        return _in_region(self._domain, point)
-
-    def eta(self, point) -> np.ndarray:
-        rows, single = self.coords(point)
-        eta = linalg.as_square(linalg.over_points(self._eta_fn, rows), "eta")
-        return eta[0] if single else eta
+    eta = ChartField.values
+    eta_dot = ChartField.time_derivative
 
     def operator(self, point) -> MetricOperator:
         return MetricOperator(self.eta(point))
-
-    def partials(self, point) -> np.ndarray:
-        """d eta / d R^a for each coordinate a, analytic when available:
-        (d, N, N) for one point, (n, d, N, N) for a stack."""
-        rows, single = self.coords(point)
-        if self._partials_fn is not None:
-            parts = linalg.as_square(linalg.over_points(self._partials_fn, rows),
-                                     "partial of eta")
-        else:
-            steps = np.maximum(FD_STEP * np.abs(rows), FD_STEP_FLOOR)
-            parts = np.stack(linalg.central_difference(
-                lambda x: linalg.over_points(self._eta_fn, x), rows, steps), axis=1)
-        return parts[0] if single else parts
-
-    def eta_dot(self, point, velocity) -> np.ndarray:
-        """Time derivative of eta along a curve: sum_a (d eta/d R^a) Rdot^a."""
-        return linalg.contract(np.asarray(velocity, dtype=float), self.partials(point))
 
 
 def constant_metric_field(patch_id: str, eta, dim: int = 2) -> MetricField:

@@ -613,6 +613,19 @@ def test_readme_minimal_configuration_runs(tmp_path):
     assert (tmp_path / "readme_trajectory.csv").exists()
 
 
+def test_run_with_explicit_state_leaves_numpy_random_unloaded(tmp_path):
+    """Only a "random" initial state draws, so running the README meridian
+    with its explicit state never imports numpy.random."""
+    cfg = write_config(tmp_path / "readme.json", readme_config())
+    env = dict(os.environ, PYTHONPATH=str(Path(qbundle.__file__).parents[1]))
+    code = ("import sys; from qbundle.cli import main; "
+            f"main(['run', {cfg!r}, '--output-dir', {str(tmp_path)!r}]); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("overrides, sweep, named", [
     ({"seed": "x"}, None, "seed"),
     ({"seed": -1}, None, "seed"),

@@ -26,7 +26,7 @@ from qbundle.bundle import (
     transform_state,
     unitarity_defect,
 )
-from qbundle.connection import gauge_transform_connection
+from qbundle.connection import ConnectionForm, gauge_transform_connection
 from qbundle.dynamics import hermitian_representation
 from qbundle.errors import (
     DimensionMismatch,
@@ -517,6 +517,54 @@ def test_stack_with_one_indefinite_eta_raises(xs, data):
     field.eta(pts)  # the metric itself is well formed
     with pytest.raises(NotPositiveDefinite, match=rf"stack index \({k},\)"):
         field.operator(pts)
+
+
+def edge_fn(r):
+    """diag(1, x) for x <= 3 and NaN beyond, as a pointwise callable of (1,)
+    points: finite at every x <= 3, with a NaN central difference at x = 3."""
+    return np.diag([1.0, r[0] if r[0] <= 3.0 else np.nan]).astype(complex)
+
+
+def positive(r):
+    return r[0] > 0.0
+
+
+#: each chart-field kind: (field, its value method, error off the region, region text)
+CHART_FIELDS = {
+    "metric": (MetricField("main", edge_fn, dim=1, domain=positive), "eta",
+               OutOfPatch, "patch 'main'"),
+    "connection": (ConnectionForm("main", lambda r: edge_fn(r)[None], dim=1, domain=positive),
+                   "components", OutOfPatch, "patch 'main'"),
+    "transition": (TransitionFunctionField("a", "b", edge_fn, overlap=positive, dim=1), "g",
+                   OutOfOverlap, "the overlap of charts 'a' and 'b'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHART_FIELDS))
+def test_chart_field_contract(kind):
+    """Every chart-field kind evaluates a stack row by row, names the first
+    point outside its region with its own error, and names the stack index
+    of a non-finite value (the point first, then any coordinate axis)."""
+    field, method, error, region = CHART_FIELDS[kind]
+    value = getattr(field, method)
+    pts = np.array([[0.5], [1.5], [2.5]])
+    assert_stacks_rows(value, pts)
+    with pytest.raises(error, match=r"point \[-1\.\] is outside " + region):
+        value(np.array([[0.5], [-1.0], [-2.0]]))
+    with pytest.raises(DimensionMismatch, match=r"non-finite entries \(stack index \(1,"):
+        value(np.array([[0.5], [4.0], [5.0]]))
+
+
+@pytest.mark.parametrize("kind, partials", [("metric", "partials"), ("transition", "partial_g")])
+def test_finite_difference_partials_name_a_non_finite_point(kind, partials):
+    """Without a partials callable, a central difference that reaches a NaN
+    value is rejected like an analytic partial, naming its stack index."""
+    field, method, _, _ = CHART_FIELDS[kind]
+    pts = np.array([[1.0], [3.0]])
+    getattr(field, method)(pts)  # the values themselves are finite
+    with pytest.raises(DimensionMismatch,
+                       match=rf"partial of {method} contains non-finite entries \(stack index \(1,"):
+        getattr(field, partials)(pts)
 
 
 def test_over_points_calling_rule():
