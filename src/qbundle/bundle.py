@@ -17,11 +17,12 @@ observables in Hermitian form transform as  o~ = G^{-1} o G.
 :attr:`SystemSpec.charts` and :meth:`SystemSpec.segments` are the only chart
 itinerary: the chart order, made the run's ((t_a, t_b), patch) segments once
 for a switch time tau inside the overlap dwell.
-:func:`evolve_across_patches` walks them, converting the state with g^{-1}
-at the switch, and the CLI's summary and check battery read the same list.
-Physical endpoints do not depend on the switch time.  In the Hermitian
-representation the conversion uses G^{-1}, and the state Phi jumps at the
-switch (G is not the identity) while all eta-norms stay continuous.
+:func:`evolve_across_patches` walks them, and the CLI's summary and check
+battery read the same list.  A switch into the target chart of the one
+:attr:`SystemSpec.transition` maps the state by psi~ = g^{-1} psi, or by
+Phi~ = G^dag Phi in the Hermitian representation, and a switch back by g or G.
+Physical endpoints do not depend on the switch time; Phi jumps at the switch
+(G is not the identity) while all eta-norms stay continuous.
 
 The generic generators of :class:`SystemSpec` add the geometric part H_A and
 the energy observable e (the section's Hermitian form): H = H_A + rho^{-1} e rho
@@ -118,23 +119,6 @@ class TransitionFunctionField(ChartField):
 
     def g_inv(self, point) -> np.ndarray:
         return np.linalg.inv(self.g(point))
-
-    def inverse(self) -> "TransitionFunctionField":
-        """The reversed transition, g -> g^{-1} with patches swapped."""
-
-        @linalg.stacked
-        def partials_fn(r):
-            gi = self.g_inv(r)[:, None]
-            return -gi @ self.partial_g(r) @ gi
-
-        return TransitionFunctionField(
-            self.to_patch,
-            self.from_patch,
-            linalg.stacked(lambda r: self.g_inv(r)),
-            partials_fn=partials_fn,
-            overlap=self._domain,
-            dim=self.dim,
-        )
 
 
 # ---------------------------------------------------------------- transforms
@@ -244,8 +228,8 @@ class SystemSpec:
     curve : the parametrized curve
     charts : the chart order along the curve, one or two keys of ``patches``;
         :meth:`segments` makes it a run's segments for a switch time
-    transition : transition function between the two charts (None for a
-        single-chart system)
+    transition : transition function joining the two charts, in either order
+        (None for a single-chart system)
     energy : optional observable section holding the physical Hamiltonian in
         Hermitian form per chart
     overlap_window : parameter interval during which the curve lies in the
@@ -267,6 +251,11 @@ class SystemSpec:
         if len(self.charts) not in (1, 2) or not set(self.charts) <= self.patches.keys():
             raise ConfigError(f"charts must be one or two of the patches {sorted(self.patches)}, "
                               f"got {self.charts}")
+        tr = self.transition
+        if len(self.charts) == 2 and (
+                tr is None or {tr.from_patch, tr.to_patch} != set(self.charts)):
+            raise ConfigError(f"charts {self.charts} need a transition joining exactly those "
+                              f"two, got {None if tr is None else (tr.from_patch, tr.to_patch)}")
 
     def patch(self, patch_id: str) -> PatchData:
         return self.patches[patch_id]
@@ -276,16 +265,6 @@ class SystemSpec:
 
     def metric_operator(self, patch_id: str, point) -> MetricOperator:
         return self.patch(patch_id).metric.operator(point)
-
-    def transition_into(self, target_patch: str) -> TransitionFunctionField:
-        """The transition oriented so that psi_target = g^{-1} psi_source."""
-        if self.transition is None:
-            raise OutOfOverlap("system has a single chart; no transition defined")
-        if self.transition.to_patch == target_patch:
-            return self.transition
-        if self.transition.from_patch == target_patch:
-            return self.transition.inverse()
-        raise OutOfOverlap(f"no transition involving patch '{target_patch}'")
 
     # -- generators along the curve: one time t or a stack (n,) gives one
     # generator (N, N) or a stack (n, N, N), from H_A = Rdot^a A_a(R) and e(R)
@@ -354,7 +333,7 @@ class SystemSpec:
             if not (lo <= tau <= hi):
                 raise TauNotInOverlap(f"tau = {tau} outside the overlap dwell [{lo}, {hi}]")
         r_tau = self.curve.points(tau)
-        if not self.transition_into(second).in_overlap(r_tau):
+        if not self.transition.in_overlap(r_tau):
             raise TauNotInOverlap(f"curve point {r_tau} at tau = {tau} is not in the overlap")
         return [((span[0], tau), first), ((tau, span[1]), second)]
 
@@ -414,9 +393,10 @@ def evolve_across_patches(
 
     ``psi0`` is a state (N,) or column states (N, c) evolved at once, whose
     columns give the trajectories :meth:`EvolutionResult.column` splits out.
-    In the default ("eta") representation the state converts at a switch by
-    psi~ = g^{-1} psi; in the "hermitian" representation the input/output
-    states are Phi = rho psi and the conversion is Phi~ = G^{-1} Phi.  The
+    In the default ("eta") representation the state converts at a switch into
+    the target of ``system.transition`` by psi~ = g^{-1} psi, and at a switch
+    back by g; in the "hermitian" representation the input/output states are
+    Phi = rho psi and the conversions are Phi~ = G^dag Phi and G.  The
     returned trajectory contains two samples at each switch, one per chart,
     so the frame switch is visible in the record.
 
@@ -432,19 +412,18 @@ def evolve_across_patches(
     pieces: list[EvolutionResult] = []
     for k, ((ta, tb), pid) in enumerate(segments):
         if k:
-            r = system.curve.points(ta)
-            transition = system.transition_into(pid)
+            r, tr = system.curve.points(ta), system.transition
+            into = pid == tr.to_patch  # into tr's target by g^{-1} and G^dag, back by g and G
             # column states convert as a stack of vectors, each with the bits it has alone
-            if hermitian and system.closed is not None:  # G^{-1} = G^dag, G of system.transition
-                gg = system.closed.big_g(r)
-                psi = ((gg if pid == system.transition.from_patch else linalg.dagger(gg))
-                       @ psi.T[..., None])[..., 0].T
-            elif hermitian:
-                gg = big_g(system.patch(segments[k - 1][1]).metric, system.patch(pid).metric,
-                           transition, r, check_tol=None)
-                psi = (np.linalg.inv(gg) @ psi.T[..., None])[..., 0].T
+            if hermitian:
+                gg = (system.closed.big_g(r) if system.closed is not None else
+                      big_g(system.patch(tr.from_patch).metric, system.patch(tr.to_patch).metric,
+                            tr, r, check_tol=None))
+                psi = ((linalg.dagger(gg) if into else gg) @ psi.T[..., None])[..., 0].T
+            elif into:
+                psi = transform_state(tr, r, psi.T).T
             else:
-                psi = transform_state(transition, r, psi.T).T
+                psi = (tr.g(r) @ psi.T[..., None])[..., 0].T
         pieces.append(evolve(
             system.run_generator(pid, hermitian), psi, ta, tb, stepper,
             curve_metric=None if hermitian else system.curve_metric(pid),

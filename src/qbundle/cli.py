@@ -331,7 +331,7 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
             c = form.components(r)
             return c + 1j * magnitude * np.eye(c.shape[-1], dtype=complex)
 
-        return ConnectionForm(form.patch_id, components, dim=form.dim, domain=form._domain)
+        return ConnectionForm(form.patch_id, components, dim=form.dim, domain=form.contains)
 
     patches = {
         pid: PatchData(pd.metric, defected(pd.connection))
@@ -536,16 +536,16 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
         compatibility_residual(ev.op.eta, ev.components, ev.partials) for ev in evals]))
 
     if len(segments) == 2 and system.overlap_window is not None:
-        (_, pid_a), (_, pid_b) = segments
+        tr = system.transition  # the rows read g in its own orientation, whatever the run's
         pts = system.curve.points(rng.uniform(*system.overlap_window, n))
-        g = system.transition_into(pid_b).g(pts)
-        op_a, op_b = (system.patch(pid).metric.operator(pts) for pid in (pid_a, pid_b))
+        g = tr.g(pts)
+        op_a, op_b = (system.patch(p).metric.operator(pts) for p in (tr.from_patch, tr.to_patch))
         add("transition-consistency", _worst_entries(dagger(g) @ op_a.eta @ g - op_b.eta))
         # one G = rho g rho~^{-1} per overlap point serves both the unitarity and the section row
         gg = op_a.rho @ g @ op_b.rho_inv
         add("intertwiner-unitarity", unitarity_defect(gg))
         if system.energy is not None:
-            o_a, o_b = (system.energy.matrix(pid, pts) for pid in (pid_a, pid_b))
+            o_a, o_b = (system.energy.matrix(pid, pts) for pid in (tr.from_patch, tr.to_patch))
             add("section-compatibility", _worst_entries(o_b - dagger(gg) @ o_a @ gg))
 
     # the generic generators: h must be Hermitian, and the pseudo-Hermiticity

@@ -159,26 +159,6 @@ def test_transition_g_dot_scales_with_velocity():
     np.testing.assert_allclose(gd, 2.5 * dg_of(0.4), atol=1e-12)
 
 
-def test_transition_inverse():
-    tf = make_transition()
-    inv = tf.inverse()
-    assert inv.from_patch == "right" and inv.to_patch == "left"
-    r = [0.6]
-    np.testing.assert_allclose(inv.g(r), np.linalg.inv(g_of(0.6)), atol=1e-12)
-    # d(g^{-1}) = -g^{-1} dg g^{-1}
-    gi = np.linalg.inv(g_of(0.6))
-    np.testing.assert_allclose(inv.partial_g(r)[0], -gi @ dg_of(0.6) @ gi, atol=1e-10)
-    # double inverse recovers the original values
-    np.testing.assert_allclose(inv.inverse().g(r), tf.g(r), atol=1e-10)
-
-
-def test_transition_inverse_fd_partials():
-    inv = make_transition(with_partials=False).inverse()
-    gi = np.linalg.inv(g_of(0.5))
-    np.testing.assert_allclose(inv.partial_g([0.5])[0], -gi @ dg_of(0.5) @ gi,
-                               atol=1e-7)
-
-
 # ----------------------------------------------------- induced structures
 
 
@@ -270,17 +250,6 @@ def test_section_compatibility_detects_mismatch():
 
 
 # ------------------------------------------------------- system plumbing
-
-
-def test_system_transition_orientation():
-    system = make_system()
-    assert system.transition_into("right").to_patch == "right"
-    assert system.transition_into("left").to_patch == "left"
-    with pytest.raises(OutOfOverlap):
-        system.transition_into("elsewhere")
-    single = SystemSpec({"left": system.patch("left")}, system.curve, ("left",))
-    with pytest.raises(OutOfOverlap):
-        single.transition_into("left")
 
 
 def test_system_energy_generator():
@@ -394,6 +363,19 @@ def test_charts_are_checked_at_construction():
     for charts in ((), ("left", "right", "left"), ("left", "elsewhere")):
         with pytest.raises(ConfigError, match="charts"):
             dataclasses.replace(system, charts=charts)
+
+
+def test_two_charts_need_a_transition_joining_them():
+    """Two charts are built only with a transition between exactly those two
+    patches, in either order; anything else fails at construction, not at the switch."""
+    system = make_system()
+    assert dataclasses.replace(system, charts=("right", "left")).segments(0.4) == [
+        ((0.0, 0.4), "right"), ((0.4, 1.0), "left")]
+    patches = {**system.patches, "third": system.patch("right")}
+    elsewhere = TransitionFunctionField("right", "third", lambda r: g_of(r[0]), dim=1)
+    for bad in (dict(transition=None), dict(patches=patches, transition=elsewhere)):
+        with pytest.raises(ConfigError, match="transition"):
+            dataclasses.replace(system, **bad)
 
 
 def test_segments_on_one_chart_ignore_tau():
