@@ -269,11 +269,21 @@ _CONFIG = _object({
 }, tag="model", default="s2-two-level")
 
 
+class _Resolved(dict):
+    """A config as resolve_config returned it."""
+
+
 def resolve_config(cfg) -> dict:
     """``cfg`` type-checked, with every default filled in and matrices and
     states read into complex arrays; resolving it again changes nothing.
     A wrong type, a missing required key or an unknown key is a ConfigError."""
-    return _CONFIG(cfg, "")
+    return _Resolved(_CONFIG(cfg, ""))
+
+
+def _resolved(cfg) -> dict:
+    """``cfg`` resolved; a config resolve_config returned is taken as it is,
+    so each job resolves its config once."""
+    return cfg if isinstance(cfg, _Resolved) else resolve_config(cfg)
 
 
 # ---------------------------------------------------------- config -> model
@@ -342,7 +352,7 @@ def _apply_connection_defect(system: SystemSpec, magnitude: float) -> SystemSpec
 
 def build_from_config(cfg: dict) -> SystemSpec:
     """Resolve a configuration dictionary into a ready SystemSpec."""
-    cfg = resolve_config(cfg)
+    cfg = _resolved(cfg)
     if cfg["model"] == "custom-matrix-fields":
         system = _custom_system(cfg)
     else:
@@ -394,31 +404,45 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _write_trajectory_csv(path: Path, result, dim: int) -> None:
+def _write_trajectory_csv(path: Path, result) -> None:
     """One row per sample: t, patch, the state's real and imaginary parts,
-    eta_norm and energy_expect; columns without data are left empty."""
+    eta_norm and energy_expect; columns without data are left empty.  The
+    numbers are formatted at once (format_17g), each led by its comma, the
+    first of a row by the line break ending the row before.  The commas of
+    the empty cells and the patch label go in the spare bytes of the number
+    before them, and the kept bytes are written at once.  The formatter is
+    imported here, so jobs that write no trajectory never load it."""
+    from .csvformat import CELL, format_17g
+
+    n, dim = result.states.shape
     header = ["t", "patch"]
     for k in range(dim):
         header += [f"re_psi_{k}", f"im_psi_{k}"]
     header += ["eta_norm", "energy_expect"]
-    fields, columns = ["%.17g"], [result.times.tolist()]
-    if result.patch_trace:
-        fields.append("%s")
-        cells = {p: _csv_cell(p) for p in set(result.patch_trace)}
-        columns.append([cells[p] for p in result.patch_trace])
-    else:
-        fields.append("")
-    for k in range(dim):
-        fields += ["%.17g", "%.17g"]
-        columns += [result.states[:, k].real.tolist(), result.states[:, k].imag.tolist()]
-    for values in (result.eta_norm, result.energy_expect):
-        fields.append("" if values is None else "%.17g")
-        if values is not None:
-            columns.append(np.asarray(values, dtype=float).tolist())
-    row = ",".join(fields) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % values for values in zip(*columns))
+    parts = np.ascontiguousarray(result.states, dtype=complex).view(np.float64).T  # re, im, ...
+    columns = [result.times, None, *parts, result.eta_norm, result.energy_expect]  # None: no number
+    numbers = [j for j, column in enumerate(columns) if column is not None]
+    gaps = np.diff(numbers + [len(columns)]) - 1  # the cells after each number up to the next
+    labels = {p: _csv_cell(p).encode() for p in set(result.patch_trace or ())}
+    width = max(map(len, labels.values()), default=0)
+    text, keep = format_17g(np.stack([columns[j] for j in numbers], axis=1), b",",
+                             max(gaps.max(), 1 + width))
+    text[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
+    keep[:, 0, 1] = True
+    for col in np.flatnonzero(gaps):
+        text[:, col, CELL:CELL + gaps[col]] = ord(",")
+        keep[:, col, CELL:CELL + gaps[col]] = True
+    if labels:  # after the comma that follows t
+        code = {p: i for i, p in enumerate(labels)}
+        rows = np.fromiter(map(code.__getitem__, result.patch_trace), np.intp, n)
+        cells = np.array(list(labels.values()), dtype=f"S{width}").view(np.uint8)
+        text[:, 0, CELL + 1:CELL + 1 + width] = cells.reshape(-1, width).take(rows, axis=0)
+        keep[:, 0, CELL + 1:CELL + 1 + width] = (np.arange(width) < np.array(
+            list(map(len, labels.values())))[:, None]).take(rows, axis=0)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
+        fh.write(text[keep])
+        fh.write(b"\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -434,7 +458,7 @@ def _run_many(cfgs: list) -> tuple[SystemSpec, list]:
     all the configs as the columns of one state, so they must differ in
     ``initial_state`` alone; a single run is a batch of one.  Returns the
     system and one (result, summary) per config."""
-    cfgs = [resolve_config(cfg) for cfg in cfgs]
+    cfgs = [_resolved(cfg) for cfg in cfgs]
     cfg = cfgs[0]
     system = build_from_config(cfg)
     try:
@@ -478,7 +502,7 @@ def _cmd_run(args) -> int:
     written = []
     if "trajectory-csv" in cfg["outputs"]:
         written.append(out_dir / f"{stem}_trajectory.csv")
-        _write_trajectory_csv(written[-1], result, result.states.shape[1])
+        _write_trajectory_csv(written[-1], result)
     if "summary" in cfg["outputs"]:
         written.append(out_dir / f"{stem}_summary.json")
         _write_json(written[-1], summary)
@@ -513,7 +537,7 @@ def run_checks(cfg: dict, system: SystemSpec | None = None,
     generators read that evaluation; the three overlap rows share one g and
     one factorised metric per chart on ``check_samples`` overlap points.  The
     charts and their intervals are the run's segments for the config's ``tau``."""
-    cfg = resolve_config(cfg)
+    cfg = _resolved(cfg)
     if system is None or result is None:
         system, result, _ = _run_one(cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -578,7 +602,7 @@ def _print_report(report: dict) -> None:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = resolve_config(_load_config(args.config))
     system, result, _ = _run_one(cfg)
     report = run_checks(cfg, system, result)
     _print_report(report)

@@ -178,8 +178,10 @@ def csv_module_trajectory(path, result, dim):
 
 
 def test_trajectory_csv_matches_the_csv_module(tmp_path):
-    """The row-format writer gives the csv module's bytes: a two-chart result,
-    one without metric or patches, and patch labels that need quoting."""
+    """The column-wise writer gives the csv module's bytes: a two-chart
+    result, one without metric or patches, patch labels that need quoting, a
+    3x3 custom run whose imaginary parts are exact zeros, and cells of -0.0,
+    below 1e-6, NaN and infinity."""
     cfg_dict = base_config()
     cfg_dict["stepper"] = {"method": "rk4-fixed", "dt": 0.05}
     _, two_chart, _ = _run_one(cfg_dict)
@@ -190,9 +192,22 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path):
     assert plain.eta_norm is None and plain.patch_trace is None
     labels = ["a,b", 'say "hi"', "line\nbreak", "plain"]
     quoted = dataclasses.replace(plain, patch_trace=[labels[i % 4] for i in range(len(plain.times))])
-    for result in (two_chart, plain, quoted):
-        _write_trajectory_csv(tmp_path / "rows.csv", result, 2)
-        csv_module_trajectory(tmp_path / "cells.csv", result, 2)
+    _, real, _ = _run_one({  # an imaginary connection keeps the state real
+        "model": "custom-matrix-fields", "eta": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        "connection": [[[[0, 0], [0, 0.5], [0, 0]], [[0, 0.5], [0, 0], [0, 0.2]],
+                        [[0, 0], [0, 0.2], [0, 0]]]],
+        "curve": {"kind": "line", "from": [0.0], "to": [1.0]},
+        "initial_state": [1, 0.5, -0.25], "stepper": {"dt": 0.05}})
+    assert real.states.shape[1] == 3 and not real.states.imag.any()
+    odd = dataclasses.replace(two_chart, states=two_chart.states.copy(),
+                              eta_norm=two_chart.eta_norm.copy(),
+                              energy_expect=two_chart.energy_expect.copy())
+    odd.states[:4, 0] = [complex(-0.0, -0.0), 3e-7 - 2e-9j, -9.5e-7 + 1e-6j, 5e-324]
+    odd.eta_norm[:3] = [np.nan, -np.inf, -0.0]
+    odd.energy_expect[:3] = [-1e-300, 0.0, 1e17]
+    for result in (two_chart, plain, quoted, real, odd):
+        _write_trajectory_csv(tmp_path / "rows.csv", result)
+        csv_module_trajectory(tmp_path / "cells.csv", result, result.states.shape[1])
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
@@ -787,6 +802,24 @@ def test_initial_state_sweep_builds_the_system_once(tmp_path, monkeypatch, capsy
     evolves.clear()
     assert main(["sweep", cfg, "--param", "curve.offset", "--values", "1.1,1.2,1.3"]) == 0
     assert (len(builds), len(evolves)) == (3, 3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, resolutions", [
+    (["run"], 1),
+    (["check"], 1),
+    (["sweep", "--param", "tau", "--values", "0.45,0.5"], 2),
+    (["sweep", "--param", "initial_state.1.1", "--values=-0.4,0.1,0.5"], 3),
+], ids=["run", "check", "tau-sweep", "initial-state-sweep"])
+def test_each_job_resolves_its_config_once(tmp_path, monkeypatch, capsys, args, resolutions):
+    """A run or check resolves its config once, and a sweep once per value,
+    although build_from_config and run_checks also take raw configs."""
+    monkeypatch.chdir(tmp_path)
+    calls = counting(monkeypatch, qbundle.cli, "resolve_config")
+    cfg = write_config(tmp_path / "job.json",
+                       dict(base_config(), outputs=["trajectory-csv", "summary", "invariant-report"]))
+    assert main([args[0], cfg, *args[1:]]) == 0
+    assert len(calls) == resolutions
     capsys.readouterr()
 
 
