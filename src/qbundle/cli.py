@@ -132,10 +132,11 @@ def _optional(kind):
 
 
 def _list_of(item, length: int | None = None):
-    def list_of(value, path: str) -> list:
+    """A list, read into a tuple."""
+    def list_of(value, path: str) -> tuple:
         if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
             raise _expected(path, "a list" if length is None else f"a list of {length}", value)
-        return [item(v, f"{path}[{k}]") for k, v in enumerate(value)]
+        return tuple(item(v, f"{path}[{k}]") for k, v in enumerate(value))
     return list_of
 
 
@@ -174,9 +175,23 @@ def _key(node: dict, schema: dict, key: str, path: str):
     return kind(node.get(key, default), where)
 
 
+class _ReadOnly(dict):
+    """An object of a resolved config; it cannot be changed in place, so a
+    config resolve_config returned stays valid.  Edit a ``dict(...)`` copy."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a resolved config is read-only; edit a dict(...) copy")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copies and pickles are read-only too
+        return type(self), (dict(self),)
+
+
 def _object(schema: dict, tag: str | None = None, default=...):
-    """An object with the keys of ``schema``.  With a ``tag``, ``schema`` maps
-    each value of the tag key (``default`` if absent) to the other keys."""
+    """An object with the keys of ``schema``, read into a read-only dict.
+    With a ``tag``, ``schema`` maps each value of the tag key (``default`` if
+    absent) to the other keys."""
     head = {} if tag is None else {tag: (_choice(*schema), default)}
 
     def walk(node, path: str) -> dict:
@@ -186,7 +201,7 @@ def _object(schema: dict, tag: str | None = None, default=...):
         for key in node:
             if key not in keys:
                 raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-        return {key: _key(node, keys, key, path) for key in keys}
+        return _ReadOnly({key: _key(node, keys, key, path) for key in keys})
     return walk
 
 
@@ -269,20 +284,23 @@ _CONFIG = _object({
 }, tag="model", default="s2-two-level")
 
 
-class _Resolved(dict):
+class _Resolved(_ReadOnly):
     """A config as resolve_config returned it."""
 
 
 def resolve_config(cfg) -> dict:
-    """``cfg`` type-checked, with every default filled in and matrices and
-    states read into complex arrays; resolving it again changes nothing.
-    A wrong type, a missing required key or an unknown key is a ConfigError."""
+    """``cfg`` type-checked, with every default filled in, matrices and
+    states read into complex arrays, lists into tuples and objects into
+    read-only dicts; resolving it again changes nothing.  A wrong type, a
+    missing required key or an unknown key is a ConfigError."""
     return _Resolved(_CONFIG(cfg, ""))
 
 
 def _resolved(cfg) -> dict:
     """``cfg`` resolved; a config resolve_config returned is taken as it is,
-    so each job resolves its config once."""
+    so each job resolves its config once.  It is read-only at every level,
+    so it cannot have changed since; an edited ``dict(...)`` copy of it is
+    resolved again."""
     return cfg if isinstance(cfg, _Resolved) else resolve_config(cfg)
 
 
@@ -396,53 +414,23 @@ def _output_dir(args) -> Path:
     return base
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as a csv cell: quoted, as the csv module's default dialect
-    quotes, when it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_trajectory_csv(path: Path, result) -> None:
     """One row per sample: t, patch, the state's real and imaginary parts,
     eta_norm and energy_expect; columns without data are left empty.  The
-    numbers are formatted at once (format_17g), each led by its comma, the
-    first of a row by the line break ending the row before.  The commas of
-    the empty cells and the patch label go in the spare bytes of the number
-    before them, and the kept bytes are written at once.  The formatter is
-    imported here, so jobs that write no trajectory never load it."""
-    from .csvformat import CELL, format_17g
+    rows are built column-wise by csv_rows, imported here so that jobs which
+    write no trajectory never load it."""
+    from .csvformat import csv_rows
 
-    n, dim = result.states.shape
     header = ["t", "patch"]
-    for k in range(dim):
+    for k in range(result.states.shape[1]):
         header += [f"re_psi_{k}", f"im_psi_{k}"]
     header += ["eta_norm", "energy_expect"]
     parts = np.ascontiguousarray(result.states, dtype=complex).view(np.float64).T  # re, im, ...
-    columns = [result.times, None, *parts, result.eta_norm, result.energy_expect]  # None: no number
-    numbers = [j for j, column in enumerate(columns) if column is not None]
-    gaps = np.diff(numbers + [len(columns)]) - 1  # the cells after each number up to the next
-    labels = {p: _csv_cell(p).encode() for p in set(result.patch_trace or ())}
-    width = max(map(len, labels.values()), default=0)
-    text, keep = format_17g(np.stack([columns[j] for j in numbers], axis=1), b",",
-                             max(gaps.max(), 1 + width))
-    text[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
-    keep[:, 0, 1] = True
-    for col in np.flatnonzero(gaps):
-        text[:, col, CELL:CELL + gaps[col]] = ord(",")
-        keep[:, col, CELL:CELL + gaps[col]] = True
-    if labels:  # after the comma that follows t
-        code = {p: i for i, p in enumerate(labels)}
-        rows = np.fromiter(map(code.__getitem__, result.patch_trace), np.intp, n)
-        cells = np.array(list(labels.values()), dtype=f"S{width}").view(np.uint8)
-        text[:, 0, CELL + 1:CELL + 1 + width] = cells.reshape(-1, width).take(rows, axis=0)
-        keep[:, 0, CELL + 1:CELL + 1 + width] = (np.arange(width) < np.array(
-            list(map(len, labels.values())))[:, None]).take(rows, axis=0)
+    rows = csv_rows([result.times, result.patch_trace, *parts,
+                     result.eta_norm, result.energy_expect])
     with open(path, "wb") as fh:
-        fh.write(",".join(header).encode())
-        fh.write(text[keep])
-        fh.write(b"\r\n")
+        fh.write(",".join(header).encode() + b"\r\n")
+        fh.write(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -1,4 +1,4 @@
-"""Exact '%.17g' text for a whole float64 stack at once.
+"""CSV rows built column-wise, with exact '%.17g' text for every number.
 
 Every CSV number is '%.17g' % v: 17 significant digits, which read back to
 the same double.  CPython formats one float at a time through its bignum
@@ -12,15 +12,20 @@ half a unit of its 17th digit below a power of ten (the tests check this
 exactly), so the exponent needs no carry.
 
 Each value's text is a fixed template of 4-byte words: a lead (the cell's
-separator), a sign, "0.000", the 17 digits, a point, the last 16 digits
-again and an "e-05"/"e-06" suffix.  A table indexed by sign, exponent and
-trailing-zero count keeps the bytes %g prints, in a few runs, so one boolean
-compaction is cheap.  Zeros take the table too; NaN, infinities and
-magnitudes outside the range (the double nearest 1e-6 lies below 10**-6)
-are formatted by '%.17g' one at a time.
+separator) in bytes 0-1, a sign, "0.000", the 17 digits, a point, the last
+16 digits again and an "e-05"/"e-06" suffix.  A table indexed by sign,
+exponent and trailing-zero count keeps the bytes %g prints, in a few runs,
+so one boolean compaction is cheap.  Zeros take the table too; NaN,
+infinities and magnitudes outside the range (the double nearest 1e-6 lies
+below 10**-6) are formatted by '%.17g' one at a time into the same layout:
+the lead in bytes 0-1, the number from byte 2.
+
+csv_rows lays out whole rows in the spare bytes after each number, so this
+module alone knows the layout.
 """
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,7 +33,7 @@ import numpy as np
 # point (word 7), digits 1-16 again (words 8-11), the suffix (word 12)
 _TEMPLATE = np.frombuffer(b"  -0.000" + b"0" * 20 + b"   ." + b"0" * 16 + b"e-05", "<u4")
 _INT, _POINT = 11, 31  # digit i sits at byte _INT + i, and again (i > 0) at _POINT + i
-CELL = 4 * _TEMPLATE.size  # the spare bytes after a number start here
+_CELL = 4 * _TEMPLATE.size  # the spare bytes after a number start here
 _ZERO_SLOT = 23  # exponent slots 0-22 are e = -6 .. 16
 
 
@@ -71,7 +76,7 @@ def _layout(lead: int, width: int) -> np.ndarray:
     keep[..., _POINT] = (fixed & (e < 16 - zeros)) | (tiny & (zeros < 16))
     keep[..., _POINT + 1:_POINT + 17] = significant[..., 1:] & (
         (fixed[..., None] & (digit[1:] > e[..., None])) | tiny[..., None])
-    keep[..., CELL - 4:CELL] = tiny[..., None]
+    keep[..., _CELL - 4:_CELL] = tiny[..., None]
     return keep.reshape(-1, width).view(np.dtype((np.void, width))).ravel()
 
 
@@ -103,8 +108,10 @@ def format_17g(x, lead: bytes = b"", spare: int = 0):
     """(text, keep): for every value v of the float64 array ``x`` a template
     row and the mask of its bytes; ``text[i][keep[i]]`` is ``lead`` (at most
     two bytes) followed by the bytes of '%.17g' % v.  Each row ends with at
-    least ``spare`` unkept bytes from byte CELL on, after every byte of the
-    number; both arrays have the shape ``x.shape + (row width,)``."""
+    least ``spare`` unkept bytes from byte _CELL on, after every byte of
+    the number; both arrays have the shape ``x.shape + (row width,)``.  The
+    lead sits in bytes 0-1 and the number starts at byte 2, whichever path
+    formats it."""
     quads, group_zeros, _ = _digit_tables()
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
@@ -138,7 +145,65 @@ def format_17g(x, lead: bytes = b"", spare: int = 0):
         (np.signbit(flat) * 24 + slot) * 17 + zeros, mode="clip",
         out=keep.view(np.dtype((np.void, text.shape[1]))).ravel())
     for i in np.flatnonzero(~fast & (flat != 0)):  # NaN, inf, outside the range
-        cell = lead + b"%.17g" % flat[i]
-        text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
-        keep[i] = np.arange(text.shape[1]) < len(cell)
+        number = b"%.17g" % flat[i]  # the lead stays as the table laid it out
+        text[i, 2:2 + len(number)] = np.frombuffer(number, np.uint8)
+        keep[i, 2:] = np.arange(text.shape[1] - 2) < len(number)
     return text.reshape(x.shape + text.shape[1:]), keep.reshape(x.shape + text.shape[1:])
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as a csv cell: quoted, as the csv module's default dialect
+    quotes, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _tails(columns: list, last: bool):
+    """The bytes after a number on each row: the cells of ``columns``, each
+    led by its comma, then the row's line break if the number is the row's
+    ``last``.  Returns the distinct tails as padded byte
+    rows, their keep masks, and each row's index into them (None when every
+    row has the same tail)."""
+    strings = [column for column in columns if column is not None]
+    keys = list(zip(*strings)) if strings else [()]
+    code = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+
+    def tail(key) -> bytes:  # each distinct string is quoted once
+        cells = iter(key)
+        return (b"".join(b"," + (b"" if column is None else _csv_cell(next(cells)).encode())
+                         for column in columns) + (b"\r\n" if last else b""))
+
+    tails = [tail(key) for key in code]
+    width = max(map(len, tails), default=0)
+    table = np.frombuffer(b"".join(t.ljust(width) for t in tails), np.uint8).reshape(
+        len(tails), width)
+    kept = np.arange(width) < np.array(list(map(len, tails)))[:, None]
+    rows = None if len(code) < 2 else np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+    return table, kept, rows
+
+
+def csv_rows(columns: Sequence) -> np.ndarray:
+    """The rows of ``columns`` as the csv module's default dialect writes
+    them, each ending in a line break, as one uint8 array.  A column is a
+    float64 array, whose cells are '%.17g' % v; None, for empty cells; or a
+    sequence of strings, quoted as the csv module quotes them.  The first
+    column holds numbers.
+
+    Every number column is formatted at once (format_17g), each cell led by
+    its comma but a row's first.  The cells after a number up to the next
+    number, and the line break after the row's last number, go in the spare
+    bytes after it, so one boolean compaction gives the rows."""
+    numbers = [j for j, column in enumerate(columns) if isinstance(column, np.ndarray)]
+    if numbers[:1] != [0]:
+        raise ValueError("the first column of csv_rows must hold numbers")
+    tails = [_tails(columns[j + 1:end], end == len(columns))
+             for j, end in zip(numbers, numbers[1:] + [len(columns)])]
+    text, keep = format_17g(np.stack([columns[j] for j in numbers], axis=1), b",",
+                            max(table.shape[1] for table, _, _ in tails))
+    keep[:, 0, 0] = False  # no comma before a row's first cell
+    for col, (table, kept, rows) in enumerate(tails):
+        end = _CELL + table.shape[1]
+        text[:, col, _CELL:end] = table if rows is None else table.take(rows, axis=0)
+        keep[:, col, _CELL:end] = kept if rows is None else kept.take(rows, axis=0)
+    return text[keep]

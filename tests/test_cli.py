@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import csv
 import dataclasses
 import io
@@ -180,8 +181,9 @@ def csv_module_trajectory(path, result, dim):
 def test_trajectory_csv_matches_the_csv_module(tmp_path):
     """The column-wise writer gives the csv module's bytes: a two-chart
     result, one without metric or patches, patch labels that need quoting, a
-    3x3 custom run whose imaginary parts are exact zeros, and cells of -0.0,
-    below 1e-6, NaN and infinity."""
+    3x3 custom run whose imaginary parts are exact zeros, cells of -0.0,
+    below 1e-6, NaN and infinity, and times outside (1e-6, 1e17), which
+    '%.17g' formats one at a time."""
     cfg_dict = base_config()
     cfg_dict["stepper"] = {"method": "rk4-fixed", "dt": 0.05}
     _, two_chart, _ = _run_one(cfg_dict)
@@ -205,7 +207,17 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path):
     odd.states[:4, 0] = [complex(-0.0, -0.0), 3e-7 - 2e-9j, -9.5e-7 + 1e-6j, 5e-324]
     odd.eta_norm[:3] = [np.nan, -np.inf, -0.0]
     odd.energy_expect[:3] = [-1e-300, 0.0, 1e17]
-    for result in (two_chart, plain, quoted, real, odd):
+    # times outside (1e-6, 1e17): the first sample of an adaptive run of
+    # 2**20 steps, dt = 1e-6, and t_start + 1 * dt on a curve from -0.1
+    slow_times = dataclasses.replace(
+        quoted, times=np.resize([2.0**-20, 1e-6, -2e-7, 1e17, np.nan, -0.0, 5e-324, 0.5],
+                                len(plain.times)))
+    _, cancelled, _ = _run_one({
+        "model": "custom-matrix-fields", "eta": [[2, 0], [0, 1]],
+        "curve": {"kind": "line", "from": [0.0], "to": [1.0], "t_start": -0.1, "t_end": 0.2},
+        "initial_state": [1, 0.5], "stepper": {"dt": 0.1}})
+    assert cancelled.times[1] == 1.3877787807814457e-17
+    for result in (two_chart, plain, quoted, real, odd, slow_times, cancelled):
         _write_trajectory_csv(tmp_path / "rows.csv", result)
         csv_module_trajectory(tmp_path / "cells.csv", result, result.states.shape[1])
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
@@ -727,6 +739,27 @@ def test_resolving_a_resolved_config_changes_nothing(cfg_dict):
     assert resolve_config(resolved) == resolved
     assert resolved["stepper"]["target_local_error"] == StepperConfig().target_local_error
     assert set(resolved["check_tolerances"]) == set(CHECK_TOLERANCES)
+
+
+def test_a_resolved_config_is_read_only():
+    """A config is resolved once per job because no level of it can change
+    in place after; its copies stay read-only, and an edited dict(...) copy
+    is resolved, and so checked, again."""
+    resolved = resolve_config(base_config())
+    for edit in (lambda: resolved.__setitem__("tau", "x"), lambda: resolved.pop("seed"),
+                 lambda: resolved["stepper"].update(dt="x"),
+                 lambda: resolved["curve"].setdefault("revolutions", 2),
+                 lambda: copy.deepcopy(resolved)["stepper"].__setitem__("dt", "x")):
+        with pytest.raises(TypeError, match="read-only"):
+            edit()
+    with pytest.raises(AttributeError):
+        resolved["alpha"]["theta"].append(0.0)
+    assert copy.copy(resolved) == resolved
+    assert type(copy.deepcopy(resolved)) is type(resolved)
+    with pytest.raises(ConfigError, match="tau"):
+        build_from_config(dict(resolved, tau="x"))
+    with pytest.raises(ConfigError, match="stepper.dt"):
+        run_checks(dict(resolved, stepper={"dt": "x"}))
 
 
 def test_sweep_over_an_integer_key(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
-"""The column-wise '%.17g' formatter behind the trajectory CSV.
+"""The column-wise '%.17g' formatter and CSV rows behind the trajectory CSV.
 
 Every test compares the formatter's bytes with CPython's ``'%.17g' % v``,
-value by value.
+value by value, or the rows' bytes with the csv module's.
 """
 
+import csv
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbundle.csvformat import decimal17, format_17g
+from qbundle.csvformat import csv_rows, decimal17, format_17g
 
 
 def formatted(x, lead=b""):
@@ -146,3 +148,33 @@ def test_shape_lead_and_spare_bytes():
     text, keep = format_17g(x, b"\r\n", 9)
     assert text.shape == keep.shape == (3, 4, 64) and not keep[..., 52:].any()
     assert text[1, 2][keep[1, 2]].tobytes() == b"\r\n" + b"%.17g" % x[1, 2]
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of one to five rows: numbers first, then numbers, empty
+    cells and strings that need quoting or not, in any order."""
+    n = draw(st.integers(1, 5))
+    numbers = st.lists(st.floats(), min_size=n, max_size=n).map(np.array)
+    strings = st.lists(st.text(st.sampled_from('ab ,"\r\n'), max_size=4), min_size=n, max_size=n)
+    return [draw(numbers), *draw(st.lists(st.one_of(numbers, strings, st.none()), max_size=6))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+def test_csv_rows_match_the_csv_module(columns):
+    """Every number, NaN, infinity and magnitude outside (1e-6, 1e17) in
+    any column, the first among them."""
+    out = io.StringIO(newline="")
+    cells = [[""] * len(columns[0]) if c is None else c if isinstance(c, list)
+             else [b"%.17g" % v for v in c.tolist()] for c in columns]
+    csv.writer(out).writerows(
+        [[x.decode() if isinstance(x, bytes) else x for x in row] for row in zip(*cells)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csv_rows(columns).tobytes() == out.getvalue().encode()
+
+
+def test_csv_rows_need_numbers_first():
+    with pytest.raises(ValueError):
+        csv_rows([["a"], np.zeros(1)])
