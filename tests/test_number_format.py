@@ -19,20 +19,21 @@ from qbundle.csvformat import csv_rows, decimal17, format_17g
 
 
 def formatted(x, lead=b""):
-    """The formatter's text of each value of ``x``, one bytes object each."""
+    """The formatter's text of each value of ``x``: the kept bytes of the
+    lead (bytes 0-1) and of the number (from byte 2 on), one pair each."""
     x = np.asarray(x, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text, keep = format_17g(x, lead)
     assert text.shape == keep.shape and text.shape[:-1] == x.shape
-    return [t[k].tobytes() for t, k in zip(text.reshape(-1, text.shape[-1]),
-                                           keep.reshape(-1, keep.shape[-1]))]
+    return [(t[:2][k[:2]].tobytes(), t[2:][k[2:]].tobytes())
+            for t, k in zip(text.reshape(-1, text.shape[-1]), keep.reshape(-1, keep.shape[-1]))]
 
 
 def assert_matches_cpython(x, lead=b""):
     x = np.asarray(x, dtype=np.float64).ravel()
     got = formatted(x, lead)
-    bad = [(v, g) for v, g in zip(x.tolist(), got) if g != lead + b"%.17g" % v]
+    bad = [(v, g) for v, g in zip(x.tolist(), got) if g != (lead, b"%.17g" % v)]
     assert not bad, f"{len(bad)} of {x.size} differ, e.g. {bad[:3]}"
 
 
@@ -140,7 +141,7 @@ def test_zeros_signs_and_the_slow_values():
               1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf,
               9.999999999999999e-7, 1.0000000000000002e-6, 99999999999999984.0]
     assert_matches_cpython(values)
-    assert formatted([-0.0, 0.0]) == [b"-0", b"0"]
+    assert formatted([-0.0, 0.0]) == [(b"", b"-0"), (b"", b"0")]
 
 
 def test_shape_lead_and_spare_bytes():
