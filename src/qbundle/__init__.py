@@ -7,75 +7,10 @@ parallel transport, evolution under the combined geometric + physical
 generator, the unitarily equivalent Hermitian representation, gluing of
 charts by transition functions, and a fully explicit two-level model over
 the sphere.  hbar = 1 throughout.
-"""
 
-from .errors import (
-    ConfigError,
-    CurveTouchesPoleMargin,
-    DimensionMismatch,
-    InvalidState,
-    NotPositiveDefinite,
-    NotUnitary,
-    OmegaNotPseudoHermitian,
-    OutOfOverlap,
-    OutOfPatch,
-    PoleAmbiguity,
-    QBundleError,
-    StepperDiverged,
-    TauNotInOverlap,
-)
-from .linalg import (
-    ID2,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    hermitian_sqrt,
-    is_hermitian,
-    is_positive_definite,
-    matrix_exp,
-    pauli_dot,
-)
-from .metric import (
-    MetricField,
-    MetricOperator,
-    constant_metric_field,
-    eta_inner,
-    split_pseudo,
-)
-from .stepping import StepperConfig
-from .connection import (
-    ConnectionForm,
-    CurvePath,
-    TransportResult,
-    a_zero,
-    assemble_connection,
-    check_metric_compatibility,
-    curvature,
-    gauge_transform_connection,
-    geometric_hamiltonian,
-    transport_operator,
-)
-from .dynamics import (
-    CurveMetric,
-    EvolutionResult,
-    evolve,
-    hermitian_representation,
-    hermitian_representation_via_physical,
-    map_state,
-)
-from .bundle import (
-    ObservableSection,
-    PatchData,
-    SystemSpec,
-    TransitionFunctionField,
-    big_g,
-    check_section_compatibility,
-    evolve_across_patches,
-    tilde_eta,
-    transform_observable,
-    transform_state,
-    unitarity_defect,
-)
-from . import twolevel
+Each public name is imported from the module that defines it, as in
+``from qbundle import twolevel`` or ``from qbundle.bundle import SystemSpec``;
+the package re-exports nothing.
+"""
 
 __version__ = "0.1.0"

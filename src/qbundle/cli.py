@@ -141,23 +141,36 @@ def _list_of(item, length: int | None = None):
 
 
 def _complex(value, path: str) -> complex:
-    """A number, or an [re, im] pair."""
+    """A number, an [re, im] pair, or a finite complex (an array's entry)."""
     if isinstance(value, list):
         return complex(*_list_of(_number, 2)(value, path))
+    if isinstance(value, complex) and np.isfinite(value):
+        return value
     return complex(_number(value, path))
 
 
+def _or_array(read):
+    """``read``, which also takes an array, as a resolved config holds it: the
+    array passes the checks of its ``tolist()`` and is kept as a complex
+    array, so a resolved config resolves to itself."""
+    @functools.wraps(read)
+    def reader(value, where: str) -> np.ndarray:
+        if isinstance(value, np.ndarray):
+            read(value.tolist(), where)
+            return np.asarray(value, dtype=complex)
+        return read(value, where)
+    return reader
+
+
+@_or_array
 def matrix_from_json(rows, where: str) -> np.ndarray:
-    if isinstance(rows, np.ndarray):  # already read
-        return rows
     if not (isinstance(rows, list) and rows):
         raise _expected(where, "the rows of a square matrix", rows)
     return np.array(_list_of(_list_of(_complex, len(rows)), len(rows))(rows, where), dtype=complex)
 
 
+@_or_array
 def vector_from_json(entries, where: str) -> np.ndarray:
-    if isinstance(entries, np.ndarray):  # already read
-        return entries
     if not (isinstance(entries, list) and entries):
         raise _expected(where, "a list of vector entries", entries)
     return np.array(_list_of(_complex)(entries, where), dtype=complex)

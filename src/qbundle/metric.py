@@ -9,9 +9,10 @@ product  <phi, psi>_eta = phi^dag @ eta @ psi.  An operator H is
 which is exactly the condition for H to be self-adjoint in the eta inner
 product.  The positive root rho = sqrt(eta) intertwines the eta-weighted space
 with the standard one: h = rho @ H @ rho^{-1} is Hermitian iff H is
-pseudo-Hermitian.  The residual functions return the max-entry norm of the
-defect, which each caller compares with its own tolerance, and
-:func:`split_pseudo` splits any operator into its two parts.
+pseudo-Hermitian.  :func:`pseudo_hermiticity_residual` returns the max-entry
+norm of the defect, which each caller compares with its own tolerance (m is
+pseudo-anti-Hermitian iff i m is pseudo-Hermitian), and :func:`split_pseudo`
+splits any operator into its two parts.
 
 :class:`MetricOperator` wraps one metric at a point and caches rho and its
 inverse.  :class:`ChartField` is the chart-field core: the one rule by which
@@ -73,10 +74,6 @@ class MetricOperator:
         self.rho_inv = (v / self.root_eigvals[..., None, :]) @ vh
         self.eta_inv = (v / w[..., None, :]) @ vh
 
-    @property
-    def dim(self) -> int:
-        return self.eta.shape[-1]
-
     def inner(self, phi, psi) -> complex:
         return eta_inner(self.eta, phi, psi)
 
@@ -116,13 +113,6 @@ def pseudo_hermiticity_residual(m, metric) -> float:
     eta, eta_inv = _eta_of(metric)
     m = linalg.as_square(m)
     return linalg.max_abs(linalg.dagger(m) - eta @ m @ eta_inv)
-
-
-def pseudo_anti_hermiticity_residual(m, metric) -> float:
-    """max-entry norm of  m^dag + eta m eta^{-1}."""
-    eta, eta_inv = _eta_of(metric)
-    m = linalg.as_square(m)
-    return linalg.max_abs(linalg.dagger(m) + eta @ m @ eta_inv)
 
 
 def split_pseudo(m, metric) -> tuple[np.ndarray, np.ndarray]:

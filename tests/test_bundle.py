@@ -38,6 +38,7 @@ from qbundle.connection import (
 )
 from qbundle.errors import (
     ConfigError,
+    DimensionMismatch,
     NotUnitary,
     OutOfOverlap,
     TauNotInOverlap,
@@ -193,6 +194,8 @@ def test_transform_state():
     tf = make_transition()
     out = transform_state(tf, [0.5], PSI0)
     np.testing.assert_allclose(out, np.linalg.inv(g_of(0.5)) @ PSI0, atol=1e-12)
+    with pytest.raises(DimensionMismatch, match=r"psi has shape \(3,\), expected \(2,\)"):
+        transform_state(tf, [0.5], np.ones(3))
 
 
 def test_transform_hamiltonian_rotating_frame():
@@ -334,6 +337,8 @@ def test_single_chart_passthrough():
     res_h = evolve_across_patches(system, PSI0, stepper=StepperConfig(dt=1e-2),
                                   representation="hermitian")
     np.testing.assert_allclose(res_h.eta_norm, np.linalg.norm(PSI0), atol=1e-12)
+    with pytest.raises(TauNotInOverlap, match="no overlap window"):
+        system.default_tau()
 
 
 def test_segments_switch_at_the_default_tau():

@@ -341,6 +341,20 @@ def test_custom_energy_hermiticity_gate_scales_with_the_entries():
             build_with(energy)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"curve": {"kind": "line", "from": [0.0], "to": [1.0, 2.0]}},
+     "curve.from and curve.to must be coordinate vectors of equal length"),
+    ({"connection": [[[0, 0], [0, 0]]] * 2}, "'connection' must list one matrix per coordinate (1)"),
+    ({"connection": [[[0] * 3] * 3]},
+     "'connection' and 'energy_hermitian' matrices must have the size of 'eta'"),
+])
+def test_malformed_custom_configs_exit_2(tmp_path, monkeypatch, capsys, overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "bad.json", {**custom_config(), **overrides})
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.strip() == f"configuration error: {message}"
+
+
 def test_check_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_dict = base_config()
@@ -366,6 +380,32 @@ def test_compare_tau_choices_agree(tmp_path, monkeypatch, capsys):
     assert "endpoints agree" in capsys.readouterr().out
     # an absurdly tight tolerance flips the verdict
     assert main(["compare", a, b, "--tol", "1e-16"]) == 1
+
+
+def test_compare_refuses_runs_of_different_dimensions(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    a = write_config(tmp_path / "a.json", custom_config())
+    b = write_config(tmp_path / "b.json", {**custom_config(), "energy_hermitian": None,
+                                           "eta": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+                                           "initial_state": [1, 0, 0]})
+    assert main(["compare", a, b]) == 2
+    assert "different state dimensions" in capsys.readouterr().err
+
+
+def test_constant_scales_drop_out_of_the_hermitian_picture(tmp_path, monkeypatch, capsys):
+    """Neither h nor G carries a scale field, so the README meridian in the
+    Hermitian picture ends on the same components with constant scales as
+    with the default ones; the check passes with them in both pictures."""
+    monkeypatch.chdir(tmp_path)
+    scales = {"kind": "constant", "xi": 1.3, "zeta": 0.7, "xi_tilde": 0.9, "zeta_tilde": 1.6}
+    a = write_config(tmp_path / "a.json", _readme_with(representation="hermitian"))
+    b = write_config(tmp_path / "b.json", _readme_with(representation="hermitian", scales=scales))
+    assert main(["compare", a, b, "--tol", "0"]) == 0
+    assert "endpoint delta:  0.000000e+00" in capsys.readouterr().out
+    for representation in ("eta", "hermitian"):
+        cfg = write_config(tmp_path / f"{representation}.json",
+                           _readme_with(representation=representation, scales=scales))
+        assert main(["check", cfg]) == 0
 
 
 def test_compare_detects_different_physics(tmp_path, monkeypatch):
@@ -653,6 +693,10 @@ def test_run_with_explicit_state_leaves_numpy_random_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+#: an override that removes its key
+MISSING = object()
+
+
 @pytest.mark.parametrize("overrides, sweep, named", [
     ({"seed": "x"}, None, "seed"),
     ({"seed": -1}, None, "seed"),
@@ -681,11 +725,19 @@ def test_run_with_explicit_state_leaves_numpy_random_unloaded(tmp_path):
     ({"reprsentation": "eta"}, None, "reprsentation"),
     ({"eta": [[1, 0], [0, 1]]}, None, "eta"),
     ({}, "stepper.tdt", "stepper.tdt"),
+    ({"initial_state": 5}, None, "initial_state"),
+    ({"curve": MISSING}, None, "curve: missing required key"),
+    ({"curve.t_start": 2.0}, None, "curve needs t_end > t_start, got [2.0, 1.0]"),
+    ({"curve": {"kind": "piecewise-waypoints",
+                "waypoints": [[0, 0.5, 0], [0.5, 0.5, 0], [0.5005, 2.6, 0], [1, 2.6, 0]]}},
+     None, "overlap dwell of the curve is too short to switch charts"),
+    ({}, "seed.x", "cannot set sweep path 'seed.x'"),
 ])
 def test_malformed_configs_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                  overrides, sweep, named):
-    """Each value changed on the README configuration is a configuration
-    error that names its dotted key, for ``run`` and for ``sweep`` variants."""
+    """Each value changed (or removed, MISSING) on the README configuration
+    is a configuration error whose message starts with its dotted key or the
+    fault, for ``run`` and for ``sweep`` variants."""
     monkeypatch.chdir(tmp_path)
     cfg_dict = readme_config()
     for dotted, value in overrides.items():
@@ -693,7 +745,10 @@ def test_malformed_configs_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
         node = cfg_dict
         for key in parents:
             node = node.setdefault(key, {})
-        node[last] = value
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
     cfg = write_config(tmp_path / "bad.json", cfg_dict)
     argv = ["run", cfg] if sweep is None else ["sweep", cfg, "--param", sweep,
                                                "--values", "0.01,0.02"]
@@ -739,6 +794,17 @@ def test_resolving_a_resolved_config_changes_nothing(cfg_dict):
     assert resolve_config(resolved) == resolved
     assert resolved["stepper"]["target_local_error"] == StepperConfig().target_local_error
     assert set(resolved["check_tolerances"]) == set(CHECK_TOLERANCES)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("initial_state", np.array([np.nan, 1.0]), "initial_state[0]: expected a finite number"),
+    ("eta", np.array([[np.nan, 0], [0, 1]]), "eta[0][0]: expected a finite number"),
+    ("eta", np.ones((2, 3)), "eta[0]: expected a list of 2"),
+])
+def test_arrays_in_a_config_are_checked_like_json(key, value, named):
+    """A Python caller's arrays pass the checks of their JSON lists."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
+        resolve_config({**custom_config(), key: value})
 
 
 def test_a_resolved_config_is_read_only():

@@ -232,6 +232,9 @@ def test_rho_squares_to_eta_and_inverts(patch):
         assert rho.shape == np.shape(th) + (2, 2)
         assert max_abs(rho @ rho - tl.eta_matrix(th, ph, scales, patch)) <= 1e-14
         assert max_abs(rho @ tl.rho_inverse_matrix(th, ph, scales, patch) - np.eye(2)) <= 1e-14
+    th, ph = one_point_and_stack(patch)[1][:2]  # a stack of theta, one phi
+    assert np.array_equal(tl.rho_matrix(th, ph[0], scales, patch),
+                          tl.rho_matrix(th, np.full_like(th, ph[0]), scales, patch))
 
 
 @pytest.mark.parametrize("patch", [tl.PLUS, tl.MINUS])

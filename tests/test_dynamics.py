@@ -18,12 +18,11 @@ from qbundle.dynamics import (
     hermitian_representation_via_physical,
     map_state,
 )
-from qbundle.errors import InvalidState, OutOfPatch
+from qbundle.errors import DimensionMismatch, InvalidState, OutOfPatch
 from qbundle.linalg import SIGMA1, SIGMA2, SIGMA3, max_abs
 from qbundle.metric import (
     MetricField,
     constant_metric_field,
-    pseudo_anti_hermiticity_residual,
     pseudo_hermiticity_residual,
     split_pseudo,
 )
@@ -108,7 +107,7 @@ def test_split_geometric_parts_and_sum():
         np.testing.assert_allclose(h_a0 + h_w, h_a, atol=1e-9)
         np.testing.assert_allclose(h_a0, -0.5j * np.linalg.inv(eta) @ cm.eta_dot(t), atol=1e-9)
         np.testing.assert_allclose(h_w, omega(cm.point(t))[0], atol=1e-9)
-        assert pseudo_anti_hermiticity_residual(h_a0, eta) <= 1e-7
+        assert pseudo_hermiticity_residual(1j * h_a0, eta) <= 1e-7  # h_a0 pseudo-anti-Hermitian
         assert pseudo_hermiticity_residual(h_w, eta) <= 1e-7
 
 
@@ -133,6 +132,11 @@ def test_decompose_generator_total():
 def test_evolve_rejects_zero_state():
     with pytest.raises(InvalidState):
         evolve(lambda t: SIGMA1.astype(complex), np.zeros(2), 0.0, 1.0)
+
+
+def test_evolve_rejects_a_psi0_of_three_axes():
+    with pytest.raises(DimensionMismatch, match=r"state or column states, got shape \(2, 1, 1\)"):
+        evolve(lambda t: SIGMA1.astype(complex), np.ones((2, 1, 1)), 0.0, 1.0)
 
 
 def test_evolve_constant_hermitian_known_solution():

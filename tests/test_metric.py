@@ -10,7 +10,6 @@ from qbundle.metric import (
     MetricOperator,
     constant_metric_field,
     eta_inner,
-    pseudo_anti_hermiticity_residual,
     pseudo_hermiticity_residual,
     split_pseudo,
 )
@@ -71,7 +70,7 @@ def test_eta_inner_shape_check():
 
 
 def test_pseudo_hermitian_predicates():
-    """eta-conjugates of (anti-)Hermitian matrices are pseudo-(anti-)Hermitian."""
+    """eta-conjugates of Hermitian matrices are pseudo-Hermitian."""
     rng = np.random.default_rng(SEED)
     for _ in range(30):
         eta = random_metric(rng, 3)
@@ -80,7 +79,6 @@ def test_pseudo_hermitian_predicates():
         h = 0.5 * (h + h.conj().T)
         ph = op.rho_inv @ h @ op.rho           # pseudo-Hermitian by construction
         assert pseudo_hermiticity_residual(ph, op) <= 1e-8
-        assert pseudo_anti_hermiticity_residual(1j * ph, op) <= 1e-8
         assert pseudo_hermiticity_residual(ph + 0.001j * np.eye(3), op) > 1e-8
 
 
@@ -106,7 +104,7 @@ def test_split_pseudo_reconstructs_and_splits():
         ph, aph = split_pseudo(m, op)
         np.testing.assert_allclose(ph + aph, m, atol=1e-12)
         assert pseudo_hermiticity_residual(ph, op) <= 1e-9
-        assert pseudo_anti_hermiticity_residual(aph, op) <= 1e-9
+        assert pseudo_hermiticity_residual(1j * aph, op) <= 1e-9  # i aph is pseudo-Hermitian
 
 
 def test_pseudo_hermiticity_reduces_to_hermiticity_for_identity_metric():

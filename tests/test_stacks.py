@@ -47,7 +47,6 @@ from qbundle.linalg import (
 from qbundle.metric import (
     MetricField,
     MetricOperator,
-    pseudo_anti_hermiticity_residual,
     pseudo_hermiticity_residual,
     split_pseudo,
 )
@@ -148,8 +147,8 @@ def test_linalg_broadcasts_row_by_row(seed, n, dim):
     op, rows = MetricOperator(positive), [MetricOperator(p) for p in positive]
     for name in ("root_eigvals", "eigvecs"):
         assert_rows(getattr(op, name), [getattr(r, name) for r in rows])
-    for fn in (pseudo_hermiticity_residual, pseudo_anti_hermiticity_residual):
-        assert_rows(fn(m, op), max(fn(x, r) for x, r in zip(m, rows)))
+    assert_rows(pseudo_hermiticity_residual(m, op),
+                max(pseudo_hermiticity_residual(x, r) for x, r in zip(m, rows)))
     for part in (0, 1):
         assert_rows(split_pseudo(m, op)[part], [split_pseudo(x, r)[part] for x, r in zip(m, rows)])
     coeffs = rng.standard_normal((n, 3))
@@ -553,6 +552,8 @@ def test_chart_field_contract(kind):
         value(np.array([[0.5], [-1.0], [-2.0]]))
     with pytest.raises(DimensionMismatch, match=r"non-finite entries \(stack index \(1,"):
         value(np.array([[0.5], [4.0], [5.0]]))
+    with pytest.raises(DimensionMismatch, match=r"expected 1-vectors of coordinates, got shape \(2,\)"):
+        value(np.array([0.5, 1.5]))
 
 
 @pytest.mark.parametrize("kind, partials", [("metric", "partials"), ("transition", "partial_g")])

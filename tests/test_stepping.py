@@ -28,6 +28,15 @@ def test_fixed_step_scalar_exponential():
     np.testing.assert_allclose(ys[-1, 0], np.exp(-2j), atol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk4-adaptive"])
+def test_an_empty_interval_records_the_initial_state(method):
+    y0 = np.array([1.0, 1j])
+    times, ys = integrate(lambda t: np.eye(2), y0, 0.5, 0.5, StepperConfig(method=method))
+    assert np.array_equal(times, [0.5]) and np.array_equal(ys, [y0])
+    ys[0, 0] = 7.0
+    assert y0[0] == 1.0  # a copy, not a view of y0
+
+
 def test_fixed_step_order_four():
     """Halving dt should cut the endpoint error by about 2^4."""
 
