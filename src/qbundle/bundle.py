@@ -363,9 +363,7 @@ class ChartEvaluation:
         return None if self._energy is None else self._energy.matrix(self.patch_id, self.points)
 
     @cached_property
-    def h_e(self) -> np.ndarray | None:
-        if self._energy is None:
-            return None
+    def h_e(self) -> np.ndarray:
         return linalg.matmul(linalg.matmul(self.op.rho_inv, self.e), self.op.rho)
 
     @cached_property

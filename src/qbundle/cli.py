@@ -335,7 +335,9 @@ def _curve_from_config(node: dict) -> CurvePath:
         raise ConfigError("curve.from and curve.to must be coordinate vectors of equal length")
     t0, t1 = args["t_start"], args["t_end"]
     rate = (r1 - r0) / (t1 - t0)
-    return CurvePath(t0, t1, lambda t: r0 + rate * (t - t0), lambda t: rate.copy())
+    return CurvePath(t0, t1,
+                     stacked(lambda t: r0 + rate * (np.asarray(t, dtype=float)[..., None] - t0)),
+                     stacked(lambda t: np.tile(rate, np.shape(t) + (1,))))
 
 
 def _custom_system(cfg: dict) -> SystemSpec:
@@ -358,7 +360,8 @@ def _custom_system(cfg: dict) -> SystemSpec:
         patches={patch: PatchData(constant_metric_field(patch, eta, dim=dim), form)},
         curve=curve,
         charts=(patch,),
-        energy=None if e_mat is None else ObservableSection({patch: lambda r: e_mat.copy()}),
+        energy=None if e_mat is None else ObservableSection(
+            {patch: stacked(lambda r: np.broadcast_to(e_mat, (len(r),) + e_mat.shape))}),
     )
 
 

@@ -3,10 +3,12 @@
 Every ODE in this package is linear: y is a state, or a matrix whose columns
 are states (a propagator, or initial states evolved at once), and
 :func:`integrate` takes the generator H(t) itself.  The step matrices M_k,
-y_{k+1} = M_k y_k, do not depend on the state: a builder makes them for a
-chunk of at most ``FIXED_CHUNK_STEPS`` steps from one
-:func:`qbundle.linalg.over_points` call.  :func:`rk4_steps` is classical RK4
-on the identity, one node per distinct step start, midpoint and end.
+y_{k+1} = M_k y_k, do not depend on the state.  A method's step function,
+``steps(generator, starts, h)``, is a pure function: it makes the matrices
+of a chunk of at most ``FIXED_CHUNK_STEPS`` steps from one
+:func:`qbundle.linalg.over_points` call, and keeps nothing between chunks.
+:func:`rk4_steps` is classical RK4 on the identity, one node per distinct
+step start, midpoint and end of the chunk.
 :func:`magnus6_steps` is the sixth-order Magnus integrator on the Gauss
 nodes of each step (Blanes, Casas & Ros, BIT 40 (2000) 434): with
 A_i = -i H(t + c_i h), c = 1/2 - s, 1/2, 1/2 + s, s = sqrt(15)/10,
@@ -108,27 +110,17 @@ def rk4_step(nodes, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_steps(generator):
-    """RK4 step-matrix builder: ``build(starts, h)`` returns the matrix of each
-    step from starts[k] to starts[k] + h, from one :func:`rk4_step` on the
-    identity.  Successive calls continue one run: a chunk's start node is the
-    previous chunk's end node and is not evaluated again."""
-    carry = []
-
-    def build(starts: np.ndarray, h: float) -> np.ndarray:
-        nodes = np.empty(2 * len(starts) - 1)
-        nodes[0::2] = starts
-        nodes[1::2] = starts[:-1] + 0.5 * h
-        if carry:
-            gens = np.concatenate((carry.pop(), linalg.over_points(generator, nodes[1:])))
-        else:
-            gens = linalg.over_points(generator, nodes)
-        carry.append(gens[-1:])
-        eye = np.eye(gens.shape[-1], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-            return rk4_step((gens[0:-1:2], gens[1::2], gens[2::2]), eye, h)
-
-    return build
+def rk4_steps(generator, starts: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 matrix of each step from starts[k] to starts[k] + h, from one
+    :func:`rk4_step` on the identity; every start, midpoint and end node in
+    one generator call."""
+    nodes = np.empty(2 * len(starts) - 1)
+    nodes[0::2] = starts
+    nodes[1::2] = starts[:-1] + 0.5 * h
+    gens = linalg.over_points(generator, nodes)
+    eye = np.eye(gens.shape[-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        return rk4_step((gens[0:-1:2], gens[1::2], gens[2::2]), eye, h)
 
 
 #: Gauss-Legendre nodes of a Magnus-6 step, as fractions of the step
@@ -139,26 +131,22 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return linalg.matmul(a, b) - linalg.matmul(b, a)
 
 
-def magnus6_steps(generator):
-    """Magnus-6 step-matrix builder: ``build(starts, h)`` returns exp(Omega)
-    of each step from starts[k] to starts[k] + h (scheme in the module
-    docstring), with the three Gauss nodes of every step in one generator call."""
-
-    def build(starts: np.ndarray, h: float) -> np.ndarray:
-        nodes = (starts[:-1, None] + h * GAUSS_NODES).ravel()
-        gens = linalg.over_points(generator, nodes)
-        gens = gens.reshape((len(starts) - 1, 3) + gens.shape[1:])
-        with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-            A1, A2, A3 = (-1j * gens[:, i] for i in range(3))  # A_i of the scheme
-            a1 = h * A2
-            a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
-            a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
-            c1 = _commutator(a1, a2)
-            c2 = -(1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
-            omega = a1 + a3 / 12.0 + (1.0 / 240.0) * _commutator(-20.0 * a1 - a3 + c1, a2 + c2)
-            return linalg.exp_stack(omega)
-
-    return build
+def magnus6_steps(generator, starts: np.ndarray, h: float) -> np.ndarray:
+    """exp(Omega) of each step from starts[k] to starts[k] + h (scheme in the
+    module docstring), with the three Gauss nodes of every step in one
+    generator call."""
+    nodes = (starts[:-1, None] + h * GAUSS_NODES).ravel()
+    gens = linalg.over_points(generator, nodes)
+    gens = gens.reshape((len(starts) - 1, 3) + gens.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+        A1, A2, A3 = (-1j * gens[:, i] for i in range(3))  # A_i of the scheme
+        a1 = h * A2
+        a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
+        a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
+        c1 = _commutator(a1, a2)
+        c2 = -(1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
+        omega = a1 + a3 / 12.0 + (1.0 / 240.0) * _commutator(-20.0 * a1 - a3 + c1, a2 + c2)
+        return linalg.exp_stack(omega)
 
 
 def _scan(steps: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,17 +202,16 @@ def integrate(
     return _integrate_adaptive(generator, y, t0, t1, max(1, n // 4), config.target_local_error)
 
 
-def _integrate_fixed(generator, y, t0, t1, n, builder):
-    """n uniform steps of ``builder``'s step matrices from y at t0, each chunk's
-    states from :func:`_scan`."""
+def _integrate_fixed(generator, y, t0, t1, n, method_steps):
+    """n uniform steps of ``method_steps``'s step matrices from y at t0,
+    built and scanned (:func:`_scan`) one chunk at a time."""
     h = (t1 - t0) / n
     starts = t0 + np.arange(n + 1) * h  # step k runs from starts[k] to starts[k+1]
     states = np.empty((n + 1,) + y.shape, dtype=complex)
     states[0] = y
-    build = builder(generator)
     for a in range(0, n, FIXED_CHUNK_STEPS):
         b = min(a + FIXED_CHUNK_STEPS, n)
-        steps = build(starts[a:b + 1], h)
+        steps = method_steps(generator, starts[a:b + 1], h)
         with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
             states[a + 1:b + 1] = _scan(steps, states[a])
             # the prefix products can overflow where the states would not

@@ -31,7 +31,7 @@ from qbundle.cli import (
 )
 from qbundle.dynamics import evolve
 from qbundle.errors import ConfigError
-from qbundle.linalg import max_abs
+from qbundle.linalg import SIGMA3, max_abs
 from qbundle.stepping import StepperConfig
 
 THETA_FROM = math.pi / 6.0
@@ -347,12 +347,25 @@ def test_custom_energy_hermiticity_gate_scales_with_the_entries():
     ({"connection": [[[0, 0], [0, 0]]] * 2}, "'connection' must list one matrix per coordinate (1)"),
     ({"connection": [[[0] * 3] * 3]},
      "'connection' and 'energy_hermitian' matrices must have the size of 'eta'"),
+    ({"eta": []}, "eta: expected the rows of a square matrix, got []"),
+    ({"eta": 5}, "eta: expected the rows of a square matrix, got 5"),
 ])
 def test_malformed_custom_configs_exit_2(tmp_path, monkeypatch, capsys, overrides, message):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "bad.json", {**custom_config(), **overrides})
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.strip() == f"configuration error: {message}"
+
+
+def test_custom_model_fields_are_stacked():
+    """The custom model's curve and energy take a whole stack in one call."""
+    system = build_from_config(custom_config())
+    fields = (system.curve.position, system.curve.velocity, system.energy.fields["main"])
+    assert all(getattr(fn, "stacked", False) for fn in fields)
+    ts = np.array([0.0, 0.25, 1.0])
+    assert np.array_equal(system.curve.points(ts), ts[:, None])
+    assert np.array_equal(system.curve.velocities(ts), np.ones((3, 1)))
+    assert np.array_equal(system.energy.matrix("main", ts[:, None]), np.array([SIGMA3] * 3))
 
 
 def test_check_tolerance_override(tmp_path, monkeypatch):
@@ -642,6 +655,22 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", "import sys, qbundle.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_check_and_summary_sweep_leave_csvformat_unloaded(tmp_path):
+    """Only the trajectory CSV imports the column-wise formatter, so a check
+    and an initial-state sweep that writes summaries never load it."""
+    cfg = write_config(tmp_path / "readme.json", readme_config())
+    sweep = write_config(tmp_path / "sweep.json", {**readme_config(), "outputs": ["summary"]})
+    env = dict(os.environ, PYTHONPATH=str(Path(qbundle.__file__).parents[1]))
+    code = ("import sys; from qbundle.cli import main; "
+            f"main(['check', {cfg!r}, '--output-dir', {str(tmp_path)!r}]); "
+            f"main(['sweep', {sweep!r}, '--output-dir', {str(tmp_path)!r}, "
+            "'--param', 'initial_state.1.1', '--values', '0.1,0.3']); "
+            "print('qbundle.csvformat' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("overrides", [

@@ -13,7 +13,7 @@ from qbundle.connection import (
     gauge_transform_connection,
     transport_operator,
 )
-from qbundle.errors import OmegaNotPseudoHermitian, OutOfPatch
+from qbundle.errors import DimensionMismatch, OmegaNotPseudoHermitian, OutOfPatch
 from qbundle.linalg import SIGMA1, SIGMA2, SIGMA3, matrix_exp, max_abs
 from qbundle.metric import MetricField, constant_metric_field, eta_inner
 from qbundle.stepping import StepperConfig
@@ -92,6 +92,12 @@ def test_assemble_validates_omega():
     form = assemble_connection(field, omega_fn=good_omega, validate_at=[[0.0], [0.4]])
     # compatibility unaffected by the pseudo-Hermitian piece
     assert check_metric_compatibility(form, field, [0.4]) <= 1e-12
+
+
+def test_components_must_be_one_matrix_per_coordinate():
+    form = ConnectionForm("main", lambda r: np.zeros((3, 2, 2), dtype=complex), dim=2)
+    with pytest.raises(DimensionMismatch, match=r"components of shape \(3, 2, 2\), expected 2"):
+        form.components([0.1, 0.2])
 
 
 def test_compatibility_residual_detects_defect():

@@ -64,6 +64,8 @@ def test_eta_inner_identity_metric_is_standard():
 def test_eta_inner_shape_check():
     with pytest.raises(DimensionMismatch):
         eta_inner(np.eye(2), np.ones(3), np.ones(2))
+    with pytest.raises(DimensionMismatch, match=r"phi must be one-dimensional, got shape \(2, 2\)"):
+        eta_inner(np.eye(2), np.eye(2), np.ones(2))
 
 
 # ------------------------------------------------------- pseudo-Hermiticity

@@ -638,11 +638,11 @@ def test_fixed_steps_call_the_generic_generator_once_per_chart_segment(monkeypat
     assert sum(stacks) == 2 * (len(res.times) - 2) + 2  # 2n+1 nodes per segment
 
 
-def test_fixed_chunks_share_their_boundary_node(monkeypatch):
-    """Each chunk of fixed steps is one call and no node is evaluated twice.
-    Each chunk's states are the scan of its step matrices from the previous
-    chunk's last state, bit for bit, so chunked and whole runs agree to
-    rounding."""
+def test_fixed_chunks_are_one_call_each_and_scan_bit_for_bit(monkeypatch):
+    """Each chunk of fixed steps is one generator call on its own nodes, the
+    boundary node included.  Each chunk's states are the scan of its step
+    matrices from the previous chunk's last state, bit for bit, so chunked
+    and whole runs agree to rounding."""
     evals = []
 
     @stacked
@@ -656,8 +656,8 @@ def test_fixed_chunks_share_their_boundary_node(monkeypatch):
     monkeypatch.setattr(stepping, "FIXED_CHUNK_STEPS", 7)
     evals.clear()
     _, chunked = stepping.integrate(h, psi0, 0.0, 1.0, config)
-    assert evals == [15, 14, 12]  # chunks of 7, 7 and 6 steps
-    steps = stepping.rk4_steps(h)(np.arange(21) * 0.05, 0.05)
+    assert evals == [15, 15, 13]  # chunks of 7, 7 and 6 steps
+    steps = stepping.rk4_steps(h, np.arange(21) * 0.05, 0.05)
     assert np.array_equal(whole[1:], stepping._scan(steps, psi0))
     for a in (0, 7, 14):
         b = min(a + 7, 20)

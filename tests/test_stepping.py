@@ -127,7 +127,7 @@ def test_spurious_prefix_overflow_is_restepped():
     c = 920.0 / s0**2
     gen = lambda t: np.array([[1j * c * (t - s0)]])
     y0 = np.array([1.0 + 0j])
-    steps = stepping.rk4_steps(gen)(np.arange(1001) * 1e-3, 1e-3)
+    steps = stepping.rk4_steps(gen, np.arange(1001) * 1e-3, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(stepping._scan(steps, y0)).all()
     with warnings.catch_warnings():
